@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .core import InputConfiguration, SystemParams
+from .core import InputConfiguration, SimilarityCertificate, SystemParams, similarity_pass
 from .errors import ConfigError
 from .simnet import (
     ASYNCHRONOUS,
@@ -97,17 +97,10 @@ def best_effort_certificate(prop, params: SystemParams, domain):
     the similarity condition fails: configurations whose similar-intersection
     is empty fall back to the smallest directly-valid value. Never use this
     outside attack demonstrations."""
-    from .core import SimilarityCertificate, enumerate_input_configs, similar
-
-    sigma = {}
-    for config in enumerate_input_configs(params, domain):
-        common = None
-        for other in similar(config, params, domain):
-            vals = prop.evaluate(params, domain, other)
-            common = vals if common is None else common & vals
-        if not common:
-            common = prop.evaluate(params, domain, config)
-        sigma[config.encode()] = domain.min_output(common)
+    sigma = {
+        config.encode(): own if choice is None else choice
+        for config, choice, own in similarity_pass(prop, params, domain)
+    }
     return SimilarityCertificate(params=params, domain=domain, sigma=sigma)
 
 

@@ -2,14 +2,18 @@
 
 Parties are integers 0..n-1. An input configuration assigns one input value to
 each member of a party subset of size >= n - t_s; it stands for "these parties
-are honest and hold these inputs". Everything here is exhaustive enumeration
-over explicit finite domains, guarded by a budget.
+are honest and hold these inputs". Everything here enumerates explicit finite
+domains, guarded by a budget. Certificates come from `similarity_pass`, one
+pass over the configurations in canonical order that evaluates the property at
+most once per configuration; `similar()` and `SimilarityCertificate.validate`
+are the brute-force oracle that checks every pair (I, J) independently.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -91,13 +95,6 @@ class Domain:
         vals = tuple(str(i) for i in range(count))
         return cls(vals, vals)
 
-    def output_index(self, value: str) -> int:
-        return self.output_values.index(value)
-
-    def min_output(self, values) -> str:
-        """Smallest member of `values` in declared output order."""
-        return min(values, key=self.output_values.index)
-
     def to_dict(self) -> dict:
         return {"input_values": list(self.input_values), "output_values": list(self.output_values)}
 
@@ -162,17 +159,6 @@ class InputConfiguration:
             pairs.append((int(head[1:]), value))
         return cls.of(pairs)
 
-    def validate(self, params: SystemParams, domain: Domain) -> None:
-        if len(self) < params.min_config_size:
-            raise ConfigError(
-                f"configuration has {len(self)} parties, need >= {params.min_config_size}"
-            )
-        for p, v in self.assignments:
-            if p >= params.n:
-                raise ConfigError(f"party {p} out of range for n={params.n}")
-            if v not in domain.input_values:
-                raise ConfigError(f"value {v!r} not in input domain")
-
 
 @dataclass(frozen=True)
 class ValidityProperty:
@@ -209,14 +195,8 @@ def count_input_configs(params: SystemParams, domain: Domain) -> int:
     n = params.n
     total = 0
     for k in range(params.min_config_size, n + 1):
-        total += _comb(n, k) * m**k
+        total += math.comb(n, k) * m**k
     return total
-
-
-def _comb(n: int, k: int) -> int:
-    import math
-
-    return math.comb(n, k)
 
 
 def enumerate_input_configs(
@@ -297,24 +277,32 @@ def is_similar_to(
     return len(other) >= params.n - params.t_a or other.is_subset_of(config)
 
 
-def _memoized(validity: ValidityProperty, params: SystemParams, domain: Domain):
-    cache: dict = {}
-    allowed = frozenset(domain.output_values)
+def _output_masks(
+    validity: ValidityProperty, params: SystemParams, domain: Domain
+) -> Callable[[InputConfiguration], int]:
+    """The property as a bitmask over the declared output order (bit i is
+    output_values[i]); values outside the output domain raise ConfigError."""
+    bits = {value: 1 << i for i, value in enumerate(domain.output_values)}
 
-    def evaluate(config: InputConfiguration) -> frozenset:
-        key = config.assignments
-        result = cache.get(key)
-        if result is None:
-            result = frozenset(validity.evaluate(params, domain, config))
-            if not result <= allowed:
-                raise ConfigError(
-                    f"property {validity.name!r} returned values outside the output domain: "
-                    f"{sorted(result - allowed)}"
-                )
-            cache[key] = result
-        return result
+    def evaluate(config: InputConfiguration) -> int:
+        result = frozenset(validity.evaluate(params, domain, config))
+        mask = 0
+        try:
+            for value in result:
+                mask |= bits[value]
+        except KeyError:
+            raise ConfigError(
+                f"property {validity.name!r} returned values outside the output domain: "
+                f"{sorted(result - bits.keys())}"
+            ) from None
+        return mask
 
     return evaluate
+
+
+def _lowest_output(domain: Domain, mask: int) -> Optional[str]:
+    """Smallest output in `mask` in declared order; None for the empty mask."""
+    return domain.output_values[(mask & -mask).bit_length() - 1] if mask else None
 
 
 def monotone_closure(validity: ValidityProperty) -> ValidityProperty:
@@ -348,13 +336,13 @@ def is_trivial(
     """Whether one output is valid under every configuration; returns the
     smallest such value in declared output order if so."""
     budget = budget or Budget()
-    evaluate = _memoized(validity, params, domain)
-    common = frozenset(domain.output_values)
+    evaluate = _output_masks(validity, params, domain)
+    common = (1 << len(domain.output_values)) - 1
     for config in enumerate_input_configs(params, domain, budget):
         common &= evaluate(config)
         if not common:
             return False, None
-    return True, domain.min_output(common)
+    return True, _lowest_output(domain, common)
 
 
 def is_trivial_maximal(
@@ -366,8 +354,8 @@ def is_trivial_maximal(
     """Triviality restricted to maximal configurations (all parties present)."""
     budget = budget or Budget()
     budget.check_configs(len(domain.input_values) ** params.n)
-    evaluate = _memoized(validity, params, domain)
-    common = frozenset(domain.output_values)
+    evaluate = _output_masks(validity, params, domain)
+    common = (1 << len(domain.output_values)) - 1
     parties = tuple(range(params.n))
     for assignment in itertools.product(domain.input_values, repeat=params.n):
         common &= evaluate(InputConfiguration(tuple(zip(parties, assignment))))
@@ -408,16 +396,23 @@ class SimilarityCertificate:
         self, validity: ValidityProperty, budget: Optional[Budget] = None
     ) -> tuple[bool, Optional[str]]:
         """Independent soundness re-check: sigma(I) in V(J) for every I and
-        every J similar to I. Returns (ok, first failure description)."""
+        every J similar to I, each J found by the brute-force `similar()` scan.
+        Returns (ok, first failure description)."""
         budget = budget or Budget()
-        evaluate = _memoized(validity, self.params, self.domain)
+        evaluate = _output_masks(validity, self.params, self.domain)
+        outputs = self.domain.output_values
+        allowed: dict = {}  # assignments -> output mask
         for config in enumerate_input_configs(self.params, self.domain, budget):
             encoded = config.encode()
             if encoded not in self.sigma:
                 return False, f"missing sigma entry for {encoded}"
             chosen = self.sigma[encoded]
+            bit = 1 << outputs.index(chosen) if chosen in outputs else 0
             for other in similar(config, self.params, self.domain, budget):
-                if chosen not in evaluate(other):
+                mask = allowed.get(other.assignments)
+                if mask is None:
+                    mask = allowed[other.assignments] = evaluate(other)
+                if not mask & bit:
                     return False, f"sigma({encoded})={chosen} invalid under {other.encode()}"
         return True, None
 
@@ -435,23 +430,116 @@ class CertificateOutcome:
         return self.certificate is not None
 
 
+def similarity_pass(
+    validity: ValidityProperty,
+    params: SystemParams,
+    domain: Domain,
+    budget: Optional[Budget] = None,
+) -> Iterator[tuple[InputConfiguration, Optional[str], Optional[str]]]:
+    """Yields (I, choice, own) for every configuration I in canonical order:
+    `choice` is the smallest output valid under every configuration in
+    similar(I), `own` the smallest valid under I itself; None when there is
+    no such output.
+
+    similar(I) is the sub-configurations of I of size >= n - t_s together
+    with the configurations of size >= n - t_a that agree with I wherever
+    both are present, so the intersection over it is the AND of:
+      (a) the monotone closure C(I) = V(I) & AND_p C(I - p), computed one
+          size level at a time;
+      (b) for each party set S with |S| >= n - t_a, one entry of a "for all"
+          table H_S over patterns in (values | {*})^S, filled on demand:
+          H_S(x with x_p = *) = AND_v H_S(x with x_p = v), and a pattern
+          without * is V of that configuration.
+    Configurations and patterns are integers in which party p holds digit
+    d * base**p: d = 0 for absent (a * in a pattern), d = i + 1 for input
+    value i. Output sets are bitmasks over the declared output order.
+    `validity.evaluate` runs at most once per configuration, and V is kept
+    only for sizes >= n - t_a, inside the H tables.
+    """
+    budget = budget or Budget()
+    budget.check_configs(count_input_configs(params, domain))
+    evaluate = _output_masks(validity, params, domain)
+    n, values = params.n, domain.input_values
+    base = len(values) + 1
+    weight = [base**p for p in range(n)]
+    digits = range(1, base)
+    every_output = (1 << len(domain.output_values)) - 1
+    tables = {
+        parties: {}
+        for size in range(n - params.t_a, n + 1)
+        for parties in itertools.combinations(range(n), size)
+    }
+
+    def forall(table: dict, parties: tuple, code: int) -> int:
+        for p in parties:
+            if code // weight[p] % base == 0:
+                mask = every_output
+                for d in digits:
+                    sub = code + d * weight[p]
+                    part = table.get(sub)
+                    mask &= forall(table, parties, sub) if part is None else part
+                    if not mask:
+                        break
+                break
+        else:
+            mask = evaluate(InputConfiguration(
+                tuple((p, values[code // weight[p] % base - 1]) for p in parties)
+            ))
+        table[code] = mask
+        return mask
+
+    closure_below: dict = {}
+    for size in range(params.min_config_size, n + 1):
+        closure: dict = {}
+        for subset in itertools.combinations(range(n), size):
+            weights = [weight[p] for p in subset]
+            own_table = tables.get(subset)
+            # per S: its table, and the positions of `subset` that S leaves out
+            lookups = [
+                (table, parties, [i for i, p in enumerate(subset) if p not in parties])
+                for parties, table in tables.items()
+            ]
+            for assignment, ds in zip(
+                itertools.product(values, repeat=size), itertools.product(digits, repeat=size)
+            ):
+                config = InputConfiguration(tuple(zip(subset, assignment)))
+                code = sum(d * w for d, w in zip(ds, weights))
+                own = None if own_table is None else own_table.get(code)
+                if own is None:
+                    own = evaluate(config)
+                    if own_table is not None:
+                        own_table[code] = own
+                mask = own
+                if size > params.min_config_size:
+                    for d, w in zip(ds, weights):
+                        mask &= closure_below[code - d * w]
+                closure[code] = mask
+                for table, parties, outside in lookups:
+                    if not mask:
+                        break
+                    pattern = code
+                    for i in outside:
+                        pattern -= ds[i] * weights[i]
+                    part = table.get(pattern)
+                    mask &= forall(table, parties, pattern) if part is None else part
+                yield config, _lowest_output(domain, mask), _lowest_output(domain, own)
+        closure_below = closure
+
+
 def compute_similarity_certificate(
     validity: ValidityProperty,
     params: SystemParams,
     domain: Domain,
     budget: Optional[Budget] = None,
 ) -> CertificateOutcome:
-    budget = budget or Budget()
-    evaluate = _memoized(validity, params, domain)
+    """The certificate choosing, for every configuration, the smallest output
+    valid under all of its similar configurations; or the first configuration
+    in canonical order where no output is."""
     sigma: dict[str, str] = {}
-    for config in enumerate_input_configs(params, domain, budget):
-        common = None
-        for other in similar(config, params, domain, budget):
-            vals = evaluate(other)
-            common = vals if common is None else common & vals
-            if not common:
-                return CertificateOutcome(certificate=None, witness=config)
-        sigma[config.encode()] = domain.min_output(common)
+    for config, choice, _own in similarity_pass(validity, params, domain, budget):
+        if choice is None:
+            return CertificateOutcome(certificate=None, witness=config)
+        sigma[config.encode()] = choice
     return CertificateOutcome(
         certificate=SimilarityCertificate(params=params, domain=domain, sigma=sigma),
         witness=None,

@@ -50,9 +50,10 @@ def wrap_actions(tag, actions) -> tuple[list, list]:
 
 
 def check_param_bounds(params, enforce: bool = True) -> None:
-    """Resilience precondition shared by the agreement protocols, including
-    the quorum-intersection sanity check: two (n - t_s) quorums overlap in at
-    least n - 2*t_s >= t_a + 1 parties."""
+    """Resilience precondition shared by the agreement protocols. It implies
+    quorum intersection: two (n - t_s) quorums overlap in at least
+    n - 2*t_s >= t_a + 1 parties (n > 2*t_s + t_a with PKI, and
+    n > 3*t_s >= 2*t_s + t_a without)."""
     if not enforce:
         return
     if not params.n_bound_holds():
@@ -60,4 +61,3 @@ def check_param_bounds(params, enforce: bool = True) -> None:
             f"parameters violate the resilience bound: n={params.n} t_s={params.t_s} "
             f"t_a={params.t_a} setup={params.setup}"
         )
-    assert params.n - 2 * params.t_s >= params.t_a + 1

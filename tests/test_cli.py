@@ -1,8 +1,11 @@
 """CLI exit-code contract and end-to-end command flows."""
 
 import json
+from pathlib import Path
 
 from aba.cli import main
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def invoke(capsys, *argv):
@@ -69,6 +72,40 @@ def test_certificate_unsolvable_no_file(capsys, tmp_path):
     assert code == 3
     assert not out_path.exists()
     assert "witness" in err
+
+
+def test_certificate_matches_committed_golden_file(capsys, tmp_path):
+    out_path = tmp_path / "cert.json"
+    code, _, _ = invoke(capsys, "certificate", "--validity", "strong",
+                        "--n", "4", "--ts", "1", "--ta", "1", "--setup", "pki",
+                        "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_bytes() == (SCENARIOS / "strong-4-1-1.cert.json").read_bytes()
+
+
+def test_certificate_budget_exit_four(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("ABA_BUDGET", "5")
+    out_path = tmp_path / "cert.json"
+    code, _, err = invoke(capsys, "certificate", "--validity", "strong",
+                          "--n", "4", "--ts", "1", "--ta", "1", "--out", str(out_path))
+    assert code == 4
+    assert "budget" in err.lower() and "Traceback" not in err
+    assert not out_path.exists()
+
+
+def test_certificate_out_of_domain_table_exit_two(capsys, tmp_path):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({
+        "domain": {"input_values": ["0", "1"], "output_values": ["0", "1"]},
+        "default": ["0", "1"],
+        "table": {"p0=0;p1=0;p2=1": ["2"]},
+    }))
+    out_path = tmp_path / "cert.json"
+    code, _, err = invoke(capsys, "certificate", "--validity-table", str(table),
+                          "--n", "3", "--ts", "1", "--ta", "0", "--out", str(out_path))
+    assert code == 2
+    assert "outside the output domain" in err
+    assert not out_path.exists()
 
 
 def scenario_file(tmp_path, **overrides):

@@ -405,6 +405,17 @@ def test_solvable_strong_pki():
     assert verdict.solvable and verdict.reason == SIMILARITY_AND_N_OK
 
 
+def test_n_bound_implies_quorum_intersection():
+    # the protocols rely on two (n - t_s) quorums sharing >= t_a + 1 parties
+    for n in range(1, 13):
+        for t_s in range(n):
+            for t_a in range(t_s + 1):
+                for setup in ("PKI", "NONE"):
+                    params = SystemParams(n, t_s, t_a, setup)
+                    if params.n_bound_holds():
+                        assert n - 2 * t_s >= t_a + 1, params
+
+
 def test_unsolvable_weak_n_too_small():
     verdict = is_solvable(weak_validity(), SystemParams(4, 2, 0, "PKI"), BINARY)
     assert not verdict.solvable
