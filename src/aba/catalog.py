@@ -165,6 +165,13 @@ def load_table_property(path: str) -> tuple[ValidityProperty, Domain]:
     return prop, domain
 
 
+def _name_int(text: str, name: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"expected an integer in {name!r}, got {text!r}") from None
+
+
 def resolve(name: str, values: int = 2) -> tuple[ValidityProperty, Domain]:
     """Maps a catalog name to (property, its default domain).
 
@@ -182,12 +189,12 @@ def resolve(name: str, values: int = 2) -> tuple[ValidityProperty, Domain]:
         parts = name.split(":")
         if len(parts) != 3:
             raise ConfigError(f"expected interval:<lo>:<hi>, got {name!r}")
-        spec = IntervalDomainSpec(int(parts[1]), int(parts[2]))
+        spec = IntervalDomainSpec(_name_int(parts[1], name), _name_int(parts[2], name))
         return interval_hull(spec), spec.domain()
     if name.startswith("clique:"):
         parts = name.split(":")
         if len(parts) != 2:
             raise ConfigError(f"expected clique:<omega>, got {name!r}")
-        spec = CliqueHullSpec(int(parts[1]))
+        spec = CliqueHullSpec(_name_int(parts[1], name))
         return clique_hull(spec), spec.domain()
     raise ConfigError(f"unknown validity name {name!r}")

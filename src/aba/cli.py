@@ -35,12 +35,14 @@ from .protocols import (
     UniversalBa,
 )
 from .simnet import (
+    DECIDE,
     SYNCHRONOUS,
     AdversaryScript,
     AsyncRandomDelay,
     AsyncUniformDelay,
     CrashAt,
     Equivocate,
+    ExecutionTrace,
     FollowWithInput,
     NetworkConfig,
     PartitionPolicy,
@@ -119,22 +121,53 @@ def cmd_certificate(args) -> int:
 # ---------------------------------------------------------------- scenarios
 
 
+def _mapping(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
+def _integer(value, where: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be an integer, got {value!r}") from None
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+def _parties(value, where: str) -> frozenset:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of party ids, got {value!r}")
+    return frozenset(_integer(p, where) for p in value)
+
+
+def _equivocate(spec: dict) -> Equivocate:
+    values = spec["values"]
+    if not isinstance(values, list) or len(values) != 2:
+        raise ConfigError(f"EQUIVOCATE values must be a list of two values, got {values!r}")
+    split = _parties(spec["split"], "EQUIVOCATE split") if "split" in spec else None
+    return Equivocate(values[0], values[1], split)
+
+
 _BEHAVIORS = {
-    "CRASH_AT": lambda spec: CrashAt(int(spec.get("time", 0))),
+    "CRASH_AT": lambda spec: CrashAt(_integer(spec.get("time", 0), "CRASH_AT time")),
     "FOLLOW_WITH_INPUT": lambda spec: FollowWithInput(spec["value"]),
-    "EQUIVOCATE": lambda spec: Equivocate(
-        spec["values"][0],
-        spec["values"][1],
-        frozenset(spec["split"]) if "split" in spec else None,
+    "EQUIVOCATE": _equivocate,
+    "SILENT_TO": lambda spec: SilentTo(
+        _parties(spec["parties"], "SILENT_TO parties"), spec.get("value")
     ),
-    "SILENT_TO": lambda spec: SilentTo(frozenset(spec["parties"]), spec.get("value")),
 }
 
 
-def _delivery_policy(spec: Optional[dict], net: NetworkConfig):
+def _delivery_policy(spec, net: NetworkConfig):
     if spec is None:
         return None
-    kind = spec.get("kind")
+    kind = _mapping(spec, "adversary delivery").get("kind")
     if kind == "exact":
         return SyncExactDelay(net.delta)
     if kind == "sync-random":
@@ -142,10 +175,15 @@ def _delivery_policy(spec: Optional[dict], net: NetworkConfig):
     if kind == "uniform":
         return AsyncUniformDelay()
     if kind == "random":
-        return AsyncRandomDelay(int(spec.get("max_delay", 3 * net.delta)))
+        return AsyncRandomDelay(_integer(spec.get("max_delay", 3 * net.delta), "max_delay"))
     if kind == "partition":
+        groups = spec["groups"]
+        if not isinstance(groups, list):
+            raise ConfigError(f"partition groups must be a list, got {groups!r}")
+        release = spec.get("release_time")
         return PartitionPolicy(
-            [set(g) for g in spec["groups"]], spec.get("release_time")
+            [_parties(g, "partition group") for g in groups],
+            None if release is None else _integer(release, "release_time"),
         )
     raise ConfigError(f"unknown delivery policy {kind!r}")
 
@@ -155,35 +193,43 @@ class Scenario:
     inputs, and seed."""
 
     def __init__(self, data: dict, base_dir: str = "."):
+        _mapping(data, "scenario")
         for key in ("params", "protocol", "network", "inputs", "seed"):
             if key not in data:
                 raise ConfigError(f"scenario missing {key!r}")
-        self.params = SystemParams.from_dict(data["params"])
-        net = data["network"]
-        mode = net.get("mode", "SYNCHRONOUS").upper()
+        self.params = SystemParams.from_dict(_mapping(data["params"], "params"))
+        net = _mapping(data["network"], "network")
+        mode = _string(net.get("mode", "SYNCHRONOUS"), "network mode").upper()
         self.net = NetworkConfig(
-            mode=mode, delta=int(net.get("delta", 10)), horizon=int(net.get("horizon", 8000))
+            mode=mode,
+            delta=_integer(net.get("delta", 10), "network delta"),
+            horizon=_integer(net.get("horizon", 8000), "network horizon"),
         )
-        self.protocol = data["protocol"]
-        self.seed = int(data["seed"])
+        self.protocol = _string(data["protocol"], "protocol")
+        self.seed = _integer(data["seed"], "seed")
         self.validity_name = data.get("validity")
-        self.values = int(data.get("values", 2))
+        if self.validity_name is not None:
+            _string(self.validity_name, "validity")
+        self.values = _integer(data.get("values", 2), "values")
         self.certificate_path = data.get("certificate")
+        if self.certificate_path is not None:
+            _string(self.certificate_path, "certificate")
         if self.certificate_path and not os.path.isabs(self.certificate_path):
             self.certificate_path = os.path.join(base_dir, self.certificate_path)
-        adversary = data.get("adversary", {})
+        adversary = _mapping(data.get("adversary", {}), "adversary")
         corrupted = {}
-        for party, spec in adversary.get("corrupted", {}).items():
-            kind = spec.get("behavior")
-            if kind not in _BEHAVIORS:
+        for party, spec in _mapping(adversary.get("corrupted", {}), "corrupted").items():
+            kind = _mapping(spec, f"corrupted party {party}").get("behavior")
+            if not isinstance(kind, str) or kind not in _BEHAVIORS:
                 raise ConfigError(f"unknown behavior {kind!r}")
-            corrupted[int(party)] = _BEHAVIORS[kind](spec)
+            corrupted[_integer(party, "corrupted party id")] = _BEHAVIORS[kind](spec)
         self.script = AdversaryScript(
             corrupted=corrupted,
             delivery=_delivery_policy(adversary.get("delivery"), self.net),
         )
         self.inputs = InputConfiguration.of(
-            (int(p), str(v)) for p, v in data["inputs"].items()
+            (_integer(p, "input party id"), str(v))
+            for p, v in _mapping(data["inputs"], "inputs").items()
         )
         if any(p >= self.params.n for p in self.inputs.parties):
             raise ConfigError("inputs reference a party outside 0..n-1")
@@ -300,11 +346,12 @@ def cmd_run(args) -> int:
         scenario.seed,
     )
     summary = _check_run_properties(scenario, result, machines)
-    summary["trace_hash"] = result.trace.sha256()
+    text = result.trace.jsonl()
+    summary["trace_hash"] = ExecutionTrace.text_sha256(text)
     summary["horizon_exceeded"] = result.horizon_exceeded
     if args.trace:
         with open(args.trace, "w") as fh:
-            fh.write(result.trace.jsonl())
+            fh.write(text)
         summary["trace_file"] = args.trace
     if scenario.protocol == "acs":
         summary["decisions"] = {
@@ -338,7 +385,7 @@ def cmd_fuzz(args) -> int:
         total_violations += len(summary["violations"])
         if not summary["undecided"]:
             decided_runs += 1
-            decide_times = [t for t, kind, *_ in result.trace.events if kind == "DECIDE"]
+            decide_times = [t for t, *_ in result.trace.of_kind(DECIDE)]
             if decide_times:
                 max_decision_time = max(max_decision_time, max(decide_times))
     report = {

@@ -67,6 +67,8 @@ class SystemParams:
             return cls(int(d["n"]), int(d["t_s"]), int(d["t_a"]), str(d.get("setup", SETUP_PKI)))
         except KeyError as e:
             raise ConfigError(f"params missing field {e}") from e
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"params fields must be integers: {e}") from e
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,11 @@ from ..simnet import Broadcast, Decide, Send, SetTimer
 
 class Machine:
     """Event-driven party logic: handlers return lists of actions and must
-    never block. At most one Decide is ever emitted per node."""
+    never block. At most one Decide is ever emitted per node.
+
+    A payload is never mutated once it has been sent, by its sender or by
+    any receiver: every destination gets the same object, and the trace
+    serializes it only when the trace is first read."""
 
     def on_start(self, ctx, value) -> list:
         return []

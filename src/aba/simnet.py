@@ -6,6 +6,10 @@ sequence), per-party randomness and the common coin derive from the seed via
 SHA-256, and signatures are an ideal registry-backed oracle. Replicated node
 instances share their party's random stream, so copies fed identical message
 sequences evolve identically.
+
+Payloads are passed by reference: every destination of a send receives the
+sender's object, and the trace keeps that object until it is first read.
+Machines therefore never mutate a payload after sending or receiving it.
 """
 
 from __future__ import annotations
@@ -139,37 +143,75 @@ def _jsonable(value):
     return repr(value)
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True)  # what json.dumps(x, sort_keys=True) uses
+
+
+def _payload_detail(payload) -> str:
+    return f"v{PAYLOAD_FORMAT}:" + _ENCODER.encode(_jsonable(payload))
+
+
 class ExecutionTrace:
-    """Append-only event log; JSONL serialization and SHA-256 hashing."""
+    """Append-only event log; JSONL serialization and SHA-256 hashing.
+
+    SEND and DELIVER events store the message payload object itself. The
+    first read of `events` (and so of `jsonl()`, `sha256()` and
+    `node_transcript()`) replaces each such payload by its `v1:` JSON string,
+    serializing every distinct payload object once, however many SEND and
+    DELIVER events share it. This relies on the simulator's contract that a
+    payload is never mutated after it is sent (see `Machine`): the string is
+    the one an eager serialization at send time would have produced.
+    """
 
     def __init__(self):
-        self.events: list[tuple] = []  # (t, kind, party, replica, detail)
+        self._events: list[tuple] = []  # (t, kind, party, replica, detail)
+        self._pending: list[dict] = []  # details whose "payload" is still an object
 
     def append(self, t: int, kind: str, node: NodeKey, detail: dict):
-        self.events.append((t, kind, node[0], node[1], detail))
+        self._events.append((t, kind, node[0], node[1], detail))
+
+    def append_payload(self, t: int, kind: str, node: NodeKey, detail: dict):
+        """Appends an event whose `detail["payload"]` is an unserialized
+        payload object."""
+        self.append(t, kind, node, detail)
+        self._pending.append(detail)
+
+    @property
+    def events(self) -> list[tuple]:
+        if self._pending:
+            # keyed by id(): every pending payload was alive when this read began,
+            # so no two of them share an id
+            texts: dict[int, str] = {}
+            for detail in self._pending:
+                payload = detail["payload"]
+                text = texts.get(id(payload))
+                if text is None:
+                    text = texts[id(payload)] = _payload_detail(payload)
+                detail["payload"] = text
+            self._pending = []
+        return self._events
 
     def jsonl(self) -> str:
-        lines = []
-        for t, kind, party, replica, detail in self.events:
-            lines.append(
-                json.dumps(
-                    {
-                        "t": t,
-                        "kind": kind,
-                        "party": party,
-                        "replica": replica,
-                        "detail": _jsonable(detail),
-                    },
-                    sort_keys=True,
-                )
+        lines = [
+            _ENCODER.encode(
+                {"t": t, "kind": kind, "party": party, "replica": replica,
+                 "detail": _jsonable(detail)}
             )
+            for t, kind, party, replica, detail in self.events
+        ]
         return "\n".join(lines) + "\n"
 
     def sha256(self) -> str:
-        return hashlib.sha256(self.jsonl().encode()).hexdigest()
+        return self.text_sha256(self.jsonl())
+
+    @staticmethod
+    def text_sha256(text: str) -> str:
+        """The trace hash of a `jsonl()` text."""
+        return hashlib.sha256(text.encode()).hexdigest()
 
     def of_kind(self, kind: str) -> list[tuple]:
-        return [e for e in self.events if e[1] == kind]
+        # only SEND and DELIVER carry payloads; other kinds need no serialization
+        events = self.events if kind in (SEND, DELIVER) else self._events
+        return [e for e in events if e[1] == kind]
 
     def node_transcript(self, node: NodeKey, through: Optional[int] = None) -> list:
         """Events of one node with identities normalized to logical parties
@@ -472,7 +514,6 @@ class Simulation:
         self._nodes: dict[NodeKey, _NodeState] = {}
         self._heap: list = []
         self._seq = 0
-        self._sends = 0
         self.horizon_exceeded = False
 
     # -- construction
@@ -569,11 +610,11 @@ class Simulation:
             self._apply(state, now, sub_id, split, actions)
 
     def _dispatch_deliver(self, now: int, env: Envelope):
-        self.trace.append(
+        self.trace.append_payload(
             now,
             DELIVER,
             env.dst,
-            {"src": env.src[0], "src_replica": env.src[1], "payload": _payload_detail(env.payload)},
+            {"src": env.src[0], "src_replica": env.src[1], "payload": env.payload},
         )
         state = self._nodes.get(tuple(env.dst))
         if state is None or not self._alive(state, now):
@@ -633,12 +674,12 @@ class Simulation:
         target = route.get(dst_party, (dst_party, 0))
         if target is None:
             # discarded in transit: the sender still observes its own send
-            self.trace.append(
+            self.trace.append_payload(
                 now,
                 SEND,
                 node.key,
                 {"dst": dst_party, "dst_replica": None,
-                 "payload": _payload_detail(payload), "deliver_at": "discarded"},
+                 "payload": payload, "deliver_at": "discarded"},
             )
             return
         targets = target if isinstance(target, list) else [target]
@@ -647,12 +688,11 @@ class Simulation:
             if dst_key not in self._nodes:
                 continue
             env = Envelope(src=node.key, dst=dst_key, payload=payload, sent_at=now)
-            self._sends += 1
             deliver_at = self.policy.schedule(env, self._sched_rng)
             detail = {
                 "dst": dst_key[0],
                 "dst_replica": dst_key[1],
-                "payload": _payload_detail(payload),
+                "payload": payload,
             }
             if deliver_at is not None:
                 if deliver_at <= now:
@@ -664,11 +704,7 @@ class Simulation:
                 self._push(deliver_at, "DELIVER", env)
             else:
                 detail["deliver_at"] = "held"
-            self.trace.append(now, SEND, node.key, detail)
-
-
-def _payload_detail(payload) -> str:
-    return f"v{PAYLOAD_FORMAT}:" + json.dumps(_jsonable(payload), sort_keys=True)
+            self.trace.append_payload(now, SEND, node.key, detail)
 
 
 # ---------------------------------------------------------------- run helper

@@ -1,9 +1,15 @@
 """CLI exit-code contract and end-to-end command flows."""
 
+import hashlib
 import json
 from pathlib import Path
 
-from aba.cli import main
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aba.cli import Scenario, main
+from aba.errors import ConfigError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -184,6 +190,89 @@ def test_run_acs_scenario(capsys, tmp_path):
 def test_run_missing_file_exit_two(capsys):
     code, _, err = invoke(capsys, "run", "/nonexistent/scenario.json")
     assert code == 2
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"inputs": ["1", "1", "1", "1"]}, "inputs must be a JSON object"),
+    ({"network": {"delta": "x"}}, "network delta must be an integer"),
+    ({"adversary": {"corrupted": {"3": {"behavior": "SILENT_TO", "parties": "12"}}},
+      "inputs": {"0": "1", "1": "1", "2": "1"}},
+     "SILENT_TO parties must be a list of party ids"),
+    ({"params": {"n": "four", "t_s": 1, "t_a": 1}}, "params fields must be integers"),
+    ({"validity": "clique:x"}, "expected an integer in 'clique:x'"),
+])
+def test_run_malformed_scenario_exit_two(capsys, tmp_path, overrides, message):
+    code, out, err = invoke(capsys, "run", scenario_file(tmp_path, **overrides))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("configuration error:") and message in err
+
+
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 12), st.text(max_size=3),
+              st.sampled_from(["0", "1", "strong", "clique:3", "exact", "partition",
+                               "SILENT_TO", "EQUIVOCATE", "CRASH_AT"])),
+    lambda kids: st.one_of(st.lists(kids, max_size=3),
+                           st.dictionaries(st.text(max_size=2), kids, max_size=3)),
+    max_leaves=6,
+)
+_FIELDS = [
+    ("params",), ("params", "n"), ("params", "t_s"), ("params", "setup"), ("protocol",),
+    ("validity",), ("values",), ("certificate",), ("seed",), ("inputs",), ("inputs", "0"),
+    ("network",), ("network", "mode"), ("network", "delta"), ("network", "horizon"),
+    ("adversary",), ("adversary", "delivery"), ("adversary", "delivery", "kind"),
+    ("adversary", "delivery", "max_delay"), ("adversary", "delivery", "groups"),
+    ("adversary", "delivery", "release_time"), ("adversary", "corrupted"),
+    ("adversary", "corrupted", "3"), ("adversary", "corrupted", "3", "behavior"),
+    ("adversary", "corrupted", "3", "parties"), ("adversary", "corrupted", "3", "values"),
+    ("adversary", "corrupted", "3", "split"), ("adversary", "corrupted", "3", "time"),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_FIELDS), _json_values), min_size=1, max_size=3))
+def test_scenario_loader_fails_only_with_configuration_errors(edits):
+    data = {
+        "params": {"n": 4, "t_s": 1, "t_a": 1, "setup": "PKI"},
+        "protocol": "bin-ba",
+        "validity": "strong",
+        "network": {"mode": "ASYNCHRONOUS", "delta": 10, "horizon": 6000},
+        "adversary": {"delivery": {"kind": "partition", "groups": [[0, 1], [2, 3]]},
+                      "corrupted": {"3": {"behavior": "SILENT_TO", "parties": [0]}}},
+        "inputs": {"0": "1", "1": "1", "2": "1"},
+        "seed": 7,
+    }
+    for path, value in edits:
+        node = data
+        for key in path[:-1]:
+            node = node.get(key) if isinstance(node, dict) else None
+        if isinstance(node, dict):
+            node[path[-1]] = value
+    try:
+        Scenario(data)
+    except (ConfigError, KeyError):  # what `main` reports with exit code 2
+        pass
+
+
+def test_run_trace_file_bytes_hash_to_trace_hash(capsys, tmp_path):
+    trace_path = tmp_path / "trace.jsonl"
+    code, out, _ = invoke(capsys, "run", str(SCENARIOS / "acs-sync-crash.json"),
+                          "--trace", str(trace_path))
+    assert code == 0
+    trace_hash = json.loads(out)["trace_hash"]
+    assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == trace_hash
+    # the golden hash of this scenario, as in tests/test_trace_golden.py
+    assert trace_hash == "c39ac39758062946540cd42964ef96323703b2cd1f2dde09310c22cb3cebdb88"
+
+
+def test_fuzz_report_unchanged(capsys):
+    # golden report: reading only DECIDE events must not change it
+    code, out, _ = invoke(capsys, "fuzz", str(SCENARIOS / "binba-async-byzantine.json"),
+                          "--seeds", "20")
+    assert code == 0
+    assert out == ('{"decided_fraction": 1.0, "max_decision_time": 371, '
+                   '"runs": 20, "violations": 0}\n')
 
 
 def test_fuzz_aggregate(capsys, tmp_path):
