@@ -19,9 +19,9 @@ from .simnet import (
     AdversaryScript,
     Broadcast,
     Decide,
-    DeliveryPolicy,
     NetworkConfig,
     NodeInstance,
+    PartitionPolicy,
     SetTimer,
     Simulation,
     SyncExactDelay,
@@ -84,12 +84,6 @@ class MajoritySelfBiasStrawman(Machine):
         winners = sorted(v for v, c in counts.items() if c == best)
         value = self.own if self.own in winners else winners[0]
         return [Decide(value)]
-
-
-STRAWMEN: dict[str, Callable[[], Machine]] = {
-    "local-min": LocalMinStrawman,
-    "majority": MajoritySelfBiasStrawman,
-}
 
 
 def best_effort_certificate(prop, params: SystemParams, domain):
@@ -181,15 +175,13 @@ def split_brain(
 
     run_a = canonical(set(right), inputs_one)
     run_b = canonical(set(left), inputs_two)
-    from .simnet import PartitionPolicy
-
+    keys_l = [(p, 0) for p in left]
+    keys_r = [(p, 0) for p in right]
     net_c = NetworkConfig(mode=ASYNCHRONOUS, delta=delta, horizon=horizon)
-    script_c = AdversaryScript(delivery=PartitionPolicy([set(left), set(right)]))
+    script_c = AdversaryScript(delivery=PartitionPolicy([keys_l, keys_r]))
     run_c = run(factory, params, net_c, script_c, mixed, seed)
     run_d = canonical(set(), inputs_one)
 
-    keys_l = [(p, 0) for p in left]
-    keys_r = [(p, 0) for p in right]
     c_left = _group_decisions(run_c.outcomes, keys_l)
     c_right = _group_decisions(run_c.outcomes, keys_r)
     a_left = _group_decisions(run_a.outcomes, keys_l)
@@ -228,39 +220,10 @@ def split_brain(
 # ---------------------------------------------------------------- triple partition
 
 
-class _SidedPartitionPolicy(DeliveryPolicy):
-    """Instance-aware partition policy: intra-side one unit, cross-side held
-    until the sending party decides (flushed at the horizon)."""
-
-    def __init__(self, side_of: dict[tuple, int]):
-        self.side_of = dict(side_of)
-        self._held: list = []
-        self._decided: set[int] = set()
-
-    def schedule(self, env, rng):
-        src = self.side_of.get(tuple(env.src))
-        dst = self.side_of.get(tuple(env.dst))
-        if src is None or dst is None or src == dst or env.src[0] in self._decided:
-            return env.sent_at + 1
-        self._held.append(env)
-        return None
-
-    def on_decide(self, party, now):
-        self._decided.add(party)
-        released = [(env, now + 1) for env in self._held if env.src[0] in self._decided]
-        self._held = [env for env in self._held if env.src[0] not in self._decided]
-        return released
-
-    def flush(self):
-        held, self._held = self._held, []
-        return held
-
-
-def _triple_nodes(layout: PartitionLayout, mixed_inputs: dict, control: bool):
+def _triple_nodes(layout: PartitionLayout, mixed_inputs: dict):
     """Node instances and routes for the duplicated-middle wiring."""
     left, middle, right = layout.left, layout.middle, layout.right
     nodes = []
-    side_of = {}
 
     def middle_route(tag):
         # same-copy middle traffic plus the copy's own side; the far side is
@@ -276,11 +239,9 @@ def _triple_nodes(layout: PartitionLayout, mixed_inputs: dict, control: bool):
     for p in left:
         nodes.append(NodeInstance(party_id=p, input=mixed_inputs[("L", p)],
                                   route=dict(outer_route)))
-        side_of[(p, 0)] = 0
     for p in right:
         nodes.append(NodeInstance(party_id=p, input=mixed_inputs[("R", p)],
                                   route=dict(outer_route)))
-        side_of[(p, 0)] = 1
     for m in middle:
         copy_l, copy_r = replicate(m, 2)
         copy_l.input = mixed_inputs[("M0", m)]
@@ -288,9 +249,7 @@ def _triple_nodes(layout: PartitionLayout, mixed_inputs: dict, control: bool):
         copy_r.input = mixed_inputs[("M1", m)]
         copy_r.route = middle_route(1)
         nodes += [copy_l, copy_r]
-        side_of[(m, 0)] = 0
-        side_of[(m, 1)] = 1
-    return nodes, side_of
+    return nodes
 
 
 def triple_partition(
@@ -329,14 +288,17 @@ def triple_partition(
             out[("M1", m)] = (inputs_one if control else inputs_two).value_of(m)
         return out
 
+    # middle copy 0 talks to the left group only, copy 1 to the right
+    side_l = [(p, 0) for p in left] + [(m, 0) for m in middle]
+    side_r = [(p, 0) for p in right] + [(m, 1) for m in middle]
+
     def build_and_run(control: bool):
         net = NetworkConfig(
             mode=SYNCHRONOUS if control else ASYNCHRONOUS, delta=delta, horizon=horizon
         )
-        nodes, side_of = _triple_nodes(layout, value_map(control), control)
-        policy = SyncExactDelay(delta) if control else _SidedPartitionPolicy(side_of)
+        policy = SyncExactDelay(delta) if control else PartitionPolicy([side_l, side_r])
         sim = Simulation(params, net, seed, policy=policy)
-        for node in nodes:
+        for node in _triple_nodes(layout, value_map(control)):
             sim.add_node(node, factory)
         outcomes = sim.run()
         return sim, outcomes
@@ -351,8 +313,6 @@ def triple_partition(
         )
 
     attack_sim, attack_outcomes = build_and_run(control=False)
-    side_l = [(p, 0) for p in left] + [(m, 0) for m in middle]
-    side_r = [(p, 0) for p in right] + [(m, 1) for m in middle]
     left_decisions = _group_decisions(attack_outcomes, side_l)
     right_decisions = _group_decisions(attack_outcomes, side_r)
 

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from . import attacks, catalog
 from .core import (
@@ -69,11 +69,16 @@ def _budget_for(args) -> Budget:
     return budget
 
 
+def _encode(value):
+    """JSON form of the non-JSON values a report holds: the InputConfiguration
+    that acs decides is written in its `encode()` form."""
+    if isinstance(value, InputConfiguration):
+        return value.encode()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _emit(data: dict, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(data, indent=2, sort_keys=True))
-    else:
-        print(json.dumps(data, sort_keys=True))
+    print(json.dumps(data, indent=2 if pretty else None, sort_keys=True, default=_encode))
 
 
 def _resolve_validity(args) -> tuple:
@@ -182,10 +187,58 @@ def _delivery_policy(spec, net: NetworkConfig):
             raise ConfigError(f"partition groups must be a list, got {groups!r}")
         release = spec.get("release_time")
         return PartitionPolicy(
-            [_parties(g, "partition group") for g in groups],
+            [{(p, 0) for p in _parties(g, "partition group")} for g in groups],
             None if release is None else _integer(release, "release_time"),
         )
     raise ConfigError(f"unknown delivery policy {kind!r}")
+
+
+def _bin_ba(params, delta, domain, enforce_bounds, **_):
+    labels = tuple(domain.input_values) if domain else ("0", "1")
+    if len(labels) != 2:
+        raise ConfigError("bin-ba needs a binary domain")
+    return lambda p: BinaryBa(params, delta, enforce_bounds, labels=labels)
+
+
+def _acs(params, delta, domain, enforce_bounds, **_):
+    values = domain.input_values if domain else None
+    return lambda p: AcsProtocol(params, delta, enforce_bounds, valid_values=values)
+
+
+def _universal(params, delta, certificate, enforce_bounds, **_):
+    if certificate is None:
+        raise ConfigError("universal protocol needs a certificate: a scenario "
+                          "\"certificate\" file, or universal:<validity> in aba attack")
+    return lambda p: UniversalBa(params, delta, certificate, enforce_bounds)
+
+
+# The protocol names of `aba run` and `aba attack`. Each builder takes the
+# keyword arguments of `protocol_factory` (plus `value`, the <v> of
+# constant:<v>) and returns the machine factory the simulator calls per party.
+PROTOCOLS: dict[str, Callable] = {
+    "constant:<v>": lambda value, **_: lambda p: ConstantProtocol(value),
+    "local-min": lambda **_: lambda p: attacks.LocalMinStrawman(),
+    "majority": lambda **_: lambda p: attacks.MajoritySelfBiasStrawman(),
+    "rbc": lambda params, enforce_bounds, **_: lambda p: RbcProtocol(params, 0, enforce_bounds),
+    "bin-ba": _bin_ba,
+    "acs": _acs,
+    "universal": _universal,
+    "ba-star": lambda **_: lambda p: SharedRandomBaStar(),
+}
+
+
+def protocol_factory(name: str, params: SystemParams, delta: int, domain=None,
+                     certificate: Optional[SimilarityCertificate] = None,
+                     enforce_bounds: bool = True):
+    """The machine factory of protocol `name`: a `PROTOCOLS` key, or
+    constant:<value>. Unknown names and unusable arguments raise ConfigError."""
+    key, value = name, None
+    if name.startswith("constant:"):
+        key, value = "constant:<v>", name.split(":", 1)[1]
+    if key not in PROTOCOLS:
+        raise ConfigError(f"unknown protocol {name!r}; known: {' | '.join(PROTOCOLS)}")
+    return PROTOCOLS[key](value=value, params=params, delta=delta, domain=domain,
+                          certificate=certificate, enforce_bounds=enforce_bounds)
 
 
 class Scenario:
@@ -249,43 +302,23 @@ class Scenario:
         return cls(data, base_dir=os.path.dirname(os.path.abspath(path)))
 
     def machine_factory(self, store: Optional[dict] = None):
-        name = self.protocol
-        params = self.params
-        delta = self.net.delta
-
-        def tracked(builder):
-            def factory(p):
-                machine = builder(p)
-                if store is not None:
-                    store.setdefault(p, []).append(machine)
-                return machine
-
-            return factory
-
-        if name.startswith("constant:"):
-            value = name.split(":", 1)[1]
-            return tracked(lambda p: ConstantProtocol(value))
-        if name == "rbc":
-            return tracked(lambda p: RbcProtocol(params, sender=0))
-        if name == "bin-ba":
-            labels = self.domain.input_values if self.domain else ("0", "1")
-            if len(labels) != 2:
-                raise ConfigError("bin-ba needs a binary domain")
-            return tracked(lambda p: BinaryBa(params, delta, labels=tuple(labels)))
-        if name == "acs":
-            values = self.domain.input_values if self.domain else None
-            return tracked(lambda p: AcsProtocol(params, delta, valid_values=values))
-        if name == "universal":
-            if not self.certificate_path:
-                raise ConfigError("universal protocol needs a certificate file")
+        certificate = None
+        if self.protocol == "universal" and self.certificate_path:
             with open(self.certificate_path) as fh:
-                cert = SimilarityCertificate.from_json(fh.read())
-            if cert.params != params:
+                certificate = SimilarityCertificate.from_json(fh.read())
+            if certificate.params != self.params:
                 raise ConfigError("certificate parameters do not match the scenario")
-            return tracked(lambda p: UniversalBa(params, delta, cert))
-        if name == "ba-star":
-            return tracked(lambda p: SharedRandomBaStar())
-        raise ConfigError(f"unknown protocol {name!r}")
+        build = protocol_factory(self.protocol, self.params, self.net.delta, self.domain,
+                                 certificate)
+        if store is None:
+            return build
+
+        def factory(p):
+            machine = build(p)
+            store.setdefault(p, []).append(machine)
+            return machine
+
+        return factory
 
 
 def _check_run_properties(scenario: Scenario, result, machines: dict) -> dict:
@@ -353,11 +386,6 @@ def cmd_run(args) -> int:
         with open(args.trace, "w") as fh:
             fh.write(text)
         summary["trace_file"] = args.trace
-    if scenario.protocol == "acs":
-        summary["decisions"] = {
-            key: (value.encode() if isinstance(value, InputConfiguration) else value)
-            for key, value in summary["decisions"].items()
-        }
     _emit(summary, args.pretty)
     return EXIT_VIOLATION if summary["violations"] else EXIT_OK
 
@@ -401,51 +429,34 @@ def cmd_fuzz(args) -> int:
 # ---------------------------------------------------------------- attack
 
 
-def _attack_factory(name: str, params, delta: int):
-    if name in attacks.STRAWMEN:
-        cls = attacks.STRAWMEN[name]
-        return lambda p: cls()
-    if name.startswith("constant:"):
-        value = name.split(":", 1)[1]
-        return lambda p: ConstantProtocol(value)
-    if name == "bin-ba":
-        return lambda p: BinaryBa(params, delta, enforce_bounds=False, labels=("0", "1"))
+def cmd_attack(args) -> int:
+    if args.scenario_kind == "ring":
+        params = SystemParams(3, 1, 0, "NONE")
+    else:
+        params = SystemParams(args.n, args.ts, args.ta, args.setup.upper())
+    if "=" in args.i1:
+        inputs_one = InputConfiguration.decode(args.i1)
+        inputs_two = InputConfiguration.decode(args.i2)
+    else:
+        inputs_one = InputConfiguration.of((p, args.i1) for p in range(params.n))
+        inputs_two = InputConfiguration.of((p, args.i2) for p in range(params.n))
+    name, certificate = args.protocol, None
     if name.startswith("universal:"):
         # the real stack at possibly-illegal parameters, with a best-effort
         # sigma where the similarity condition fails
         prop, domain = catalog.resolve(name.split(":", 1)[1], values=2)
-        cert = attacks.best_effort_certificate(prop, params, domain)
-        return lambda p: UniversalBa(params, delta, cert, enforce_bounds=False)
-    raise ConfigError(f"unknown attack protocol {name!r}")
-
-
-def cmd_attack(args) -> int:
-    inputs_one = InputConfiguration.decode(args.i1) if "=" in args.i1 else None
-    params = None
-    if args.scenario_kind in ("split-brain", "triple-partition"):
-        params = SystemParams(args.n, args.ts, args.ta, args.setup.upper())
-        if inputs_one is None:
-            inputs_one = InputConfiguration.of((p, args.i1) for p in range(params.n))
-            inputs_two = InputConfiguration.of((p, args.i2) for p in range(params.n))
-        else:
-            inputs_two = InputConfiguration.decode(args.i2)
-        factory = _attack_factory(args.protocol, params, args.delta)
-        if args.scenario_kind == "split-brain":
-            report = attacks.split_brain(
-                factory, params, inputs_one, inputs_two, args.seed, delta=args.delta
-            )
-        else:
-            report = attacks.triple_partition(
-                factory, params, inputs_one, inputs_two, args.seed, delta=args.delta
-            )
+        name, certificate = "universal", attacks.best_effort_certificate(prop, params, domain)
+    factory = protocol_factory(name, params, args.delta, certificate=certificate,
+                               enforce_bounds=False)
+    if args.scenario_kind == "split-brain":
+        report = attacks.split_brain(
+            factory, params, inputs_one, inputs_two, args.seed, delta=args.delta
+        )
+    elif args.scenario_kind == "triple-partition":
+        report = attacks.triple_partition(
+            factory, params, inputs_one, inputs_two, args.seed, delta=args.delta
+        )
     else:
-        if inputs_one is None:
-            inputs_one = InputConfiguration.of((p, args.i1) for p in range(3))
-            inputs_two = InputConfiguration.of((p, args.i2) for p in range(3))
-        else:
-            inputs_two = InputConfiguration.decode(args.i2)
-        params3 = SystemParams(3, 1, 0, "NONE")
-        factory = _attack_factory(args.protocol, params3, args.delta)
         report = attacks.ring_attack(
             factory, inputs_one, inputs_two, r=args.r, seed=args.seed, delta=args.delta
         )
@@ -507,7 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     attack = sub.add_parser("attack", help="run a lower-bound construction")
     attack.add_argument("scenario_kind", choices=["split-brain", "triple-partition", "ring"])
     attack.add_argument("--protocol", default="local-min",
-                        help="local-min | majority | constant:<v> | bin-ba")
+                        help=" | ".join(PROTOCOLS) + " | universal:<validity> "
+                        "(universal with a best-effort certificate for that validity)")
     attack.add_argument("--n", type=int, default=4)
     attack.add_argument("--ts", type=int, default=2)
     attack.add_argument("--ta", type=int, default=0)

@@ -171,9 +171,10 @@ class CoinVotingInstance:
 class BinaryBa(Machine):
     """Network-agnostic binary agreement.
 
-    Input and decision are bits. Agreement and bit-validity hold in a
-    synchronous network with up to t_s corruptions and an asynchronous one
-    with up to t_a; termination is probabilistic via the common coin.
+    Input and decision are the two `labels`, which stand for bits 0 and 1.
+    Agreement and bit-validity hold in a synchronous network with up to t_s
+    corruptions and an asynchronous one with up to t_a; termination is
+    probabilistic via the common coin.
     """
 
     def __init__(
@@ -182,7 +183,7 @@ class BinaryBa(Machine):
         delta: int,
         enforce_bounds: bool = True,
         tag: str = "binba",
-        labels: Optional[tuple] = None,
+        labels: tuple = ("0", "1"),
     ):
         check_param_bounds(params, enforce_bounds)
         self.params = params
@@ -197,14 +198,9 @@ class BinaryBa(Machine):
         self.decided = False
 
     def on_start(self, ctx, value):
-        if self.labels is not None:
-            if value not in self.labels:
-                raise ProtocolError(f"input {value!r} not in binary domain {self.labels}")
-            bit = self.labels.index(value)
-        else:
-            bit = int(value)
-        if bit not in (0, 1):
-            raise ProtocolError(f"binary input expected, got {value!r}")
+        if value not in self.labels:
+            raise ProtocolError(f"input {value!r} not in binary domain {self.labels}")
+        bit = self.labels.index(value)
         self.input_bit = bit
         if not self.pki:
             return self._from_loop(self.loop.start(ctx, bit))
@@ -256,5 +252,5 @@ class BinaryBa(Machine):
         if decided and not self.decided:
             self.decided = True
             bit = decided[0]
-            wrapped.append(Decide(self.labels[bit] if self.labels is not None else bit))
+            wrapped.append(Decide(self.labels[bit]))
         return wrapped

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..simnet import Broadcast, Decide
-from .base import Machine
+from .base import Machine, check_param_bounds
 
 
 class RbcInstance:
@@ -117,8 +117,6 @@ class RbcProtocol(Machine):
     input; every party decides the delivered value."""
 
     def __init__(self, params, sender: int = 0, enforce_bounds: bool = True):
-        from .base import check_param_bounds
-
         check_param_bounds(params, enforce_bounds)
         self.instance = RbcInstance(
             params.n, params.t_s, pki=params.setup == "PKI", sender=sender

@@ -336,29 +336,25 @@ class AsyncRandomDelay(DeliveryPolicy):
 
 class PartitionPolicy(DeliveryPolicy):
     """Intra-group messages delivered in one unit; cross-group messages held
-    until max(release_time, sender decision), flushed by the horizon."""
+    until max(release_time, sender decision), flushed by the horizon.
 
-    def __init__(self, groups: Iterable[Iterable[int]], release_time: Optional[int] = None):
-        self.groups = [frozenset(g) for g in groups]
-        seen: set[int] = set()
-        for g in self.groups:
-            if g & seen:
-                raise ConfigError("partition groups must be disjoint")
-            seen |= g
+    Groups hold node instances `(party, replica)`, so replicas of one party
+    may sit in different groups; a node in no group is not partitioned."""
+
+    def __init__(self, groups: Iterable[Iterable[NodeKey]], release_time: Optional[int] = None):
+        self.side_of: dict[NodeKey, int] = {}
+        for side, group in enumerate(groups):
+            for node in group:
+                if self.side_of.setdefault(node, side) != side:
+                    raise ConfigError("partition groups must be disjoint")
         self.release_time = release_time
         self._held: list[Envelope] = []
         self._decided: set[int] = set()
 
-    def _group_of(self, party: int) -> Optional[frozenset]:
-        for g in self.groups:
-            if party in g:
-                return g
-        return None
-
     def schedule(self, env, rng):
-        src_group = self._group_of(env.src[0])
-        dst_group = self._group_of(env.dst[0])
-        if src_group is dst_group or src_group is None or dst_group is None:
+        src_side = self.side_of.get(env.src)
+        dst_side = self.side_of.get(env.dst)
+        if src_side == dst_side or src_side is None or dst_side is None:
             return env.sent_at + 1
         if env.src[0] in self._decided:
             return env.sent_at + 1
@@ -400,12 +396,6 @@ def canonical_schedule(
         delivery=SyncExactDelay(delta),
     )
     return net, script
-
-
-def async_partition_schedule(
-    groups: Iterable[Iterable[int]], release_time: Optional[int] = None
-) -> PartitionPolicy:
-    return PartitionPolicy(groups, release_time)
 
 
 def replicate(party_id: int, count: int) -> list[NodeInstance]:
@@ -743,14 +733,25 @@ def run(
 ) -> RunResult:
     """Runs one protocol execution and returns its trace and per-node outcome.
 
-    Every honest party must appear in `inputs`; corrupted parties take inputs
-    from their scripted behavior.
+    Every honest party must appear in `inputs`. A corrupted party takes its
+    input from its scripted behavior when that names one (`Equivocate`,
+    `FollowWithInput`, `SilentTo` with a value) and from `inputs` otherwise;
+    only a party that crashes at time 0, and so never starts, may have none.
     """
     adversary.validate(params, net.mode)
     given = inputs.as_dict()
     for party in range(params.n):
-        if party not in adversary.corrupted and party not in given:
+        behavior = adversary.corrupted.get(party)
+        if party in given or behavior == CrashAt(0) or isinstance(behavior, Equivocate):
+            continue
+        if isinstance(behavior, (FollowWithInput, SilentTo)) and behavior.value is not None:
+            continue
+        if behavior is None:
             raise ConfigError(f"honest party {party} missing from inputs")
+        raise ConfigError(
+            f"corrupted party {party} ({type(behavior).__name__}) would start "
+            "with no input; list it in inputs or give its behavior a value"
+        )
     sim = Simulation(params, net, seed, policy=adversary.delivery)
     for party in range(params.n):
         behavior = adversary.corrupted.get(party)

@@ -2,16 +2,18 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aba.cli import Scenario, main
+from aba.cli import PROTOCOLS, Scenario, main
 from aba.errors import ConfigError
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def invoke(capsys, *argv):
@@ -305,3 +307,89 @@ def test_attack_ring_cli(capsys):
     payload = json.loads(out)
     assert payload["node_count"] == 24
     assert payload["checks"]["all_middle_fidelity"] is True
+
+
+# ---------------------------------------------------------------- protocol registry
+
+
+# every registry name as `aba attack --protocol` takes it
+ATTACK_NAMES = [("constant:1" if name == "constant:<v>" else name) for name in PROTOCOLS] \
+    + ["universal:strong"]
+
+
+@pytest.mark.parametrize("kind, n, t_a", [
+    ("split-brain", 4, 0), ("triple-partition", 5, 1), ("ring", 3, 0)])
+@pytest.mark.parametrize("name", ATTACK_NAMES)
+def test_attack_every_registry_name_reports_or_exits_two(capsys, kind, n, t_a, name):
+    code, out, err = invoke(capsys, "attack", kind, "--protocol", name,
+                            "--n", str(n), "--ts", "2", "--ta", str(t_a))
+    # universal has no certificate (aba attack builds one for universal:<validity>),
+    # and ba-star takes fixed-point inputs in [0, 1), not the default input 1
+    assert code == (2 if name in ("universal", "ba-star") else 0), err
+    if code == 0:
+        assert json.loads(out)["scenario"] == kind
+    else:
+        assert out == "" and err.startswith("configuration error:")
+
+
+def test_attack_unknown_protocol_exit_two(capsys):
+    code, out, err = invoke(capsys, "attack", "split-brain", "--protocol", "nope")
+    assert code == 2 and out == ""
+    assert "unknown protocol 'nope'" in err
+
+
+def test_run_unknown_protocol_exit_two(capsys, tmp_path):
+    code, out, err = invoke(capsys, "run", scenario_file(tmp_path, protocol="nope"))
+    assert code == 2 and out == ""
+    assert "unknown protocol 'nope'" in err
+
+
+def test_run_bin_ba_on_three_values_exit_two(capsys, tmp_path):
+    code, _, err = invoke(capsys, "run", scenario_file(tmp_path, values=3))
+    assert code == 2
+    assert "bin-ba needs a binary domain" in err
+
+
+def test_run_universal_without_certificate_exit_two(capsys, tmp_path):
+    code, _, err = invoke(capsys, "run", scenario_file(tmp_path, protocol="universal"))
+    assert code == 2
+    assert "needs a certificate" in err
+
+
+def test_run_universal_certificate_params_mismatch_exit_two(capsys, tmp_path):
+    path = scenario_file(tmp_path, protocol="universal",
+                         params={"n": 5, "t_s": 1, "t_a": 1, "setup": "PKI"},
+                         inputs={str(p): "1" for p in range(5)},
+                         certificate=str(SCENARIOS / "strong-4-1-1.cert.json"))
+    code, _, err = invoke(capsys, "run", path)
+    assert code == 2
+    assert "certificate parameters do not match" in err
+
+
+@pytest.mark.parametrize("name", ATTACK_NAMES[:-1])
+def test_run_every_registry_name_without_traceback(capsys, tmp_path, name):
+    code, out, err = invoke(capsys, "run", scenario_file(tmp_path, protocol=name))
+    assert code in (0, 1, 2), err
+    if code == 2:
+        assert out == "" and err.startswith("configuration error:")
+    else:
+        assert "trace_hash" in json.loads(out)
+
+
+@pytest.mark.parametrize("behavior", [
+    {"behavior": "CRASH_AT", "time": 15},
+    {"behavior": "SILENT_TO", "parties": [0, 1]},
+])
+def test_run_corrupted_party_without_input_exit_two(capsys, tmp_path, behavior):
+    path = scenario_file(tmp_path, protocol="acs",
+                         adversary={"corrupted": {"3": behavior}},
+                         inputs={"0": "0", "1": "1", "2": "0"})
+    code, out, err = invoke(capsys, "run", path)
+    assert code == 2 and out == ""
+    assert "corrupted party 3" in err and "no input" in err
+
+
+def test_readme_protocol_list_is_the_registry():
+    readme = (ROOT / "README.md").read_text()
+    listed = re.search(r'"protocol": +"([^"]+)"', readme).group(1)
+    assert listed.split(" | ") == list(PROTOCOLS)

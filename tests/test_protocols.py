@@ -10,6 +10,7 @@ from aba.core import (
     InputConfiguration as IC,
     SystemParams,
     compute_similarity_certificate,
+    is_similar_to,
 )
 from aba.errors import ProtocolError
 from aba.protocols import (
@@ -25,17 +26,20 @@ from aba.simnet import (
     ASYNCHRONOUS,
     AdversaryScript,
     AsyncRandomDelay,
+    CrashAt,
     Equivocate,
     FollowWithInput,
     NetworkConfig,
     RandomTape,
     SYNCHRONOUS,
+    SilentTo,
     SyncRandomDelay,
     canonical_schedule,
     run,
 )
 
 DELTA = 10
+SYNC_FUZZ_SEEDS = 200
 
 
 def cfg(*pairs):
@@ -345,6 +349,41 @@ def test_universal_clique_adversary_substitutes_inputs():
     result = run(factory, params, sync_net(8000), script, inputs, seed=4)
     value = assert_agreement(result, corrupted=[5, 6])
     assert value == "a"  # hull of the honest inputs alone
+
+
+def test_universal_sync_adversary_family_fuzz():
+    # synchronous adversaries the acceptance corpus does not use: random delays
+    # within delta, mid-run crashes, parties silent to some peers, equivocation
+    params = SystemParams(6, 2, 1, "PKI")
+    _, prop, domain, cert = make_universal("strong", params)
+    behaviors = ("crash", "silent", "equivocate")
+    for seed in range(SYNC_FUZZ_SEEDS):
+        rng = random.Random(seed * 31)
+        inputs = IC.of((p, rng.choice(["0", "1"])) for p in range(6))
+        corrupted = {}
+        for party in rng.sample(range(6), rng.randint(1, 2)):
+            kind = rng.choice(behaviors)
+            if kind == "crash":
+                corrupted[party] = CrashAt(rng.randint(1, 16 * DELTA))  # decisions by ~17 delta
+            elif kind == "silent":
+                corrupted[party] = SilentTo(frozenset(rng.sample(range(6), rng.randint(1, 5))))
+            else:
+                corrupted[party] = Equivocate("0", "1")
+        honest = [p for p in range(6) if p not in corrupted]
+        truth = IC.of((p, inputs.value_of(p)) for p in honest)
+        machines = {}
+
+        def factory(p):
+            machines.setdefault(p, []).append(UniversalBa(params, DELTA, cert))
+            return machines[p][-1]
+
+        script = AdversaryScript(corrupted=corrupted, delivery=SyncRandomDelay(DELTA))
+        result = run(factory, params, sync_net(12000), script, inputs, seed=seed)
+        assert not result.undecided_honest(corrupted), f"seed {seed}: {corrupted}"
+        value = assert_agreement(result, corrupted)
+        assert value in prop.evaluate(params, domain, truth), f"seed {seed}: {corrupted}"
+        for p in honest:
+            assert is_similar_to(machines[p][0].core, truth, params), f"seed {seed}"
 
 
 # ---------------------------------------------------------------- ba-star

@@ -3,7 +3,7 @@
 import pytest
 
 from aba.core import InputConfiguration as IC, SystemParams
-from aba.errors import CorruptionBudgetError, SetupUnavailableError
+from aba.errors import ConfigError, CorruptionBudgetError, SetupUnavailableError
 from aba.protocols import ConstantProtocol, Machine
 from aba.simnet import (
     ASYNCHRONOUS,
@@ -13,15 +13,17 @@ from aba.simnet import (
     CrashAt,
     Decide,
     Envelope,
+    Equivocate,
     FollowWithInput,
     NetworkConfig,
+    PartitionPolicy,
     RandomTape,
     SetTimer,
     SignatureOracle,
+    SilentTo,
     Simulation,
     SYNCHRONOUS,
     canonical_schedule,
-    async_partition_schedule,
     replicate,
     run,
 )
@@ -140,9 +142,30 @@ def test_canonical_schedule_exact_delta():
 
 def test_missing_honest_input_rejected():
     net, script = canonical_schedule(crashed=(), horizon=100)
-    from aba.errors import ConfigError
     with pytest.raises(ConfigError):
         run(lambda p: EchoOnce(), PARAMS4, net, script, cfg((0, "0"), (1, "0")), seed=1)
+
+
+@pytest.mark.parametrize("behavior", [CrashAt(15), SilentTo(frozenset({1}))])
+def test_corrupted_party_that_would_start_without_input_rejected(behavior):
+    net = NetworkConfig(mode=SYNCHRONOUS, delta=10, horizon=200)
+    script = AdversaryScript(corrupted={3: behavior})
+    with pytest.raises(ConfigError, match="corrupted party 3"):
+        run(lambda p: EchoOnce(), PARAMS4, net, script, cfg((0, "0"), (1, "0"), (2, "0")),
+            seed=1)
+    # the same behavior runs once the party has an input
+    run(lambda p: EchoOnce(), PARAMS4, net, script, INPUTS4, seed=1)
+
+
+@pytest.mark.parametrize("behavior", [
+    CrashAt(0), Equivocate("0", "1"), FollowWithInput("1"), SilentTo(frozenset({1}), "1"),
+])
+def test_corrupted_party_input_from_behavior(behavior):
+    net = NetworkConfig(mode=SYNCHRONOUS, delta=10, horizon=200)
+    script = AdversaryScript(corrupted={3: behavior})
+    result = run(lambda p: EchoOnce(), PARAMS4, net, script,
+                 cfg((0, "0"), (1, "0"), (2, "0")), seed=1)
+    assert not result.undecided_honest(corrupted=[3])
 
 
 def test_follow_with_input_substitutes_value():
@@ -234,8 +257,8 @@ def test_replicas_with_identical_messages_decide_identically():
 
 
 def test_partition_policy_holds_cross_group_until_decision():
-    groups = [{0, 1}, {2, 3}]
-    policy = async_partition_schedule(groups)
+    groups = [{(0, 0), (1, 0)}, {(2, 0), (3, 0)}]
+    policy = PartitionPolicy(groups)
     net = NetworkConfig(mode=ASYNCHRONOUS, delta=10, horizon=500)
     script = AdversaryScript(delivery=policy)
     result = run(lambda p: EchoOnce(), PARAMS4, net, script,
@@ -251,14 +274,14 @@ def test_partition_policy_holds_cross_group_until_decision():
 
 
 def test_partition_single_group_is_uniform_delivery():
-    policy = async_partition_schedule([{0, 1, 2, 3}])
+    policy = PartitionPolicy([{(0, 0), (1, 0), (2, 0), (3, 0)}])
     env = Envelope(src=(0, 0), dst=(1, 0), payload="x", sent_at=5)
     assert policy.schedule(env, None) == 6
 
 
 def test_partition_three_groups_pairwise_isolated():
     params = SystemParams(n=6, t_s=2, t_a=2, setup="PKI")
-    policy = async_partition_schedule([{0, 1}, {2, 3}, {4, 5}])
+    policy = PartitionPolicy([{(0, 0), (1, 0)}, {(2, 0), (3, 0)}, {(4, 0), (5, 0)}])
     net = NetworkConfig(mode=ASYNCHRONOUS, delta=10, horizon=600)
     script = AdversaryScript(delivery=policy)
     inputs = cfg((0, "a"), (1, "a"), (2, "b"), (3, "b"), (4, "c"), (5, "c"))
@@ -270,8 +293,23 @@ def test_partition_three_groups_pairwise_isolated():
 
 
 def test_partition_release_time_lets_messages_through():
-    policy = async_partition_schedule([{0, 1}, {2, 3}], release_time=5)
+    policy = PartitionPolicy([{(0, 0), (1, 0)}, {(2, 0), (3, 0)}], release_time=5)
     late = Envelope(src=(0, 0), dst=(2, 0), payload="x", sent_at=9)
     assert policy.schedule(late, None) == 10
     early = Envelope(src=(0, 0), dst=(2, 0), payload="x", sent_at=2)
     assert policy.schedule(early, None) is None
+
+
+def test_partition_groups_must_be_disjoint():
+    with pytest.raises(ConfigError):
+        PartitionPolicy([{(0, 0), (1, 0)}, {(1, 0), (2, 0)}])
+    PartitionPolicy([{(0, 0), (0, 0)}, {(0, 1)}])  # replicas of one party may split
+
+
+def test_partition_sides_are_node_instances():
+    # replica 1 of party 0 sits with party 1, replica 0 with party 2
+    policy = PartitionPolicy([{(0, 0), (2, 0)}, {(0, 1), (1, 0)}])
+    assert policy.schedule(Envelope(src=(1, 0), dst=(0, 1), payload="x", sent_at=3), None) == 4
+    assert policy.schedule(Envelope(src=(1, 0), dst=(0, 0), payload="x", sent_at=3), None) is None
+    # nodes in no group are not partitioned
+    assert policy.schedule(Envelope(src=(3, 0), dst=(0, 0), payload="x", sent_at=3), None) == 4
