@@ -322,8 +322,9 @@ class Scenario:
 
 
 def _check_run_properties(scenario: Scenario, result, machines: dict) -> dict:
-    """Agreement, validity against the ground-truth honest configuration, and
-    the core-set contract when applicable."""
+    """Agreement; for acs the core-set contract, otherwise validity of every
+    decided value against the ground-truth honest configuration whenever the
+    scenario declares a validity property, and core coherence for universal."""
     corrupted = set(scenario.script.corrupted)
     decisions = result.honest_decisions(corrupted)
     violations = []
@@ -345,10 +346,9 @@ def _check_run_properties(scenario: Scenario, result, machines: dict) -> dict:
             violations.append("acs-honest-core")
         if len(core) < scenario.params.n - scenario.params.t_s:
             violations.append("acs-core-size")
-    elif scenario.validity and decisions and scenario.protocol in ("universal", "bin-ba"):
-        value = next(iter(values))
+    elif scenario.protocol != "acs" and scenario.validity and decisions:
         allowed = scenario.validity.evaluate(scenario.params, scenario.domain, truth)
-        if value not in allowed:
+        if any(value not in allowed for value in values):
             violations.append("validity")
         if scenario.protocol == "universal":
             # coherence: the true honest configuration is similar to every

@@ -5,8 +5,11 @@ each member of a party subset of size >= n - t_s; it stands for "these parties
 are honest and hold these inputs". Everything here enumerates explicit finite
 domains, guarded by a budget. Certificates come from `similarity_pass`, one
 pass over the configurations in canonical order that evaluates the property at
-most once per configuration; `similar()` and `SimilarityCertificate.validate`
-are the brute-force oracle that checks every pair (I, J) independently.
+most once per configuration. `SimilarityCertificate.validate` is the
+independent oracle: it still checks every pair (I, J) one at a time, but on
+integer configuration codes. `similar()` and `neighbors()` keep the
+definitional, one-object-per-configuration form of the relations, which the
+tests check both against.
 """
 
 from __future__ import annotations
@@ -397,25 +400,82 @@ class SimilarityCertificate:
     def validate(
         self, validity: ValidityProperty, budget: Optional[Budget] = None
     ) -> tuple[bool, Optional[str]]:
-        """Independent soundness re-check: sigma(I) in V(J) for every I and
-        every J similar to I, each J found by the brute-force `similar()` scan.
-        Returns (ok, first failure description)."""
+        """Independent soundness re-check: sigma(I) in V(J) for every I in
+        canonical order and every J in similar(I), pair by pair in `similar()`
+        order, evaluating V at most once per J. It shares nothing with
+        `similarity_pass`. Returns (ok, first failure description).
+
+        Configurations are integer codes in which party p holds the bit field
+        d << (width * p): d = 0 for absent, d = i + 1 for input value i. For
+        each party set P the similar party sets S are listed once: every S of
+        size >= n - t_a and every S within P of size >= n - t_s, each with the
+        bit mask of the parties it keeps and the codes of its parties outside P
+        in `itertools.product` order. A pair then costs one add, one memo
+        lookup and one AND; an `InputConfiguration` is built only to evaluate
+        V or to describe a failure."""
+        params, domain = self.params, self.domain
         budget = budget or Budget()
-        evaluate = _output_masks(validity, self.params, self.domain)
-        outputs = self.domain.output_values
-        allowed: dict = {}  # assignments -> output mask
-        for config in enumerate_input_configs(self.params, self.domain, budget):
-            encoded = config.encode()
-            if encoded not in self.sigma:
-                return False, f"missing sigma entry for {encoded}"
-            chosen = self.sigma[encoded]
-            bit = 1 << outputs.index(chosen) if chosen in outputs else 0
-            for other in similar(config, self.params, self.domain, budget):
-                mask = allowed.get(other.assignments)
-                if mask is None:
-                    mask = allowed[other.assignments] = evaluate(other)
-                if not mask & bit:
-                    return False, f"sigma({encoded})={chosen} invalid under {other.encode()}"
+        budget.check_configs(count_input_configs(params, domain))
+        evaluate = _output_masks(validity, params, domain)
+        n, values, outputs = params.n, domain.input_values, domain.output_values
+        width = len(values).bit_length()
+        digits = range(1, len(values) + 1)
+        field_mask = (1 << width) - 1
+        party_sets = [
+            parties
+            for size in range(params.min_config_size, n + 1)
+            for parties in itertools.combinations(range(n), size)
+        ]
+        keep = {
+            parties: sum(field_mask << width * p for p in parties) for parties in party_sets
+        }
+        free_codes: dict = {}  # parties outside P -> their codes in product order
+        allowed: dict = {}  # code -> output mask
+
+        def decode(parties: tuple, code: int) -> InputConfiguration:
+            return InputConfiguration(
+                tuple((p, values[(code >> width * p & field_mask) - 1]) for p in parties)
+            )
+
+        for own in party_sets:
+            plan = []  # (S, keep mask of S, codes of S's parties outside P)
+            inside = set(own)
+            for parties in party_sets:
+                if len(parties) < n - params.t_a and not inside.issuperset(parties):
+                    continue
+                free = tuple(p for p in parties if p not in inside)
+                codes = free_codes.get(free)
+                if codes is None:
+                    codes = free_codes[free] = [
+                        sum(d << width * p for d, p in zip(ds, free))
+                        for ds in itertools.product(digits, repeat=len(free))
+                    ]
+                plan.append((parties, keep[parties], codes))
+            pairs = sum(len(codes) for _, _, codes in plan)
+            template = ";".join(f"p{p}={{}}" for p in own)
+            for assignment, ds in zip(
+                itertools.product(values, repeat=len(own)),
+                itertools.product(digits, repeat=len(own)),
+            ):
+                encoded = template.format(*assignment)
+                if encoded not in self.sigma:
+                    return False, f"missing sigma entry for {encoded}"
+                chosen = self.sigma[encoded]
+                bit = 1 << outputs.index(chosen) if chosen in outputs else 0
+                budget.charge_pairs(pairs)
+                code = sum(d << width * p for d, p in zip(ds, own))
+                for parties, kept_mask, codes in plan:
+                    kept = code & kept_mask
+                    for offset in codes:
+                        other = kept + offset
+                        mask = allowed.get(other)
+                        if mask is None:
+                            mask = allowed[other] = evaluate(decode(parties, other))
+                        if not mask & bit:
+                            return False, (
+                                f"sigma({encoded})={chosen} invalid under "
+                                f"{decode(parties, other).encode()}"
+                            )
         return True, None
 
 

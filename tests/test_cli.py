@@ -189,6 +189,22 @@ def test_run_acs_scenario(capsys, tmp_path):
     assert core == {"p0=0;p1=1;p2=0;p3=1"}
 
 
+@pytest.mark.parametrize("protocol, violations", [
+    ("constant:1", ["validity"]),
+    ("constant:0", []),
+])
+def test_run_checks_validity_for_every_declared_property(capsys, tmp_path, protocol,
+                                                         violations):
+    # every honest input is "0", so strong validity allows only "0"
+    path = scenario_file(tmp_path, protocol=protocol,
+                         inputs={"0": "0", "1": "0", "2": "0", "3": "0"})
+    code, out, _ = invoke(capsys, "run", path)
+    payload = json.loads(out)
+    assert set(payload["decisions"].values()) == {protocol[-1]}
+    assert payload["violations"] == violations
+    assert code == (1 if violations else 0)
+
+
 def test_run_missing_file_exit_two(capsys):
     code, _, err = invoke(capsys, "run", "/nonexistent/scenario.json")
     assert code == 2

@@ -1,8 +1,12 @@
-"""The single-pass certificate synthesis against the brute-force scan.
+"""The single-pass certificate synthesis and the integer-coded validator
+against the brute-force scan.
 
 `oracle_certificate` and `oracle_best_effort` intersect V over `similar(I)`
 for every configuration I, pair by pair; the pass must reproduce their
 sigma JSON byte for byte, their witness and their best-effort tables.
+`oracle_validate` checks sigma(I) in V(J) for each J in `similar(I)`;
+`SimilarityCertificate.validate` must return its result, evaluate V in its
+order and raise where it raises.
 """
 
 import pytest
@@ -12,16 +16,18 @@ from hypothesis import strategies as st
 from aba.attacks import best_effort_certificate
 from aba.catalog import resolve, table_property
 from aba.core import (
+    Budget,
     CertificateOutcome,
     Domain,
     SimilarityCertificate,
     SystemParams,
     ValidityProperty,
+    _output_masks,
     compute_similarity_certificate,
     enumerate_input_configs,
     similar,
 )
-from aba.errors import ConfigError
+from aba.errors import BudgetExceededError, ConfigError
 
 
 # ---------------------------------------------------------------- oracles
@@ -65,6 +71,28 @@ def oracle_best_effort(validity, params, domain):
     return SimilarityCertificate(params=params, domain=domain, sigma=sigma)
 
 
+def oracle_validate(cert, validity, budget=None):
+    """Brute-force soundness check: each J comes from the `similar()` scan,
+    and V is evaluated lazily, at most once per J."""
+    budget = budget or Budget()
+    evaluate = _output_masks(validity, cert.params, cert.domain)
+    outputs = cert.domain.output_values
+    allowed = {}  # assignments -> output mask
+    for config in enumerate_input_configs(cert.params, cert.domain, budget):
+        encoded = config.encode()
+        if encoded not in cert.sigma:
+            return False, f"missing sigma entry for {encoded}"
+        chosen = cert.sigma[encoded]
+        bit = 1 << outputs.index(chosen) if chosen in outputs else 0
+        for other in similar(config, cert.params, cert.domain, budget):
+            mask = allowed.get(other.assignments)
+            if mask is None:
+                mask = allowed[other.assignments] = evaluate(other)
+            if not mask & bit:
+                return False, f"sigma({encoded})={chosen} invalid under {other.encode()}"
+    return True, None
+
+
 def assert_matches_oracle(validity, params, domain):
     got = compute_similarity_certificate(validity, params, domain)
     want = oracle_certificate(validity, params, domain)
@@ -83,7 +111,8 @@ def assert_matches_oracle(validity, params, domain):
 
 
 @st.composite
-def table_points(draw):
+def random_tables(draw):
+    """(params, domain, table, default) for a random `table_property`."""
     n = draw(st.integers(1, 5))
     t_s = draw(st.integers(0, n - 1))
     t_a = draw(st.integers(0, t_s))
@@ -97,6 +126,12 @@ def table_points(draw):
     configs = [c.encode() for c in enumerate_input_configs(params, domain)]
     keys = draw(st.lists(st.sampled_from(configs), max_size=12, unique=True))
     table = {key: draw(subsets) for key in keys}
+    return params, domain, table, default
+
+
+@st.composite
+def table_points(draw):
+    params, domain, table, default = draw(random_tables())
     return table_property("random", table, default, canonicalize=False), params, domain
 
 
@@ -104,6 +139,112 @@ def table_points(draw):
 @given(table_points())
 def test_pass_matches_oracle_on_random_tables(point):
     assert_matches_oracle(*point)
+
+
+ROGUE = "9"  # a label outside every output domain drawn here
+MUTATIONS = ("none", "flip", "missing", "out-of-domain", "extra")
+
+
+@st.composite
+def validate_cases(draw):
+    """A best-effort certificate, possibly mutated, and the property to check
+    it against, whose table may list the out-of-domain label ROGUE."""
+    params, domain, table, default = draw(random_tables())
+    clean = table_property("random", table, default, canonicalize=False)
+    sigma = dict(best_effort_certificate(clean, params, domain).sigma)
+    if table and draw(st.booleans()):
+        rogue = draw(st.lists(st.sampled_from(sorted(table)), min_size=1, unique=True))
+        table = {key: values + [ROGUE] if key in rogue else values
+                 for key, values in table.items()}
+    mutation = draw(st.sampled_from(MUTATIONS))
+    key = draw(st.sampled_from(sorted(sigma)))
+    if mutation == "flip":
+        sigma[key] = draw(st.sampled_from([v for v in domain.output_values if v != sigma[key]]))
+    elif mutation == "missing":
+        del sigma[key]
+    elif mutation == "out-of-domain":
+        sigma[key] = ROGUE
+    elif mutation == "extra":
+        extra = draw(st.sampled_from([f"p{params.n}=0", "p0=zz", "junk", ""]))
+        sigma[extra] = draw(st.sampled_from(domain.output_values + (ROGUE,)))
+    validity = table_property("random", table, default, canonicalize=False)
+    return validity, SimilarityCertificate(params=params, domain=domain, sigma=sigma)
+
+
+def _checked(check, cert, validity):
+    """(result or raised ConfigError, configurations evaluated in order)."""
+    evaluated = []
+
+    def recording(params, domain, config):
+        evaluated.append(config.encode())
+        return validity.evaluate(params, domain, config)
+
+    try:
+        result = check(cert, ValidityProperty(validity.name, recording))
+    except ConfigError as e:
+        result = ("ConfigError", str(e))
+    return result, evaluated
+
+
+@settings(max_examples=300, deadline=None)
+@given(validate_cases())
+def test_validate_matches_oracle_on_mutated_certificates(case):
+    validity, cert = case
+    assert _checked(SimilarityCertificate.validate, cert, validity) == \
+        _checked(oracle_validate, cert, validity)
+
+
+# the random tables above use 2-3 input values; interval:0:3 has four, so
+# its codes need three bits per party
+@pytest.mark.parametrize("name,values,n,t_s,t_a,setup", [
+    ("strong", 2, 5, 1, 1, "PKI"),
+    ("clique:3", 0, 5, 1, 1, "PKI"),
+    ("interval:0:3", 0, 4, 1, 1, "NONE"),
+    ("it-strong", 2, 5, 2, 0, "PKI"),
+])
+def test_validate_matches_oracle_on_catalog_certificates(name, values, n, t_s, t_a, setup):
+    prop, domain = resolve(name, values)
+    params = SystemParams(n, t_s, t_a, setup)
+    cert = best_effort_certificate(prop, params, domain)
+    assert cert.validate(prop) == oracle_validate(cert, prop)
+    # the last configuration in canonical order, flipped
+    last = next(c for c in enumerate_input_configs(params, domain) if len(c) == n
+                and all(v == domain.input_values[-1] for _, v in c.assignments))
+    sigma = dict(cert.sigma)
+    sigma[last.encode()] = next(v for v in domain.output_values if v != sigma[last.encode()])
+    flipped = SimilarityCertificate(params=params, domain=domain, sigma=sigma)
+    assert flipped.validate(prop) == oracle_validate(flipped, prop)
+
+
+# ---------------------------------------------------------------- budgets
+
+
+def _strong_certificate():
+    prop, domain = resolve("strong", 2)
+    params = SystemParams(4, 1, 1)
+    return prop, compute_similarity_certificate(prop, params, domain).certificate
+
+
+def test_validate_charges_each_configuration_its_similar_pairs():
+    prop, cert = _strong_certificate()
+    budget = Budget()
+    assert cert.validate(prop, budget) == (True, None)
+    assert budget.pair_checks_used == sum(
+        len(similar(c, cert.params, cert.domain))
+        for c in enumerate_input_configs(cert.params, cert.domain)
+    )
+
+
+def test_validate_raises_under_config_cap():
+    prop, cert = _strong_certificate()
+    with pytest.raises(BudgetExceededError, match="enumeration cap 10"):
+        cert.validate(prop, Budget(max_configs=10))
+
+
+def test_validate_raises_under_pair_cap():
+    prop, cert = _strong_certificate()
+    with pytest.raises(BudgetExceededError, match="pairwise checks exceeded the cap 5"):
+        cert.validate(prop, Budget(max_pair_checks=5))
 
 
 PARAMETER_POINTS = [
