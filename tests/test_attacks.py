@@ -76,6 +76,24 @@ def test_ring_routes_are_symmetric():
             assert routes[target][key[0]] == key
 
 
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_ring_routes_follow_the_channels(r):
+    layout = RingLayout(r)
+    routes = layout.routes()
+    neighbours = {key: set() for key in routes}
+    for a, b in layout.channels():
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    for key, route in routes.items():
+        # every node reaches all three party roles: itself plus its two neighbours
+        assert set(route) == {0, 1, 2}
+        assert route[key[0]] == key
+        for party, target in route.items():
+            if target == key:
+                continue
+            assert target in neighbours[key] and target[0] == party
+            assert routes[target][key[0]] == key
+
 # ---------------------------------------------------------------- ring runs
 
 

@@ -205,6 +205,19 @@ def test_run_checks_validity_for_every_declared_property(capsys, tmp_path, proto
     assert code == (1 if violations else 0)
 
 
+def test_run_reports_a_stalled_run(capsys, tmp_path):
+    # the rbc sender crashes before sending, so nobody ever delivers
+    path = scenario_file(tmp_path, protocol="rbc",
+                         adversary={"corrupted": {"0": {"behavior": "CRASH_AT", "time": 0}},
+                                    "delivery": {"kind": "exact"}},
+                         inputs={"1": "0", "2": "0", "3": "0"})
+    code, out, _ = invoke(capsys, "run", path)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["horizon_exceeded"] is True
+    assert payload["undecided"] == ["1/0", "2/0", "3/0"]
+    assert payload["decisions"] == {} and payload["violations"] == []
+
 def test_run_missing_file_exit_two(capsys):
     code, _, err = invoke(capsys, "run", "/nonexistent/scenario.json")
     assert code == 2

@@ -101,6 +101,106 @@ ATTACK_TRACE_SHA256 = {
 }
 
 
+# The layouts of the full-report pins: ATTACK_KINDS plus ring r=0 and r=2 and
+# the triple partition at (8,3,2).
+REPORT_LAYOUTS = {
+    **{kind: [kind] + flags for kind, flags in ATTACK_KINDS.items()},
+    "ring-r0": ["ring", "--r", "0"],
+    "ring-r2": ["ring", "--r", "2"],
+    "triple-partition-8-3-2": ["triple-partition", "--n", "8", "--ts", "3", "--ta", "2"],
+}
+
+# sha256 over the complete `aba attack` report as printed, so decision
+# tables, checks, adjacent equality and undecided lists are pinned as well as
+# the trace hashes
+ATTACK_REPORT_SHA256 = {
+    ("split-brain", "local-min", 1):
+        "b8616bf3496c73b2e5514b0d2dd0cfcb8e8c4f88a2b6b59900e5308784bbdc91",
+    ("split-brain", "local-min", 2):
+        "7d4597fcede6a916c41d0505d489fbbaa52029b148ec52e4020130efd2826481",
+    ("split-brain", "majority", 1):
+        "9d1e8ed27d24021f703c7c9f87ff75fb0bbe52e829bb48a728a5799f3e8d728e",
+    ("split-brain", "majority", 2):
+        "aa87e77013290c842fbe48b6f49f7328a46d640cfef2f59f0f4d1a34eb1a0b4a",
+    ("split-brain", "bin-ba", 1):
+        "ccb6e59a6ad7215456772378b6b976a8428c82a48eb044af5f7e1f93d75e36d9",
+    ("split-brain", "bin-ba", 2):
+        "ebf73b81215cbc762728432ba132e410c8dbe30c04bfb57f886810fd9724f753",
+    ("split-brain", "universal:strong", 1):
+        "67b1fee3c5fc06127a9c646ffbbd09ac107357f21409c26c8518353c101338fd",
+    ("split-brain", "universal:strong", 2):
+        "0f36dbc47101639a00870ab2e3f51eefafd9915af91180cebdf7983ac3fbc434",
+    ("triple-partition", "local-min", 1):
+        "3fa5b8d1ed04ec0441d173bee040593b6dfaf7f57ee03309f5c894fb64889e2f",
+    ("triple-partition", "local-min", 2):
+        "624c9c80a5e55742d34c9c8e66869b8e61d36e79afd3ca9becd4bc01abd2a37e",
+    ("triple-partition", "majority", 1):
+        "580e3b6e9fbc4d3553ccbca861f3f1afe84e0c95f131b3f53b11609694d0389f",
+    ("triple-partition", "majority", 2):
+        "59b9eafcdf9e0f94fd649834000b91f402044994e248e67db64cbf62567d514b",
+    ("triple-partition", "bin-ba", 1):
+        "b2fd0502295dfdf20e37c8f0f9a96d491d4ae98ef607f8d6f690f9c7521b84cc",
+    ("triple-partition", "bin-ba", 2):
+        "4d2c52a73a55162722863cff32f83e8731fb0b80c3fa4d469e053bd448248c4b",
+    ("triple-partition", "universal:strong", 1):
+        "f41290eaff7da11ae1e0c747f11184d1469dcc7e8f8a0131149c41efae5735b1",
+    ("triple-partition", "universal:strong", 2):
+        "1de72e7ceb9340762e924e1cfa3d1a56367dc915104b5c4362ede9d2312a9fac",
+    ("ring", "local-min", 1):
+        "642908dec0d56ce892dd10a1648a6fefd82cb3d712f2c8d5fcb66f06e391569d",
+    ("ring", "local-min", 2):
+        "e87bf65e8709944d19ac2a981b8879b7e4d241ef4fdea6c44a2dc863b4441a8b",
+    ("ring", "majority", 1):
+        "0370b822bff060191ae73339e994ecc7cbd256c80072d84481048a64003469e5",
+    ("ring", "majority", 2):
+        "bc4bd4b7ff401156a6008b9faa34b9f95aa27925f4c9cbd76915bd0f0456d5b1",
+    ("ring", "bin-ba", 1):
+        "72f665c7a23f56955a713ca7cc49d360160199ffb553604f376af112acaf5d2c",
+    ("ring", "bin-ba", 2):
+        "f0fb4e6744d56a878b8859aa1bef0f928c3e80a5122e660ad98625f96a75fb80",
+    ("ring", "universal:strong", 1):
+        "45a36c36886920fba2ff29c72133774253e6bb552854cc6fc9ad8eb23607ae94",
+    ("ring", "universal:strong", 2):
+        "6641ae4e31af03df26b9e833720c18f4a7762ec07ef18c81ed2b58e5e6d9bdb7",
+    ("ring-r0", "local-min", 1):
+        "b6d8b67f990a522c35894bf4214a1cda528a9387f88cdf8e5ecf2e2917743bc0",
+    ("ring-r0", "majority", 1):
+        "2676d5836f3bc151dc1b35cdba2781f133f48283eb77426381649564120edd99",
+    ("ring-r0", "bin-ba", 1):
+        "f3c223b3c2d632cb368a08d9ec1af3a489ff110ec6ec6ae4da228031dfc3a513",
+    ("ring-r0", "universal:strong", 1):
+        "e3cb64abcec52f37cc18e385afc436b53e09c608e1c62dd5f94cf28e2c4c1fae",
+    ("ring-r2", "local-min", 1):
+        "75f7b40870da6db2e47cd47646ab63f0d989bd508f5bb826f6fb4dcd9e72f44a",
+    ("ring-r2", "majority", 1):
+        "42badb172f3348ceab3d99c86d91e867c9b6a53ee84b9e24cfa1475df556e4d6",
+    ("ring-r2", "bin-ba", 1):
+        "548ff9fc89b65bee00bf82b0ef86facbc38e39cf038ea27072003f9005deecba",
+    ("ring-r2", "universal:strong", 1):
+        "adcab5b707f3ba86efdf476624d98db742cb030e943e72c96a834745473a2588",
+    ("triple-partition-8-3-2", "local-min", 1):
+        "350441b91a4bc43b0c83531d8d842e38eb8ec9c6ab20af155316609871922e3b",
+    ("triple-partition-8-3-2", "majority", 1):
+        "139cb855021b55731ac7cdd8fa624c6df9c07191e4d7a7dd0a5d9bf805e83dfa",
+    ("triple-partition-8-3-2", "bin-ba", 1):
+        "a5857b54506824958381f4edc012cd75a9425925b4539a98379324334909c76e",
+    ("triple-partition-8-3-2", "universal:strong", 1):
+        "681d4c1f737d85c17a12377fe49be7d60853f7f725afc48cabcbe0b9b8725917",
+}
+
+# sha256 over the complete `aba run` report of each committed scenario
+RUN_REPORT_SHA256 = {
+    "acs-sync-crash.json":
+        "9bdea8cd734cd942e71340273f9d9f421409db80eca6f1e1654aa04427c17eb9",
+    "ba-star.json":
+        "d71c24e454f5cf531b3541fc655fe5d76d908a372ca1d9120f63a2cf4d289f31",
+    "binba-async-byzantine.json":
+        "a8141d66f6b7258cd7fd755346c8e941b49a0873da7471aecb2e876ef42148a9",
+    "universal-strong-canonical.json":
+        "ef76590341ce6d00eed73196fc9466713bfe37d980aac1c1be7da10f2d461a4b",
+}
+
+
 def scenario_trace_hash(name: str) -> str:
     scenario = Scenario.load(str(SCENARIOS / name))
     result = run(scenario.machine_factory(), scenario.params, scenario.net,
@@ -165,3 +265,25 @@ def test_accept8_digest_independent_of_hash_seed(hash_seed):
         env=env, capture_output=True, text=True, check=True, timeout=600,
     )
     assert out.stdout.strip() == ACCEPT8_COMBINED_SHA256
+
+
+def cli_output(argv: list) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("layout, protocol, seed", sorted(ATTACK_REPORT_SHA256))
+def test_attack_reports_are_golden(layout, protocol, seed):
+    kind, *flags = REPORT_LAYOUTS[layout]
+    text = cli_output(["attack", kind, "--protocol", protocol, "--seed", str(seed)] + flags)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        ATTACK_REPORT_SHA256[(layout, protocol, seed)]
+
+
+@pytest.mark.parametrize("name", sorted(RUN_REPORT_SHA256))
+def test_run_reports_are_golden(name):
+    text = cli_output(["run", str(SCENARIOS / name)])
+    assert hashlib.sha256(text.encode()).hexdigest() == RUN_REPORT_SHA256[name]
