@@ -102,18 +102,23 @@ def best_effort_certificate(prop, params: SystemParams, domain):
 
 
 def _decision_table(outcomes) -> dict:
-    return {
-        f"{party}/{tag}": (value if status == "DECIDED" else None)
-        for (party, tag), (status, value) in sorted(outcomes.items())
-    }
-
-
-def _group_decisions(outcomes, keys) -> list:
-    return [outcomes[key][1] if outcomes[key][0] == "DECIDED" else None for key in keys]
+    return {f"{party}/{tag}": value for (party, tag), value in sorted(outcomes.items())}
 
 
 def _all_equal_decided(values) -> bool:
     return all(v is not None for v in values) and len(set(values)) == 1
+
+
+def _side_checks(left: list, right: list) -> dict:
+    """Agreement within each side of a partition and disagreement across it,
+    from the decisions (None: undecided) of the two sides' nodes."""
+    return {
+        "within_left_agreement": _all_equal_decided(left) or all(v is None for v in left),
+        "within_right_agreement": _all_equal_decided(right) or all(v is None for v in right),
+        "cross_group_disagreement": (
+            _all_equal_decided(left) and _all_equal_decided(right) and left[0] != right[0]
+        ),
+    }
 
 
 # ---------------------------------------------------------------- split brain
@@ -182,10 +187,10 @@ def split_brain(
     run_c = run(factory, params, net_c, script_c, mixed, seed)
     run_d = canonical(set(), inputs_one)
 
-    c_left = _group_decisions(run_c.outcomes, keys_l)
-    c_right = _group_decisions(run_c.outcomes, keys_r)
-    a_left = _group_decisions(run_a.outcomes, keys_l)
-    b_right = _group_decisions(run_b.outcomes, keys_r)
+    c_left = [run_c.outcomes[key] for key in keys_l]
+    c_right = [run_c.outcomes[key] for key in keys_r]
+    a_left = [run_a.outcomes[key] for key in keys_l]
+    b_right = [run_b.outcomes[key] for key in keys_r]
 
     return {
         "scenario": "split-brain",
@@ -204,13 +209,7 @@ def split_brain(
         "checks": {
             "left_in_c_matches_a": c_left == a_left and _all_equal_decided(c_left),
             "right_in_c_matches_b": c_right == b_right and _all_equal_decided(c_right),
-            "within_left_agreement": _all_equal_decided(c_left) or all(v is None for v in c_left),
-            "within_right_agreement": _all_equal_decided(c_right) or all(v is None for v in c_right),
-            "cross_group_disagreement": (
-                _all_equal_decided(c_left)
-                and _all_equal_decided(c_right)
-                and c_left[0] != c_right[0]
-            ),
+            **_side_checks(c_left, c_right),
             "any_undecided": bool(run_a.undecided_honest(right) or run_b.undecided_honest(left)
                                   or run_c.undecided_honest() or run_d.undecided_honest()),
         },
@@ -220,8 +219,11 @@ def split_brain(
 # ---------------------------------------------------------------- triple partition
 
 
-def _triple_nodes(layout: PartitionLayout, mixed_inputs: dict):
-    """Node instances and routes for the duplicated-middle wiring."""
+def _triple_nodes(layout: PartitionLayout, near: InputConfiguration,
+                  far: InputConfiguration) -> list[NodeInstance]:
+    """Node instances and routes for the duplicated-middle wiring: `near`
+    feeds the left group and middle copy 0, `far` the right group and middle
+    copy 1."""
     left, middle, right = layout.left, layout.middle, layout.right
     nodes = []
 
@@ -237,16 +239,14 @@ def _triple_nodes(layout: PartitionLayout, mixed_inputs: dict):
 
     outer_route = {m: [(m, 0), (m, 1)] for m in middle}
     for p in left:
-        nodes.append(NodeInstance(party_id=p, input=mixed_inputs[("L", p)],
-                                  route=dict(outer_route)))
+        nodes.append(NodeInstance(party_id=p, input=near.value_of(p), route=dict(outer_route)))
     for p in right:
-        nodes.append(NodeInstance(party_id=p, input=mixed_inputs[("R", p)],
-                                  route=dict(outer_route)))
+        nodes.append(NodeInstance(party_id=p, input=far.value_of(p), route=dict(outer_route)))
     for m in middle:
         copy_l, copy_r = replicate(m, 2)
-        copy_l.input = mixed_inputs[("M0", m)]
+        copy_l.input = near.value_of(m)
         copy_l.route = middle_route(0)
-        copy_r.input = mixed_inputs[("M1", m)]
+        copy_r.input = far.value_of(m)
         copy_r.route = middle_route(1)
         nodes += [copy_l, copy_r]
     return nodes
@@ -277,17 +277,6 @@ def triple_partition(
         report["degenerate_no_middle"] = True
         return report
 
-    def value_map(control: bool) -> dict:
-        out = {}
-        for p in left:
-            out[("L", p)] = inputs_one.value_of(p)
-        for p in right:
-            out[("R", p)] = (inputs_one if control else inputs_two).value_of(p)
-        for m in middle:
-            out[("M0", m)] = inputs_one.value_of(m)
-            out[("M1", m)] = (inputs_one if control else inputs_two).value_of(m)
-        return out
-
     # middle copy 0 talks to the left group only, copy 1 to the right
     side_l = [(p, 0) for p in left] + [(m, 0) for m in middle]
     side_r = [(p, 0) for p in right] + [(m, 1) for m in middle]
@@ -298,7 +287,7 @@ def triple_partition(
         )
         policy = SyncExactDelay(delta) if control else PartitionPolicy([side_l, side_r])
         sim = Simulation(params, net, seed, policy=policy)
-        for node in _triple_nodes(layout, value_map(control)):
+        for node in _triple_nodes(layout, inputs_one, inputs_one if control else inputs_two):
             sim.add_node(node, factory)
         outcomes = sim.run()
         return sim, outcomes
@@ -313,8 +302,6 @@ def triple_partition(
         )
 
     attack_sim, attack_outcomes = build_and_run(control=False)
-    left_decisions = _group_decisions(attack_outcomes, side_l)
-    right_decisions = _group_decisions(attack_outcomes, side_r)
 
     return {
         "scenario": "triple-partition",
@@ -332,15 +319,8 @@ def triple_partition(
         },
         "checks": {
             "replicas_identical": all(replica_checks.values()),
-            "within_left_agreement": _all_equal_decided(left_decisions)
-            or all(v is None for v in left_decisions),
-            "within_right_agreement": _all_equal_decided(right_decisions)
-            or all(v is None for v in right_decisions),
-            "cross_group_disagreement": (
-                _all_equal_decided(left_decisions)
-                and _all_equal_decided(right_decisions)
-                and left_decisions[0] != right_decisions[0]
-            ),
+            **_side_checks([attack_outcomes[key] for key in side_l],
+                           [attack_outcomes[key] for key in side_r]),
         },
     }
 
@@ -400,28 +380,14 @@ class RingLayout:
         return edges
 
     def routes(self) -> dict[tuple[int, int], dict[int, tuple[int, int]]]:
-        """Per-node map: logical party -> adjacent instance (self included)."""
-        last = self.columns - 1
-        routes: dict[tuple[int, int], dict[int, Any]] = {}
-        for k, i, j in self.node_ids():
-            key = self.key(k, i, j)
-            route: dict[int, Any] = {i: key}
-            if i == 1:
-                route[0] = self.key(k, 0, j)
-                route[2] = self.key(k, 2, j)
-            elif k == 1 and i == 0:
-                route[1] = self.key(1, 1, j)
-                route[2] = self.key(1, 2, j - 1) if j > 0 else self.key(2, 2, 0)
-            elif k == 1 and i == 2:
-                route[1] = self.key(1, 1, j)
-                route[0] = self.key(1, 0, j + 1) if j < last else self.key(2, 0, last)
-            elif k == 2 and i == 0:
-                route[1] = self.key(2, 1, j)
-                route[2] = self.key(2, 2, j + 1) if j < last else self.key(1, 2, last)
-            else:  # k == 2, i == 2
-                route[1] = self.key(2, 1, j)
-                route[0] = self.key(2, 0, j - 1) if j > 0 else self.key(1, 0, 0)
-            routes[key] = route
+        """Per-node map: logical party -> adjacent instance (self included).
+
+        A node routes its own role to itself and, across each of its two
+        channels, the other end's role to that end."""
+        routes = {key: {key[0]: key} for key in (self.key(*node) for node in self.node_ids())}
+        for a, b in self.channels():
+            routes[a][b[0]] = b
+            routes[b][a[0]] = a
         return routes
 
     def node_count(self) -> int:
@@ -479,17 +445,13 @@ def ring_attack(
             fidelity[f"k{k}/i{i}"] = (
                 sim.trace.transcript_hash(ring_t) == sim.trace.transcript_hash(canon_t)
             )
-            ring_decision = outcomes[key][1]
-            canon_decision = canon[k].outcomes[(i, 0)][1]
-            decisions_match[f"k{k}/i{i}"] = ring_decision == canon_decision
+            decisions_match[f"k{k}/i{i}"] = outcomes[key] == canon[k].outcomes[(i, 0)]
 
     adjacency = []
     for a, b in layout.channels():
-        va = outcomes[a][1] if outcomes[a][0] == "DECIDED" else None
-        vb = outcomes[b][1] if outcomes[b][0] == "DECIDED" else None
         adjacency.append(
             {"a": f"{a[0]}/{a[1]}", "b": f"{b[0]}/{b[1]}",
-             "equal": va is not None and va == vb}
+             "equal": outcomes[a] is not None and outcomes[a] == outcomes[b]}
         )
 
     return {
@@ -501,8 +463,8 @@ def ring_attack(
         "adjacent_equality": adjacency,
         "middle_fidelity": fidelity,
         "middle_decisions_match_canonical": decisions_match,
-        "undecided": [f"{p}/{t}" for (p, t), (s, _) in sorted(outcomes.items())
-                      if s != "DECIDED"],
+        "undecided": [f"{p}/{t}" for (p, t), value in sorted(outcomes.items())
+                      if value is None],
         "checks": {
             "all_middle_fidelity": all(fidelity.values()),
             "any_adjacent_disagreement": any(not e["equal"] for e in adjacency),

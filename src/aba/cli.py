@@ -367,21 +367,20 @@ def _check_run_properties(scenario: Scenario, result, machines: dict) -> dict:
     }
 
 
+def _run_checked(scenario: Scenario, seed: int) -> tuple:
+    """Runs the scenario with `seed`; returns the run and its property summary."""
+    machines: dict = {}
+    result = run(scenario.machine_factory(machines), scenario.params, scenario.net,
+                 scenario.script, scenario.inputs, seed)
+    return result, _check_run_properties(scenario, result, machines)
+
+
 def cmd_run(args) -> int:
     scenario = Scenario.load(args.scenario)
-    machines: dict = {}
-    result = run(
-        scenario.machine_factory(machines),
-        scenario.params,
-        scenario.net,
-        scenario.script,
-        scenario.inputs,
-        scenario.seed,
-    )
-    summary = _check_run_properties(scenario, result, machines)
+    result, summary = _run_checked(scenario, scenario.seed)
     text = result.trace.jsonl()
     summary["trace_hash"] = ExecutionTrace.text_sha256(text)
-    summary["horizon_exceeded"] = result.horizon_exceeded
+    summary["horizon_exceeded"] = bool(summary["undecided"])
     if args.trace:
         with open(args.trace, "w") as fh:
             fh.write(text)
@@ -399,17 +398,7 @@ def cmd_fuzz(args) -> int:
     decided_runs = 0
     max_decision_time = 0
     for offset in range(args.seeds):
-        seed = scenario.seed + offset
-        machines: dict = {}
-        result = run(
-            scenario.machine_factory(machines),
-            scenario.params,
-            scenario.net,
-            scenario.script,
-            scenario.inputs,
-            seed,
-        )
-        summary = _check_run_properties(scenario, result, machines)
+        result, summary = _run_checked(scenario, scenario.seed + offset)
         total_violations += len(summary["violations"])
         if not summary["undecided"]:
             decided_runs += 1

@@ -54,7 +54,6 @@ class AcsProtocol(Machine):
         self.n = params.n
         self.quorum = params.n - params.t_s
         self.pki = params.setup == "PKI"
-        self.delta = delta
         self.round_len = delta + ROUND_SLACK
         self.t_core = core_wait_time(delta)
         self.valid_values = tuple(valid_values) if valid_values is not None else None
@@ -62,7 +61,7 @@ class AcsProtocol(Machine):
         self.rbcs = {j: RbcInstance(params.n, params.t_s, self.pki, j) for j in range(params.n)}
         self.delivered: dict[int, Any] = {}
         self.abas = {
-            j: CoinVotingInstance(params.n, params.t_s, params.t_a, coin_key=("acs", j))
+            j: CoinVotingInstance(params.n, params.t_s, coin_key=("acs", j))
             for j in range(params.n)
         }
         self.aba_bits: dict[int, int] = {}
@@ -72,7 +71,7 @@ class AcsProtocol(Machine):
 
         # PKI certified-core stage
         self.chains: Optional[ChainBroadcastStage] = None
-        self.main = CoinVotingInstance(params.n, params.t_s, params.t_a, coin_key="acs-main")
+        self.main = CoinVotingInstance(params.n, params.t_s, coin_key="acs-main")
         self.main_bit: Optional[int] = None
         self.coresig_encodings: dict[int, str] = {}
         self.cert: Optional[str] = None

@@ -39,8 +39,7 @@ class CoinVotingInstance:
     laggards complete their rounds; n - t_s DONEs halt it.
     """
 
-    def __init__(self, n: int, t_s: int, t_a: int, coin_key: Any):
-        self.n = n
+    def __init__(self, n: int, t_s: int, coin_key: Any):
         self.quorum = n - t_s
         self.relay = t_s + 1
         self.coin_key = coin_key
@@ -188,11 +187,10 @@ class BinaryBa(Machine):
         check_param_bounds(params, enforce_bounds)
         self.params = params
         self.pki = params.setup == "PKI"
-        self.tag = tag
         self.labels = labels
         self.round_len = delta + ROUND_SLACK
         self.stage_end = sync_stage_duration(params, delta)
-        self.loop = CoinVotingInstance(params.n, params.t_s, params.t_a, coin_key=tag)
+        self.loop = CoinVotingInstance(params.n, params.t_s, coin_key=tag)
         self.chains: Optional[ChainBroadcastStage] = None
         self.input_bit: Optional[int] = None
         self.decided = False

@@ -32,8 +32,6 @@ class RbcInstance:
     """
 
     def __init__(self, n: int, t_s: int, pki: bool, sender: int):
-        self.n = n
-        self.t_s = t_s
         self.quorum = n - t_s
         self.amplify = t_s + 1
         self.pki = pki
@@ -142,7 +140,6 @@ class ChainBroadcastStage:
     """
 
     def __init__(self, n: int, t_s: int, me: int):
-        self.n = n
         self.t_s = t_s
         self.me = me
         self.round = 0

@@ -74,7 +74,6 @@ class Envelope:
     dst: NodeKey
     payload: Any
     sent_at: int
-    deliver_at: int = -1
 
 
 # ---------------------------------------------------------------- randomness
@@ -469,7 +468,7 @@ class NodeCtx:
 
 
 class _NodeState:
-    __slots__ = ("node", "machines", "ctx", "behavior", "crashed_at", "decided", "started")
+    __slots__ = ("node", "machines", "ctx", "behavior", "crashed_at", "decided")
 
     def __init__(self, node, machines, ctx, behavior):
         self.node = node
@@ -478,7 +477,6 @@ class _NodeState:
         self.behavior = behavior
         self.crashed_at = behavior.time if isinstance(behavior, CrashAt) else None
         self.decided = None
-        self.started = False
 
 
 class Simulation:
@@ -504,7 +502,6 @@ class Simulation:
         self._nodes: dict[NodeKey, _NodeState] = {}
         self._heap: list = []
         self._seq = 0
-        self.horizon_exceeded = False
 
     # -- construction
 
@@ -540,7 +537,7 @@ class Simulation:
 
     # -- run loop
 
-    def run(self) -> dict[NodeKey, tuple]:
+    def run(self) -> dict[NodeKey, Any]:
         for key in sorted(self._nodes):
             state = self._nodes[key]
             if state.crashed_at is not None:
@@ -553,7 +550,6 @@ class Simulation:
                 if not held:
                     break
                 for env in held:
-                    env.deliver_at = horizon
                     self._push(horizon, "DELIVER", env)
                 continue
             time, _, kind, data = heapq.heappop(self._heap)
@@ -565,24 +561,11 @@ class Simulation:
                 self._dispatch_deliver(time, data)
             elif kind == "TIMER":
                 self._dispatch_timer(time, data)
-        self.horizon_exceeded = not self._all_honest_decided()
         return self.outcomes()
 
-    def _all_honest_decided(self) -> bool:
-        return all(
-            state.decided is not None
-            for state in self._nodes.values()
-            if not state.node.corrupted
-        )
-
-    def outcomes(self) -> dict[NodeKey, tuple]:
-        out = {}
-        for key, state in self._nodes.items():
-            if state.decided is not None:
-                out[key] = ("DECIDED", state.decided)
-            else:
-                out[key] = ("UNDECIDED", None)
-        return out
+    def outcomes(self) -> dict[NodeKey, Any]:
+        """Each node's decided value, or None while it is undecided."""
+        return {key: state.decided for key, state in self._nodes.items()}
 
     # -- dispatch
 
@@ -591,7 +574,6 @@ class Simulation:
 
     def _dispatch_start(self, now: int, key: NodeKey):
         state = self._nodes[key]
-        state.started = True
         if not self._alive(state, now):
             return
         state.ctx.now = now
@@ -644,7 +626,6 @@ class Simulation:
                 state.decided = action.value
                 self.trace.append(now, DECIDE, node.key, {"value": action.value})
                 for env, at in self.policy.on_decide(node.party_id, now):
-                    env.deliver_at = at
                     self._push(at, "DELIVER", env)
             elif isinstance(action, SetTimer):
                 if action.delay < 1:
@@ -689,7 +670,6 @@ class Simulation:
                     raise ProtocolError("delivery must be strictly after send")
                 if self.net.mode == SYNCHRONOUS and deliver_at - now > self.net.delta:
                     raise ProtocolError("synchronous delivery exceeded delta")
-                env.deliver_at = deliver_at
                 detail["deliver_at"] = deliver_at
                 self._push(deliver_at, "DELIVER", env)
             else:
@@ -702,25 +682,26 @@ class Simulation:
 
 @dataclass
 class RunResult:
+    """One execution's trace and outcomes.
+
+    `outcomes` maps every node instance `(party, replica)` to the value it
+    decided, or to None while it is undecided; a corrupted node never decides.
+    """
+
     trace: ExecutionTrace
-    outcomes: dict[NodeKey, tuple]
-    horizon_exceeded: bool
+    outcomes: dict[NodeKey, Any]
 
     def honest_decisions(self, corrupted: Iterable[int] = ()) -> dict[NodeKey, Any]:
         bad = set(corrupted)
         return {
             key: value
-            for key, (status, value) in self.outcomes.items()
-            if status == "DECIDED" and key[0] not in bad
+            for key, value in self.outcomes.items()
+            if value is not None and key[0] not in bad
         }
 
     def undecided_honest(self, corrupted: Iterable[int] = ()) -> list[NodeKey]:
         bad = set(corrupted)
-        return [
-            key
-            for key, (status, _) in self.outcomes.items()
-            if status == "UNDECIDED" and key[0] not in bad
-        ]
+        return [key for key, value in self.outcomes.items() if value is None and key[0] not in bad]
 
 
 def run(
@@ -761,5 +742,4 @@ def run(
             input=given.get(party),
         )
         sim.add_node(node, machine_factory, behavior)
-    outcomes = sim.run()
-    return RunResult(trace=sim.trace, outcomes=outcomes, horizon_exceeded=sim.horizon_exceeded)
+    return RunResult(trace=sim.trace, outcomes=sim.run())

@@ -14,6 +14,7 @@ from aba.attacks import (
 from aba.core import InputConfiguration as IC, SystemParams
 from aba.errors import ConfigError
 from aba.protocols import ConstantProtocol
+from aba.protocols.base import Machine
 
 
 def cfg(*pairs):
@@ -126,6 +127,15 @@ def test_ring_fidelity_holds_for_local_min_too():
                          maximal(3, "1"), r=1, seed=9)
     assert report["checks"]["all_middle_fidelity"]
 
+
+def test_ring_undecided_neighbours_are_not_equal():
+    # a machine that never decides leaves every copy undecided
+    report = ring_attack(lambda p: Machine(), maximal(3, "0"), maximal(3, "1"), r=0, seed=1)
+    assert len(report["undecided"]) == 12
+    assert set(report["decisions"].values()) == {None}
+    assert not any(e["equal"] for e in report["adjacent_equality"])
+    assert report["checks"]["any_adjacent_disagreement"]
+    assert all(report["middle_decisions_match_canonical"].values())
 
 # ---------------------------------------------------------------- split brain
 
