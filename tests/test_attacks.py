@@ -95,6 +95,7 @@ def test_ring_routes_follow_the_channels(r):
             assert target in neighbours[key] and target[0] == party
             assert routes[target][key[0]] == key
 
+
 # ---------------------------------------------------------------- ring runs
 
 
@@ -136,6 +137,7 @@ def test_ring_undecided_neighbours_are_not_equal():
     assert not any(e["equal"] for e in report["adjacent_equality"])
     assert report["checks"]["any_adjacent_disagreement"]
     assert all(report["middle_decisions_match_canonical"].values())
+
 
 # ---------------------------------------------------------------- split brain
 

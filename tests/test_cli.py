@@ -218,6 +218,7 @@ def test_run_reports_a_stalled_run(capsys, tmp_path):
     assert payload["undecided"] == ["1/0", "2/0", "3/0"]
     assert payload["decisions"] == {} and payload["violations"] == []
 
+
 def test_run_missing_file_exit_two(capsys):
     code, _, err = invoke(capsys, "run", "/nonexistent/scenario.json")
     assert code == 2
