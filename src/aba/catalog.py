@@ -36,7 +36,7 @@ def strong_validity() -> ValidityProperty:
             return frozenset({v})
         return frozenset(domain.output_values)
 
-    return ValidityProperty(name="strong", evaluate=evaluate)
+    return ValidityProperty(name="strong", evaluate=evaluate, anonymous=True)
 
 
 def weak_validity() -> ValidityProperty:
@@ -51,7 +51,7 @@ def weak_validity() -> ValidityProperty:
                 return frozenset({v})
         return frozenset(domain.output_values)
 
-    return ValidityProperty(name="weak", evaluate=evaluate)
+    return ValidityProperty(name="weak", evaluate=evaluate, anonymous=True)
 
 
 def intrusion_tolerant_strong() -> ValidityProperty:
@@ -66,7 +66,7 @@ def intrusion_tolerant_strong() -> ValidityProperty:
         present = {val for _, val in config.assignments}
         return frozenset(present | {BOT})
 
-    return ValidityProperty(name="it-strong", evaluate=evaluate)
+    return ValidityProperty(name="it-strong", evaluate=evaluate, anonymous=True)
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,9 @@ def interval_hull(spec: IntervalDomainSpec) -> ValidityProperty:
         lo, hi = min(present), max(present)
         return frozenset(str(i) for i in range(lo, hi + 1))
 
-    return ValidityProperty(name=f"interval:{spec.lo}:{spec.hi}", evaluate=evaluate)
+    return ValidityProperty(
+        name=f"interval:{spec.lo}:{spec.hi}", evaluate=evaluate, anonymous=True
+    )
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,7 @@ def clique_hull(spec: CliqueHullSpec) -> ValidityProperty:
             raise DomainMismatchError(f"clique domain must be K_{spec.omega} vertices")
         return frozenset(v for _, v in config.assignments)
 
-    return ValidityProperty(name=f"clique:{spec.omega}", evaluate=evaluate)
+    return ValidityProperty(name=f"clique:{spec.omega}", evaluate=evaluate, anonymous=True)
 
 
 def table_property(

@@ -5,18 +5,24 @@ each member of a party subset of size >= n - t_s; it stands for "these parties
 are honest and hold these inputs". Everything here enumerates explicit finite
 domains, guarded by a budget. Certificates come from `similarity_pass`, one
 pass over the configurations in canonical order that evaluates the property at
-most once per configuration. `SimilarityCertificate.validate` is the
-independent oracle: it still checks every pair (I, J) one at a time, but on
-integer configuration codes. `similar()` and `neighbors()` keep the
-definitional, one-object-per-configuration form of the relations, which the
-tests check both against.
+most once per configuration. An anonymous property depends only on each
+configuration's size and multiset of values, so `_orbit_table` computes its
+similar intersections once per orbit, a (size, count vector) pair:
+`is_solvable` decides it from that table without enumerating configurations,
+and `similarity_pass` reads each configuration's row from it.
+`SimilarityCertificate.validate` is the independent oracle: it still checks
+every pair (I, J) one at a time, but on integer configuration codes.
+`similar()` and `neighbors()` keep the definitional, one-object-per-
+configuration form of the relations, which the tests check both against.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -167,10 +173,16 @@ class InputConfiguration:
 
 @dataclass(frozen=True)
 class ValidityProperty:
-    """Named deterministic map from input configurations to allowed output sets."""
+    """Named deterministic map from input configurations to allowed output sets.
+
+    `anonymous` states a fact about the map: V(I) depends only on |I| and the
+    multiset of I's values, never on which parties hold them. The checker
+    then works on orbits (see `_orbit_table`) instead of configurations.
+    """
 
     name: str
     evaluate: Callable[[SystemParams, Domain, InputConfiguration], frozenset]
+    anonymous: bool = False
 
 
 @dataclass
@@ -181,10 +193,10 @@ class Budget:
     max_pair_checks: int = 1_000_000_000
     pair_checks_used: int = field(default=0, repr=False)
 
-    def check_configs(self, count: int) -> None:
+    def check_configs(self, count: int, unit: str = "configurations") -> None:
         if count > self.max_configs:
             raise BudgetExceededError(
-                f"{count} configurations exceed the enumeration cap {self.max_configs}"
+                f"{count} {unit} exceed the enumeration cap {self.max_configs}"
             )
 
     def charge_pairs(self, amount: int = 1) -> None:
@@ -202,6 +214,14 @@ def count_input_configs(params: SystemParams, domain: Domain) -> int:
     for k in range(params.min_config_size, n + 1):
         total += math.comb(n, k) * m**k
     return total
+
+
+def count_orbits(params: SystemParams, domain: Domain) -> int:
+    """Number of (size, multiset of values) pairs over the configurations."""
+    m = len(domain.input_values)
+    return sum(
+        math.comb(k + m - 1, m - 1) for k in range(params.min_config_size, params.n + 1)
+    )
 
 
 def enumerate_input_configs(
@@ -492,6 +512,86 @@ class CertificateOutcome:
         return self.certificate is not None
 
 
+def _representative(domain: Domain, orbit: tuple) -> InputConfiguration:
+    """The orbit's member on parties 0..k-1 with values in ascending order."""
+    return InputConfiguration(tuple((p, domain.input_values[i]) for p, i in enumerate(orbit)))
+
+
+def _orbit_table(
+    validity: ValidityProperty, params: SystemParams, domain: Domain
+) -> dict[tuple, tuple[int, int]]:
+    """(choice mask, own mask) for every orbit of an anonymous property.
+
+    An orbit is a configuration size k in [n - t_s, n] with a multiset of
+    input values. It is keyed by its sorted assignment, the value indices in
+    ascending order, which is also the assignment of its representative on
+    parties 0..k-1. Keys come size by size, each size in lexicographic order;
+    `own` is V of the representative, evaluated once per orbit.
+
+    For a configuration with count vector c, similar(I) holds every sub-
+    configuration of size >= n - t_s, whose count vectors are the d <= c,
+    and every configuration of size >= n - t_a that agrees with I, whose
+    count vectors are the f with |(f - c)+| <= n - |c|. So `choice` is the AND
+    of
+      (a) the closure C(c) = V(c) & AND_i C(c - e_i), down to size n - t_s;
+      (b) the "for all" part: every such f lies below some g >= c with
+          |g| = n, so it is the AND of D(g) over those g, where
+          D(g) = V(g) & AND_i D(g - e_i), down to size n - t_a.
+    Both are DPs over orbits, one size level at a time.
+    """
+    n, m = params.n, len(domain.input_values)
+    evaluate = _output_masks(validity, params, domain)
+    own = {
+        orbit: evaluate(_representative(domain, orbit))
+        for k in range(params.min_config_size, n + 1)
+        for orbit in itertools.combinations_with_replacement(range(m), k)
+    }
+
+    def smaller(orbit: tuple) -> set:
+        return {orbit[:j] + orbit[j + 1:] for j in range(len(orbit))}
+
+    def larger(orbit: tuple) -> set:
+        return {tuple(sorted(orbit + (i,))) for i in range(m)}
+
+    closure: dict = {}  # (a), over sub-orbits of size >= n - t_s
+    below: dict = {}  # D, over sub-orbits of size >= n - t_a
+    for orbit, mask in own.items():  # sizes ascending
+        subs = smaller(orbit)
+        closure[orbit] = functools.reduce(
+            operator.and_, (closure[d] for d in subs if d in closure), mask
+        )
+        if len(orbit) >= n - params.t_a:
+            below[orbit] = functools.reduce(
+                operator.and_, (below[d] for d in subs if d in below), mask
+            )
+    above: dict = {}  # (b), over full-size super-orbits
+    for orbit in reversed(own):  # sizes descending
+        above[orbit] = below[orbit] if len(orbit) == n else functools.reduce(
+            operator.and_, (above[g] for g in larger(orbit))
+        )
+    return {orbit: (closure[orbit] & above[orbit], mask) for orbit, mask in own.items()}
+
+
+def _orbit_pass(
+    validity: ValidityProperty, params: SystemParams, domain: Domain
+) -> Iterator[tuple[InputConfiguration, Optional[str], Optional[str]]]:
+    """`similarity_pass` for an anonymous property, from its orbit table."""
+    values = domain.input_values
+    table = _orbit_table(validity, params, domain)
+    for size in range(params.min_config_size, params.n + 1):
+        rows = []  # (assignment, choice, own) in product order, shared by every party set
+        for ds in itertools.product(range(len(values)), repeat=size):
+            choice, own = table[tuple(sorted(ds))]
+            rows.append((
+                tuple(values[d] for d in ds),
+                _lowest_output(domain, choice),
+                _lowest_output(domain, own),
+            ))
+        for subset in itertools.combinations(range(params.n), size):
+            for assignment, choice, own in rows:
+                yield InputConfiguration(tuple(zip(subset, assignment))), choice, own
+
+
 def similarity_pass(
     validity: ValidityProperty,
     params: SystemParams,
@@ -501,7 +601,7 @@ def similarity_pass(
     """Yields (I, choice, own) for every configuration I in canonical order:
     `choice` is the smallest output valid under every configuration in
     similar(I), `own` the smallest valid under I itself; None when there is
-    no such output.
+    no such output. The budget is charged the configuration count.
 
     similar(I) is the sub-configurations of I of size >= n - t_s together
     with the configurations of size >= n - t_a that agree with I wherever
@@ -512,14 +612,19 @@ def similarity_pass(
           table H_S over patterns in (values | {*})^S, filled on demand:
           H_S(x with x_p = *) = AND_v H_S(x with x_p = v), and a pattern
           without * is V of that configuration.
-    Configurations and patterns are integers in which party p holds digit
-    d * base**p: d = 0 for absent (a * in a pattern), d = i + 1 for input
-    value i. Output sets are bitmasks over the declared output order.
-    `validity.evaluate` runs at most once per configuration, and V is kept
-    only for sizes >= n - t_a, inside the H tables.
+    For an anonymous property both parts depend only on I's orbit, so each
+    I reads its orbit's row of `_orbit_table` and V runs once per orbit.
+    Otherwise configurations and patterns are integers in which party p
+    holds digit d * base**p: d = 0 for absent (a * in a pattern), d = i + 1
+    for input value i. Output sets are bitmasks over the declared output
+    order. `validity.evaluate` runs at most once per configuration, and V is
+    kept only for sizes >= n - t_a, inside the H tables.
     """
     budget = budget or Budget()
     budget.check_configs(count_input_configs(params, domain))
+    if validity.anonymous:
+        yield from _orbit_pass(validity, params, domain)
+        return
     evaluate = _output_masks(validity, params, domain)
     n, values = params.n, domain.input_values
     base = len(values) + 1
@@ -631,14 +736,35 @@ def is_solvable(
     budget: Optional[Budget] = None,
 ) -> SolvabilityVerdict:
     """Decides solvability: trivial properties always solve; otherwise the
-    resilience bound on n and the similarity condition must both hold."""
+    resilience bound on n and the similarity condition must both hold.
+
+    An anonymous property is decided on its orbit table, and the budget is
+    charged the orbit count. Orbits come by size, then as sorted assignments
+    in lexicographic order, and every orbit has its sorted member on parties
+    0..k-1; so the representative of the first failing orbit is the first
+    failing configuration in canonical order. Any other property walks
+    `similarity_pass` up to its first empty choice."""
     budget = budget or Budget()
-    trivial, value = is_trivial(validity, params, domain, budget)
+    if validity.anonymous:
+        budget.check_configs(count_orbits(params, domain), "orbits")
+        table = _orbit_table(validity, params, domain)
+        common = functools.reduce(operator.and_, (own for _, own in table.values()))
+        trivial, value = bool(common), _lowest_output(domain, common)
+        failures = (
+            _representative(domain, orbit) for orbit, (choice, _) in table.items() if not choice
+        )
+    else:
+        trivial, value = is_trivial(validity, params, domain, budget)
+        failures = (
+            config
+            for config, choice, _ in similarity_pass(validity, params, domain, budget)
+            if choice is None
+        )
     if trivial:
         return SolvabilityVerdict(solvable=True, reason=TRIVIAL, trivial_value=value)
     if not params.n_bound_holds():
         return SolvabilityVerdict(solvable=False, reason=N_TOO_SMALL)
-    outcome = compute_similarity_certificate(validity, params, domain, budget)
-    if outcome.feasible:
+    witness = next(failures, None)
+    if witness is None:
         return SolvabilityVerdict(solvable=True, reason=SIMILARITY_AND_N_OK)
-    return SolvabilityVerdict(solvable=False, reason=SIMILARITY_FAILS, witness=outcome.witness)
+    return SolvabilityVerdict(solvable=False, reason=SIMILARITY_FAILS, witness=witness)

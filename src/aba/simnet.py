@@ -418,6 +418,9 @@ class Broadcast:
 
 @dataclass(frozen=True)
 class Decide:
+    """A node's one decision. None is not a decision value: outcomes use it
+    for undecided nodes, so an honest node deciding None is a protocol error."""
+
     value: Any
 
 
@@ -621,6 +624,8 @@ class Simulation:
             elif isinstance(action, Decide):
                 if node.corrupted:
                     continue
+                if action.value is None:
+                    raise ProtocolError(f"node {node.key} decided None")
                 if state.decided is not None:
                     raise ProtocolError(f"node {node.key} decided twice")
                 state.decided = action.value

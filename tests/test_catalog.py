@@ -1,5 +1,7 @@
 """Catalog property definitions against their stated semantics."""
 
+import itertools
+
 import pytest
 
 from aba.catalog import (
@@ -11,6 +13,7 @@ from aba.catalog import (
     interval_hull,
     resolve,
     strong_validity,
+    table_property,
     weak_validity,
 )
 from aba.core import (
@@ -104,6 +107,31 @@ def test_catalog_properties_never_empty():
         for params in grid:
             for config in enumerate_input_configs(params, domain, Budget()):
                 assert prop.evaluate(params, domain, config), (name, params, config)
+
+
+CATALOG = [("strong", 2), ("strong", 3), ("weak", 2), ("weak", 3), ("it-strong", 2),
+           ("it-strong", 3), ("interval:0:3", 0), ("clique:2", 0), ("clique:3", 0)]
+
+
+@pytest.mark.parametrize("name,values", CATALOG)
+def test_anonymous_flag_holds(name, values):
+    """The checker solves anonymous properties on orbits, which is sound only
+    if V(I) = V(pi I) for every configuration I and party permutation pi."""
+    prop, domain = resolve(name, values)
+    assert prop.anonymous
+    for n in range(1, 5):
+        # t_s = n - 1 enumerates every configuration size
+        for t_a, setup in itertools.product(range(n), ("PKI", "NONE")):
+            params = SystemParams(n, n - 1, t_a, setup)
+            for config in enumerate_input_configs(params, domain):
+                allowed = prop.evaluate(params, domain, config)
+                for pi in itertools.permutations(range(n)):
+                    moved = IC.of((pi[p], v) for p, v in config.assignments)
+                    assert prop.evaluate(params, domain, moved) == allowed, (params, config, pi)
+
+
+def test_table_properties_are_not_anonymous():
+    assert not table_property("t", {"p0=0": ["1"]}, ["0"]).anonymous
 
 
 def test_resolve_rejects_unknown():

@@ -61,6 +61,31 @@ def test_check_budget_exit_four(capsys, monkeypatch):
     assert "budget" in err.lower()
 
 
+def _clique_closed_form(omega, n, t_s, t_a):
+    """ACCEPT-1's bound for clique:omega with PKI."""
+    return n > max(omega * t_s, omega * t_a + t_s, 2 * t_s + t_a)
+
+
+def test_check_answers_beyond_the_configuration_cap(capsys):
+    # 10.9 million configurations, over the 5 million cap: solved on orbits
+    code, out, _ = invoke(capsys, "check", "--validity", "clique:3",
+                          "--n", "12", "--ts", "3", "--ta", "1")
+    assert code == 0 and _clique_closed_form(3, 12, 3, 1)
+    assert json.loads(out)["verdict"] == {"solvable": True, "reason": "SIMILARITY_AND_N_OK"}
+
+
+def test_check_witness_beyond_the_configuration_cap(capsys):
+    code, out, _ = invoke(capsys, "check", "--validity", "clique:3",
+                          "--n", "12", "--ts", "4", "--ta", "1")
+    assert code == 3 and not _clique_closed_form(3, 12, 4, 1)
+    verdict = json.loads(out)["verdict"]
+    assert verdict["reason"] == "SIMILARITY_FAILS"
+    pairs = [part.split("=") for part in verdict["witness"].split(";")]
+    assert [p for p, _ in pairs] == [f"p{i}" for i in range(len(pairs))]
+    assert [v for _, v in pairs] == sorted(v for _, v in pairs)
+    assert "".join(v for _, v in pairs) == "aaaabbbbcccc"
+
+
 def test_certificate_writes_file(capsys, tmp_path):
     out_path = tmp_path / "cert.json"
     code, out, _ = invoke(capsys, "certificate", "--validity", "strong",

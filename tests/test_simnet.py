@@ -3,7 +3,7 @@
 import pytest
 
 from aba.core import InputConfiguration as IC, SystemParams
-from aba.errors import ConfigError, CorruptionBudgetError, SetupUnavailableError
+from aba.errors import ConfigError, CorruptionBudgetError, ProtocolError, SetupUnavailableError
 from aba.protocols import ConstantProtocol, Machine
 from aba.simnet import (
     ASYNCHRONOUS,
@@ -176,6 +176,32 @@ def test_follow_with_input_substitutes_value():
                  cfg((0, "0"), (1, "0"), (2, "0")), seed=2)
     decisions = result.honest_decisions(corrupted=[3])
     assert all("9" in v for v in decisions.values())
+
+
+class DecideNoneThenOne(Machine):
+    """Decides None at start, then "1" on a timer."""
+
+    def on_start(self, ctx, value):
+        return [Decide(None), SetTimer("again", 1)]
+
+    def on_message(self, ctx, src, payload):
+        return []
+
+    def on_timer(self, ctx, tag):
+        return [Decide("1")]
+
+
+def test_deciding_none_is_a_protocol_error():
+    params = SystemParams(n=2, t_s=1, t_a=0, setup="PKI")
+    net = NetworkConfig(mode=SYNCHRONOUS, delta=10, horizon=100)
+    with pytest.raises(ProtocolError, match="decided None"):
+        run(lambda p: DecideNoneThenOne(), params, net, AdversaryScript(),
+            cfg((0, "0"), (1, "0")), seed=1)
+    # a corrupted node's decisions are ignored, None included
+    script = AdversaryScript(corrupted={1: FollowWithInput("0")})
+    machines = {0: ConstantProtocol("0"), 1: DecideNoneThenOne()}
+    result = run(machines.__getitem__, params, net, script, cfg((0, "0")), seed=1)
+    assert result.honest_decisions(corrupted=[1]) == {(0, 0): "0"}
 
 
 # ---------------------------------------------------------------- randomness

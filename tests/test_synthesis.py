@@ -6,11 +6,15 @@ for every configuration I, pair by pair; the pass must reproduce their
 sigma JSON byte for byte, their witness and their best-effort tables.
 `oracle_validate` checks sigma(I) in V(J) for each J in `similar(I)`;
 `SimilarityCertificate.validate` must return its result, evaluate V in its
-order and raise where it raises.
+order and raise where it raises. Anonymous properties, solved on orbits,
+must answer exactly as the same property run through the per-configuration
+pass.
 """
 
+import dataclasses
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aba.attacks import best_effort_certificate
@@ -24,7 +28,10 @@ from aba.core import (
     ValidityProperty,
     _output_masks,
     compute_similarity_certificate,
+    count_input_configs,
+    count_orbits,
     enumerate_input_configs,
+    is_solvable,
     similar,
 )
 from aba.errors import BudgetExceededError, ConfigError
@@ -266,6 +273,85 @@ def test_pass_matches_oracle_at_every_parameter_point(name):
     assert any(outcomes) and not all(outcomes)
 
 
+def test_orbit_verdict_charges_orbits_and_certificate_configurations():
+    prop, domain = resolve("strong", 2)
+    params = SystemParams(4, 1, 1)
+    orbits, configs = count_orbits(params, domain), count_input_configs(params, domain)
+    assert (orbits, configs) == (9, 48)
+    budget = Budget(max_configs=20)
+    assert is_solvable(prop, params, domain, budget).reason == "SIMILARITY_AND_N_OK"
+    with pytest.raises(BudgetExceededError, match="48 configurations exceed the enumeration cap 20"):
+        compute_similarity_certificate(prop, params, domain, budget)
+    with pytest.raises(BudgetExceededError, match="9 orbits exceed the enumeration cap 8"):
+        is_solvable(prop, params, domain, Budget(max_configs=8))
+
+
+# ---------------------------------------------------------------- orbits
+
+
+CATALOG = [("strong", 2), ("strong", 3), ("weak", 2), ("weak", 3), ("it-strong", 2),
+           ("it-strong", 3), ("clique:2", 0), ("clique:3", 0), ("interval:0:3", 0)]
+MISMATCHED = [Domain.labels(2), Domain(("0", "1", "2"), ("0", "1")), Domain.labels(4)]
+
+
+def constant_property():
+    return ValidityProperty(
+        "constant", lambda params, domain, config: frozenset(domain.output_values[-1:]),
+        anonymous=True,
+    )
+
+
+def checker_answers(validity, params, domain):
+    """The verdict, the certificate JSON or witness, and the best-effort
+    sigma at one point; or the type and message of the error raised."""
+    try:
+        verdict = is_solvable(validity, params, domain)
+        outcome = compute_similarity_certificate(validity, params, domain)
+        best = best_effort_certificate(validity, params, domain)
+    except ConfigError as e:
+        return type(e), str(e)
+    text = outcome.certificate.to_json() if outcome.feasible else None
+    return verdict, outcome.witness, text, best.sigma
+
+
+@st.composite
+def anonymous_points(draw):
+    """A catalog property or the anonymous constant, on its own domain or a
+    mismatched one, at n <= 7 and at most 20,000 configurations, which keeps
+    the per-configuration pass under a second."""
+    name, values = draw(st.sampled_from(CATALOG + [("constant", 2)]))
+    if name == "constant":
+        prop, domain = constant_property(), Domain.labels(values)
+    else:
+        prop, domain = resolve(name, values)
+    if draw(st.integers(0, 9)) == 0:
+        domain = draw(st.sampled_from(MISMATCHED))
+    n = draw(st.integers(1, 7))
+    t_s = draw(st.integers(0, n - 1))
+    t_a = draw(st.integers(0, t_s))
+    params = SystemParams(n, t_s, t_a, draw(st.sampled_from(["PKI", "NONE"])))
+    assume(count_input_configs(params, domain) <= 20_000)
+    return prop, params, domain
+
+
+@settings(max_examples=100, deadline=None)
+@given(anonymous_points())
+def test_orbits_answer_as_the_per_configuration_pass(point):
+    prop, params, domain = point
+    assert prop.anonymous
+    plain = dataclasses.replace(prop, anonymous=False)
+    assert checker_answers(prop, params, domain) == checker_answers(plain, params, domain)
+
+
+@pytest.mark.parametrize("name,values", CATALOG)
+def test_orbit_verdicts_match_the_pass_at_every_parameter_point(name, values):
+    prop, domain = resolve(name, values)
+    plain = dataclasses.replace(prop, anonymous=False)
+    for point in PARAMETER_POINTS:
+        params = SystemParams(*point)
+        assert is_solvable(prop, params, domain) == is_solvable(plain, params, domain), point
+
+
 # ---------------------------------------------------------------- golden pins
 
 
@@ -278,6 +364,20 @@ def test_clique_k3_witness_pins(n, t_s, t_a, witness):
     prop, domain = resolve("clique:3")
     outcome = compute_similarity_certificate(prop, SystemParams(n, t_s, t_a), domain)
     assert outcome.witness.encode() == witness
+
+
+@pytest.mark.parametrize("n,t_s,t_a,setup,witness", [
+    # recorded from the per-configuration pass; each point has three failing
+    # orbits at the witness's size, so only the canonical first one matches
+    (5, 2, 0, "PKI", "p0=a;p1=a;p2=b;p3=b;p4=c"),
+    (7, 2, 2, "NONE", "p0=a;p1=a;p2=b;p3=b;p4=c"),
+    (8, 3, 1, "PKI", "p0=a;p1=a;p2=a;p3=b;p4=b;p5=b;p6=c;p7=c"),
+])
+def test_clique_k3_orbit_witness_pins(n, t_s, t_a, setup, witness):
+    prop, domain = resolve("clique:3")
+    verdict = is_solvable(prop, SystemParams(n, t_s, t_a, setup), domain)
+    assert verdict.reason == "SIMILARITY_FAILS"
+    assert verdict.witness.encode() == witness
 
 
 # ---------------------------------------------------------------- evaluation
