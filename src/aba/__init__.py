@@ -18,8 +18,6 @@ from .core import (
     enumerate_input_configs,
     is_solvable,
     is_trivial,
-    is_trivial_maximal,
-    monotone_closure,
     neighbors,
     similar,
 )

@@ -155,16 +155,36 @@ def table_property(
     return ValidityProperty(name=name, evaluate=evaluate)
 
 
+def _labels(value, where: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{where} must be a list of strings, got {value!r}")
+    return value
+
+
 def load_table_property(path: str) -> tuple[ValidityProperty, Domain]:
-    """Loads {name?, domain, default, table} from a JSON file."""
+    """Loads {name?, domain, default, table} from a JSON file: `domain` holds
+    the input_values and output_values label lists, `default` and each table
+    value are label lists, and each table key is an encoded configuration.
+    Anything else raises ConfigError."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ConfigError(f"custom validity file must be a JSON object, got {data!r}")
     for key in ("domain", "default", "table"):
         if key not in data:
             raise ConfigError(f"custom validity file missing {key!r}")
-    domain = Domain.from_dict(data["domain"])
-    prop = table_property(data.get("name", "custom"), data["table"], data["default"])
-    return prop, domain
+    name, domain, table = data.get("name", "custom"), data["domain"], data["table"]
+    if not isinstance(name, str):
+        raise ConfigError(f"custom validity name must be a string, got {name!r}")
+    for key, value in (("domain", domain), ("table", table)):
+        if not isinstance(value, dict):
+            raise ConfigError(f"custom validity {key} must be a JSON object, got {value!r}")
+    domain = Domain(*(
+        tuple(_labels(domain.get(side), f"domain {side}"))
+        for side in ("input_values", "output_values")
+    ))
+    table = {key: _labels(values, f"table entry {key!r}") for key, values in table.items()}
+    return table_property(name, table, _labels(data["default"], "default")), domain
 
 
 def _name_int(text: str, name: str) -> int:

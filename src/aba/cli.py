@@ -59,13 +59,24 @@ EXIT_UNSOLVABLE = 3
 EXIT_BUDGET = 4
 
 
+def _cap(value, where: str) -> int:
+    try:
+        cap = int(value)
+        if cap >= 1:
+            return cap
+    except ValueError:
+        pass
+    raise ConfigError(f"{where} must be a positive integer, got {value!r}")
+
+
 def _budget_for(args) -> Budget:
+    """The enumeration cap: --budget, else ABA_BUDGET, else the default."""
     budget = Budget()
     override = os.environ.get("ABA_BUDGET")
     if override:
-        budget.max_configs = int(override)
-    if getattr(args, "budget", None):
-        budget.max_configs = args.budget
+        budget.max_configs = _cap(override, "ABA_BUDGET")
+    if args.budget is not None:
+        budget.max_configs = _cap(args.budget, "--budget")
     return budget
 
 
@@ -532,7 +543,7 @@ def main(argv: Optional[list] = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ProtocolError as exc:

@@ -3,13 +3,13 @@
 Parties are integers 0..n-1. An input configuration assigns one input value to
 each member of a party subset of size >= n - t_s; it stands for "these parties
 are honest and hold these inputs". Everything here enumerates explicit finite
-domains, guarded by a budget. Certificates come from `similarity_pass`, one
-pass over the configurations in canonical order that evaluates the property at
-most once per configuration. An anonymous property depends only on each
-configuration's size and multiset of values, so `_orbit_table` computes its
-similar intersections once per orbit, a (size, count vector) pair:
-`is_solvable` decides it from that table without enumerating configurations,
-and `similarity_pass` reads each configuration's row from it.
+domains, guarded by a budget. One recurrence, `_similar_intersection`, gives
+the intersection of the property over the configurations similar to a key,
+evaluating the property at most once per key. Its keys are orbits, (size,
+multiset of values) pairs, for an anonymous property, whose value depends on
+nothing else, and configurations otherwise (see `_key_space`). `is_solvable`
+walks the keys to its verdict, and `similarity_pass` turns them into one row
+per configuration in canonical order, from which certificates are built.
 `SimilarityCertificate.validate` is the independent oracle: it still checks
 every pair (I, J) one at a time, but on integer configuration codes.
 `similar()` and `neighbors()` keep the definitional, one-object-per-
@@ -18,13 +18,13 @@ configuration form of the relations, which the tests check both against.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import BudgetExceededError, ConfigError
 
@@ -167,7 +167,10 @@ class InputConfiguration:
             if not part.startswith("p") or "=" not in part:
                 raise ConfigError(f"bad configuration encoding: {text!r}")
             head, value = part.split("=", 1)
-            pairs.append((int(head[1:]), value))
+            try:
+                pairs.append((int(head[1:]), value))
+            except ValueError:
+                raise ConfigError(f"bad party id in configuration encoding: {text!r}") from None
         return cls.of(pairs)
 
 
@@ -177,7 +180,7 @@ class ValidityProperty:
 
     `anonymous` states a fact about the map: V(I) depends only on |I| and the
     multiset of I's values, never on which parties hold them. The checker
-    then works on orbits (see `_orbit_table`) instead of configurations.
+    then works on orbits (see `_key_space`) instead of configurations.
     """
 
     name: str
@@ -330,28 +333,6 @@ def _lowest_output(domain: Domain, mask: int) -> Optional[str]:
     return domain.output_values[(mask & -mask).bit_length() - 1] if mask else None
 
 
-def monotone_closure(validity: ValidityProperty) -> ValidityProperty:
-    """Intersection of the property over all sub-configurations; antitone."""
-
-    def evaluate(params: SystemParams, domain: Domain, config: InputConfiguration) -> frozenset:
-        result = None
-        for sub in _sub_configs(config, params):
-            vals = frozenset(validity.evaluate(params, domain, sub))
-            result = vals if result is None else result & vals
-            if not result:
-                break
-        return result if result is not None else frozenset()
-
-    return ValidityProperty(name=f"closure({validity.name})", evaluate=evaluate)
-
-
-def _sub_configs(config: InputConfiguration, params: SystemParams) -> Iterator[InputConfiguration]:
-    pairs = config.assignments
-    for size in range(params.min_config_size, len(pairs) + 1):
-        for subset in itertools.combinations(pairs, size):
-            yield InputConfiguration(subset)
-
-
 def is_trivial(
     validity: ValidityProperty,
     params: SystemParams,
@@ -368,25 +349,6 @@ def is_trivial(
         if not common:
             return False, None
     return True, _lowest_output(domain, common)
-
-
-def is_trivial_maximal(
-    validity: ValidityProperty,
-    params: SystemParams,
-    domain: Domain,
-    budget: Optional[Budget] = None,
-) -> bool:
-    """Triviality restricted to maximal configurations (all parties present)."""
-    budget = budget or Budget()
-    budget.check_configs(len(domain.input_values) ** params.n)
-    evaluate = _output_masks(validity, params, domain)
-    common = (1 << len(domain.output_values)) - 1
-    parties = tuple(range(params.n))
-    for assignment in itertools.product(domain.input_values, repeat=params.n):
-        common &= evaluate(InputConfiguration(tuple(zip(parties, assignment))))
-        if not common:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -517,79 +479,133 @@ def _representative(domain: Domain, orbit: tuple) -> InputConfiguration:
     return InputConfiguration(tuple((p, domain.input_values[i]) for p, i in enumerate(orbit)))
 
 
-def _orbit_table(
-    validity: ValidityProperty, params: SystemParams, domain: Domain
-) -> dict[tuple, tuple[int, int]]:
-    """(choice mask, own mask) for every orbit of an anonymous property.
+_EVERY_OUTPUT = -1  # the mask with every bit set
 
-    An orbit is a configuration size k in [n - t_s, n] with a multiset of
-    input values. It is keyed by its sorted assignment, the value indices in
-    ascending order, which is also the assignment of its representative on
-    parties 0..k-1. Keys come size by size, each size in lexicographic order;
-    `own` is V of the representative, evaluated once per orbit.
 
-    For a configuration with count vector c, similar(I) holds every sub-
-    configuration of size >= n - t_s, whose count vectors are the d <= c,
-    and every configuration of size >= n - t_a that agrees with I, whose
-    count vectors are the f with |(f - c)+| <= n - |c|. So `choice` is the AND
-    of
-      (a) the closure C(c) = V(c) & AND_i C(c - e_i), down to size n - t_s;
-      (b) the "for all" part: every such f lies below some g >= c with
-          |g| = n, so it is the AND of D(g) over those g, where
-          D(g) = V(g) & AND_i D(g - e_i), down to size n - t_a.
-    Both are DPs over orbits, one size level at a time.
+def _similar_intersection(
+    own: Callable[[tuple], int],
+    smaller: Callable[[tuple], Iterable[tuple]],
+    larger: Callable[[tuple], Iterable[tuple]],
+    params: SystemParams,
+) -> Callable[[tuple], int]:
+    """The AND of V over similar(I), as an output mask, for every key I of
+    one key space: orbits or configurations, whose size is their length.
+
+    `own(I)` is V(I), `smaller(I)` the keys one element below I, and
+    `larger(I)` keys one element above I such that every full-size key above
+    I lies above one of them. similar(I) holds the sub-configurations of I of
+    size >= n - t_s and every configuration of size >= n - t_a that agrees
+    with I where both are present; each of the latter lies below a full-size
+    G above I. So the mask is the AND of
+      (a) the closure C(I) = V(I) & AND C(smaller(I)), down to size n - t_s;
+      (b) the AND, over the full-size G above I, of the same closure taken
+          down to size n - t_a.
+    Both parts are memoized recursions, so a caller pays only for the keys
+    it asks about; `own` must be memoized too, so that V runs at most once
+    per key.
     """
-    n, m = params.n, len(domain.input_values)
-    evaluate = _output_masks(validity, params, domain)
-    own = {
-        orbit: evaluate(_representative(domain, orbit))
-        for k in range(params.min_config_size, n + 1)
-        for orbit in itertools.combinations_with_replacement(range(m), k)
-    }
+    n = params.n
 
-    def smaller(orbit: tuple) -> set:
-        return {orbit[:j] + orbit[j + 1:] for j in range(len(orbit))}
+    def closure_to(floor: int) -> Callable[[tuple], int]:
+        @functools.cache
+        def closure(key: tuple) -> int:
+            mask = own(key)
+            if len(key) > floor:
+                for sub in smaller(key):
+                    if not mask:
+                        break
+                    mask &= closure(sub)
+            return mask
 
-    def larger(orbit: tuple) -> set:
-        return {tuple(sorted(orbit + (i,))) for i in range(m)}
+        return closure
 
-    closure: dict = {}  # (a), over sub-orbits of size >= n - t_s
-    below: dict = {}  # D, over sub-orbits of size >= n - t_a
-    for orbit, mask in own.items():  # sizes ascending
-        subs = smaller(orbit)
-        closure[orbit] = functools.reduce(
-            operator.and_, (closure[d] for d in subs if d in closure), mask
-        )
-        if len(orbit) >= n - params.t_a:
-            below[orbit] = functools.reduce(
-                operator.and_, (below[d] for d in subs if d in below), mask
-            )
-    above: dict = {}  # (b), over full-size super-orbits
-    for orbit in reversed(own):  # sizes descending
-        above[orbit] = below[orbit] if len(orbit) == n else functools.reduce(
-            operator.and_, (above[g] for g in larger(orbit))
-        )
-    return {orbit: (closure[orbit] & above[orbit], mask) for orbit, mask in own.items()}
+    closure_s = closure_to(params.min_config_size)
+    closure_a = closure_s if params.t_a == params.t_s else closure_to(n - params.t_a)
+
+    @functools.cache
+    def above(key: tuple) -> int:
+        if len(key) == n:
+            return closure_a(key)
+        mask = _EVERY_OUTPUT
+        for bigger in larger(key):
+            if not mask:
+                break
+            mask &= above(bigger)
+        return mask
+
+    def intersection(key: tuple) -> int:
+        mask = closure_s(key)
+        return mask and mask & above(key)
+
+    return intersection
 
 
-def _orbit_pass(
-    validity: ValidityProperty, params: SystemParams, domain: Domain
-) -> Iterator[tuple[InputConfiguration, Optional[str], Optional[str]]]:
-    """`similarity_pass` for an anonymous property, from its orbit table."""
-    values = domain.input_values
-    table = _orbit_table(validity, params, domain)
+def _orbits(params: SystemParams, domain: Domain) -> Iterator[tuple]:
+    """Orbit keys by size, each size in lexicographic order."""
     for size in range(params.min_config_size, params.n + 1):
-        rows = []  # (assignment, choice, own) in product order, shared by every party set
-        for ds in itertools.product(range(len(values)), repeat=size):
-            choice, own = table[tuple(sorted(ds))]
-            rows.append((
-                tuple(values[d] for d in ds),
-                _lowest_output(domain, choice),
-                _lowest_output(domain, own),
-            ))
+        yield from itertools.combinations_with_replacement(range(len(domain.input_values)), size)
+
+
+def _assignments(params: SystemParams, pairs: list) -> Iterator[tuple]:
+    """Configuration keys in canonical order (see `enumerate_input_configs`),
+    built from the (party, value) pairs `pairs[party]`."""
+    for size in range(params.min_config_size, params.n + 1):
         for subset in itertools.combinations(range(params.n), size):
-            for assignment, choice, own in rows:
-                yield InputConfiguration(tuple(zip(subset, assignment))), choice, own
+            yield from itertools.product(*(pairs[p] for p in subset))
+
+
+def _key_space(validity: ValidityProperty, params: SystemParams, domain: Domain) -> tuple:
+    """(keys, config_of, own, smaller, larger) for the key space `validity`
+    is solved on: `keys()` walks the keys in order, `config_of` turns a key
+    into the configuration it stands for, `own` is V of a key as a memoized
+    output mask, and `smaller` and `larger` are the neighbours that
+    `_similar_intersection` recurses on.
+
+    An anonymous property is solved on orbits. An orbit is a configuration
+    size k in [n - t_s, n] with a multiset of input values. It is keyed by
+    its sorted assignment, the value indices in ascending order, which is
+    also the assignment of its representative on parties 0..k-1. A smaller
+    orbit drops one value and a larger one adds any value.
+
+    Any other property is solved on configurations, keyed by their
+    `InputConfiguration.assignments`. A smaller configuration drops one
+    party; the larger ones give the first absent party each input value,
+    since every full-size configuration above I extends one of them. Every
+    key holds the same (party, value) pair objects, so that comparing keys
+    in the memos compares pairs by identity.
+    """
+    values = domain.input_values
+    if validity.anonymous:
+        keys = functools.partial(_orbits, params, domain)
+        config_of = functools.partial(_representative, domain)
+
+        def smaller(orbit: tuple) -> list[tuple]:
+            return [orbit[:j] + orbit[j + 1:]
+                    for j, i in enumerate(orbit) if not j or orbit[j - 1] != i]
+
+        def larger(orbit: tuple) -> list[tuple]:
+            return [orbit[:j] + (i,) + orbit[j:]
+                    for i in range(len(values)) for j in (bisect.bisect(orbit, i),)]
+    else:
+        pairs = [[(p, value) for value in values] for p in range(params.n)]
+        keys = functools.partial(_assignments, params, pairs)
+        config_of = functools.cache(InputConfiguration)  # one object for V and the caller
+
+        def smaller(key: tuple) -> Iterable[tuple]:
+            return itertools.combinations(key, len(key) - 1)
+
+        def larger(key: tuple) -> list[tuple]:
+            q = 0  # the first absent party
+            for p, _ in key:
+                if p != q:
+                    break
+                q += 1
+            head, tail = key[:q], key[q:]
+            return [head + (pair,) + tail for pair in pairs[q]]
+
+    evaluate = _output_masks(validity, params, domain)
+    own = functools.cache(lambda key: evaluate(config_of(key)))
+    return keys, config_of, own, smaller, larger
 
 
 def similarity_pass(
@@ -603,94 +619,36 @@ def similarity_pass(
     similar(I), `own` the smallest valid under I itself; None when there is
     no such output. The budget is charged the configuration count.
 
-    similar(I) is the sub-configurations of I of size >= n - t_s together
-    with the configurations of size >= n - t_a that agree with I wherever
-    both are present, so the intersection over it is the AND of:
-      (a) the monotone closure C(I) = V(I) & AND_p C(I - p), computed one
-          size level at a time;
-      (b) for each party set S with |S| >= n - t_a, one entry of a "for all"
-          table H_S over patterns in (values | {*})^S, filled on demand:
-          H_S(x with x_p = *) = AND_v H_S(x with x_p = v), and a pattern
-          without * is V of that configuration.
-    For an anonymous property both parts depend only on I's orbit, so each
-    I reads its orbit's row of `_orbit_table` and V runs once per orbit.
-    Otherwise configurations and patterns are integers in which party p
-    holds digit d * base**p: d = 0 for absent (a * in a pattern), d = i + 1
-    for input value i. Output sets are bitmasks over the declared output
-    order. `validity.evaluate` runs at most once per configuration, and V is
-    kept only for sizes >= n - t_a, inside the H tables.
+    Both come from `_similar_intersection`. For an anonymous property its
+    keys are orbits, so V runs once per orbit: each size reads one
+    (choice, own) pair per orbit into a dict, and from it one row per
+    assignment in product order, which every party set of that size shares.
+    Otherwise its keys are the configurations themselves, walked lazily: the
+    pass computes only what the configurations it has yielded need, and V
+    runs at most once per configuration.
     """
     budget = budget or Budget()
     budget.check_configs(count_input_configs(params, domain))
-    if validity.anonymous:
-        yield from _orbit_pass(validity, params, domain)
+    keys, config_of, own, smaller, larger = _key_space(validity, params, domain)
+    intersection = _similar_intersection(own, smaller, larger, params)
+    lowest = functools.partial(_lowest_output, domain)
+    if not validity.anonymous:
+        for key in keys():
+            yield config_of(key), lowest(intersection(key)), lowest(own(key))
         return
-    evaluate = _output_masks(validity, params, domain)
-    n, values = params.n, domain.input_values
-    base = len(values) + 1
-    weight = [base**p for p in range(n)]
-    digits = range(1, base)
-    every_output = (1 << len(domain.output_values)) - 1
-    tables = {
-        parties: {}
-        for size in range(n - params.t_a, n + 1)
-        for parties in itertools.combinations(range(n), size)
-    }
-
-    def forall(table: dict, parties: tuple, code: int) -> int:
-        for p in parties:
-            if code // weight[p] % base == 0:
-                mask = every_output
-                for d in digits:
-                    sub = code + d * weight[p]
-                    part = table.get(sub)
-                    mask &= forall(table, parties, sub) if part is None else part
-                    if not mask:
-                        break
-                break
-        else:
-            mask = evaluate(InputConfiguration(
-                tuple((p, values[code // weight[p] % base - 1]) for p in parties)
-            ))
-        table[code] = mask
-        return mask
-
-    closure_below: dict = {}
-    for size in range(params.min_config_size, n + 1):
-        closure: dict = {}
-        for subset in itertools.combinations(range(n), size):
-            weights = [weight[p] for p in subset]
-            own_table = tables.get(subset)
-            # per S: its table, and the positions of `subset` that S leaves out
-            lookups = [
-                (table, parties, [i for i, p in enumerate(subset) if p not in parties])
-                for parties, table in tables.items()
-            ]
-            for assignment, ds in zip(
-                itertools.product(values, repeat=size), itertools.product(digits, repeat=size)
-            ):
-                config = InputConfiguration(tuple(zip(subset, assignment)))
-                code = sum(d * w for d, w in zip(ds, weights))
-                own = None if own_table is None else own_table.get(code)
-                if own is None:
-                    own = evaluate(config)
-                    if own_table is not None:
-                        own_table[code] = own
-                mask = own
-                if size > params.min_config_size:
-                    for d, w in zip(ds, weights):
-                        mask &= closure_below[code - d * w]
-                closure[code] = mask
-                for table, parties, outside in lookups:
-                    if not mask:
-                        break
-                    pattern = code
-                    for i in outside:
-                        pattern -= ds[i] * weights[i]
-                    part = table.get(pattern)
-                    mask &= forall(table, parties, pattern) if part is None else part
-                yield config, _lowest_output(domain, mask), _lowest_output(domain, own)
-        closure_below = closure
+    values = domain.input_values
+    for size in range(params.min_config_size, params.n + 1):
+        labels = {
+            orbit: (lowest(intersection(orbit)), lowest(own(orbit)))
+            for orbit in itertools.combinations_with_replacement(range(len(values)), size)
+        }
+        rows = [  # (assignment, choice, own) in product order, shared by every party set
+            (tuple(values[d] for d in ds), *labels[tuple(sorted(ds))])
+            for ds in itertools.product(range(len(values)), repeat=size)
+        ]
+        for subset in itertools.combinations(range(params.n), size):
+            for assignment, choice, own_value in rows:
+                yield InputConfiguration(tuple(zip(subset, assignment))), choice, own_value
 
 
 def compute_similarity_certificate(
@@ -738,33 +696,33 @@ def is_solvable(
     """Decides solvability: trivial properties always solve; otherwise the
     resilience bound on n and the similarity condition must both hold.
 
-    An anonymous property is decided on its orbit table, and the budget is
-    charged the orbit count. Orbits come by size, then as sorted assignments
-    in lexicographic order, and every orbit has its sorted member on parties
-    0..k-1; so the representative of the first failing orbit is the first
-    failing configuration in canonical order. Any other property walks
-    `similarity_pass` up to its first empty choice."""
+    An anonymous property is decided on orbits, and the budget is charged
+    the orbit count; any other property on configurations, charged the
+    configuration count. Keys are walked in order twice, and V runs at most
+    once per key: first the AND of V until it is empty (triviality), then
+    `_similar_intersection` up to the first empty key. Orbits come by size,
+    then as sorted assignments in lexicographic order, and every orbit has
+    its sorted member on parties 0..k-1; so the representative of the first
+    failing orbit is the first failing configuration in canonical order."""
     budget = budget or Budget()
     if validity.anonymous:
         budget.check_configs(count_orbits(params, domain), "orbits")
-        table = _orbit_table(validity, params, domain)
-        common = functools.reduce(operator.and_, (own for _, own in table.values()))
-        trivial, value = bool(common), _lowest_output(domain, common)
-        failures = (
-            _representative(domain, orbit) for orbit, (choice, _) in table.items() if not choice
-        )
     else:
-        trivial, value = is_trivial(validity, params, domain, budget)
-        failures = (
-            config
-            for config, choice, _ in similarity_pass(validity, params, domain, budget)
-            if choice is None
+        budget.check_configs(count_input_configs(params, domain))
+    keys, config_of, own, smaller, larger = _key_space(validity, params, domain)
+    common = _EVERY_OUTPUT
+    for key in keys():
+        common &= own(key)
+        if not common:
+            break
+    if common:
+        return SolvabilityVerdict(
+            solvable=True, reason=TRIVIAL, trivial_value=_lowest_output(domain, common)
         )
-    if trivial:
-        return SolvabilityVerdict(solvable=True, reason=TRIVIAL, trivial_value=value)
     if not params.n_bound_holds():
         return SolvabilityVerdict(solvable=False, reason=N_TOO_SMALL)
-    witness = next(failures, None)
-    if witness is None:
+    intersection = _similar_intersection(own, smaller, larger, params)
+    failing = next((key for key in keys() if not intersection(key)), None)
+    if failing is None:
         return SolvabilityVerdict(solvable=True, reason=SIMILARITY_AND_N_OK)
-    return SolvabilityVerdict(solvable=False, reason=SIMILARITY_FAILS, witness=witness)
+    return SolvabilityVerdict(solvable=False, reason=SIMILARITY_FAILS, witness=config_of(failing))

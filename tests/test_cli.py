@@ -1,8 +1,11 @@
 """CLI exit-code contract and end-to-end command flows."""
 
 import hashlib
+import io
 import json
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -139,6 +142,82 @@ def test_certificate_out_of_domain_table_exit_two(capsys, tmp_path):
     assert code == 2
     assert "outside the output domain" in err
     assert not out_path.exists()
+
+
+_TABLE = {
+    "domain": {"input_values": ["0", "1"], "output_values": ["0", "1"]},
+    "default": ["0", "1"],
+    "table": {"p0=0;p1=0": ["0"]},
+}
+
+
+def check_table(data, *extra):
+    """`aba check` at (3,1,0) on a validity-table file holding `data`:
+    (exit code, stdout, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.json"
+        path.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["check", "--validity-table", str(path),
+                         "--n", "3", "--ts", "1", "--ta", "0", *extra])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("domain", ["0", "1"], "domain must be a JSON object"),
+    ("table", {"px=0": ["0"]}, "bad party id"),
+    ("table", {"p0=0;p1=0": 5}, "must be a list of strings"),
+    ("default", "01", "default must be a list of strings"),
+    ("default", ["0", 1], "default must be a list of strings"),
+    ("domain", {"input_values": "01", "output_values": ["0", "1"]}, "input_values"),
+    ("name", ["custom"], "name must be a string"),
+])
+def test_malformed_validity_table_exit_two(field, value, message):
+    code, out, err = check_table(dict(_TABLE, **{field: value}))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("configuration error:") and message in err
+
+
+def test_validity_table_file_must_hold_an_object():
+    code, _, err = check_table([_TABLE])
+    assert code == 2 and err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+def test_unreadable_validity_table_exit_two(capsys, tmp_path, kind):
+    path = tmp_path / "table.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{")
+    code, _, err = invoke(capsys, "check", "--validity-table", str(path),
+                          "--n", "3", "--ts", "1", "--ta", "0")
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize("env,flag", [
+    ("abc", None), ("0", None), ("-5", None), (None, "0"), (None, "-1"), ("abc", "10"),
+])
+def test_bad_budget_exit_two(capsys, monkeypatch, env, flag):
+    if env is not None:
+        monkeypatch.setenv("ABA_BUDGET", env)
+    argv = ["check", "--validity", "strong", "--n", "4", "--ts", "1", "--ta", "1"]
+    code, out, err = invoke(capsys, *argv, *(["--budget", flag] if flag else []))
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error:") and "positive integer" in err
+
+
+def test_budget_flag_overrides_environment(capsys, monkeypatch):
+    monkeypatch.setenv("ABA_BUDGET", "5")
+    code, _, _ = invoke(capsys, "check", "--validity", "strong",
+                        "--n", "4", "--ts", "1", "--ta", "1", "--budget", "9")
+    assert code == 0
+    code, _, _ = invoke(capsys, "check", "--validity", "strong",
+                        "--n", "4", "--ts", "1", "--ta", "1", "--budget", "8")
+    assert code == 4
 
 
 def scenario_file(tmp_path, **overrides):
@@ -310,6 +389,28 @@ def test_scenario_loader_fails_only_with_configuration_errors(edits):
         Scenario(data)
     except (ConfigError, KeyError):  # what `main` reports with exit code 2
         pass
+
+
+_TABLE_FIELDS = [
+    ("name",), ("domain",), ("domain", "input_values"), ("domain", "output_values"),
+    ("default",), ("table",), ("table", "p0=0;p1=0"), ("table", "p0=1;p2=1"),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_TABLE_FIELDS), _json_values), min_size=1, max_size=3))
+def test_validity_table_fails_only_with_exit_codes(edits):
+    data = json.loads(json.dumps(_TABLE))
+    for path, value in edits:
+        node = data
+        for key in path[:-1]:
+            node = node.get(key) if isinstance(node, dict) else None
+        if isinstance(node, dict):
+            node[path[-1]] = value
+    code, _, err = check_table(data)
+    assert code in (0, 2, 3, 4)
+    if code == 2:
+        assert err.count("\n") == 1 and err.startswith("configuration error:")
 
 
 def test_run_trace_file_bytes_hash_to_trace_hash(capsys, tmp_path):

@@ -389,6 +389,29 @@ def test_out_of_domain_output_raises_config_error():
         compute_similarity_certificate(prop, SystemParams(4, 1, 1), Domain.binary())
 
 
+@pytest.mark.parametrize("name,n,t_s,t_a,setup,reason", [
+    ("strong", 6, 1, 1, "PKI", "SIMILARITY_AND_N_OK"),
+    ("strong", 6, 2, 1, "NONE", "N_TOO_SMALL"),
+    ("clique:3", 6, 2, 0, "PKI", "SIMILARITY_FAILS"),
+    ("constant", 5, 2, 1, "PKI", "TRIVIAL"),
+])
+def test_is_solvable_evaluates_each_configuration_at_most_once(name, n, t_s, t_a, setup, reason):
+    if name == "constant":
+        prop, domain = constant_property(), Domain.labels(2)
+    else:
+        prop, domain = resolve(name, 3)
+    calls = []
+
+    def counted(params, domain, config):
+        calls.append(config.assignments)
+        return prop.evaluate(params, domain, config)
+
+    params = SystemParams(n, t_s, t_a, setup)
+    verdict = is_solvable(ValidityProperty("counted", counted), params, domain)
+    assert verdict.reason == reason
+    assert calls and len(calls) == len(set(calls))
+
+
 def test_each_configuration_evaluated_at_most_once():
     calls = []
     strong, domain = resolve("strong", 3)

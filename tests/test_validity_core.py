@@ -20,14 +20,13 @@ from aba.core import (
     SystemParams,
     TRIVIAL,
     ValidityProperty,
+    _output_masks,
     compute_similarity_certificate,
     count_input_configs,
     enumerate_input_configs,
     is_similar_to,
     is_solvable,
     is_trivial,
-    is_trivial_maximal,
-    monotone_closure,
     neighbors,
     similar,
 )
@@ -52,6 +51,42 @@ def oracle_all_configs(params, domain):
             for values in itertools.product(domain.input_values, repeat=size):
                 out.append(IC.of(zip(subset, values)))
     return out
+
+
+def _sub_configs(config, params):
+    pairs = config.assignments
+    for size in range(params.min_config_size, len(pairs) + 1):
+        for subset in itertools.combinations(pairs, size):
+            yield IC(subset)
+
+
+def monotone_closure(validity):
+    """Intersection of the property over all sub-configurations; antitone."""
+
+    def evaluate(params, domain, config):
+        result = None
+        for sub in _sub_configs(config, params):
+            vals = frozenset(validity.evaluate(params, domain, sub))
+            result = vals if result is None else result & vals
+            if not result:
+                break
+        return result if result is not None else frozenset()
+
+    return ValidityProperty(name=f"closure({validity.name})", evaluate=evaluate)
+
+
+def is_trivial_maximal(validity, params, domain, budget=None):
+    """Triviality restricted to maximal configurations (all parties present)."""
+    budget = budget or Budget()
+    budget.check_configs(len(domain.input_values) ** params.n)
+    evaluate = _output_masks(validity, params, domain)
+    common = (1 << len(domain.output_values)) - 1
+    parties = tuple(range(params.n))
+    for assignment in itertools.product(domain.input_values, repeat=params.n):
+        common &= evaluate(IC(tuple(zip(parties, assignment))))
+        if not common:
+            return False
+    return True
 
 
 def oracle_neighbors(config, params, domain):
