@@ -21,7 +21,8 @@ from pathlib import Path
 import pytest
 
 from aba.cli import Scenario, main
-from aba.simnet import run
+from aba.protocols import core_wait_time
+from aba.simnet import SEND, run
 
 from test_acceptance import _random_scenario
 
@@ -200,12 +201,51 @@ RUN_REPORT_SHA256 = {
         "ef76590341ce6d00eed73196fc9466713bfe37d980aac1c1be7da10f2d461a4b",
 }
 
+# Two ACS paths no committed scenario or ACCEPT-8 run reaches: at (4,1,1) with
+# party 3 crashed from the start and an asynchronous network, the t-core timer
+# itself sends the 0-votes (NONE, one-unit delays: three instances decided 1
+# before T_core), and with PKI the claims stage certifies no core, main
+# decides 0 and the voting fallback then sends the 0-votes.
+ACS_PATH_SCENARIOS = {
+    "tcore-timer-zero-votes": ("NONE", {"kind": "uniform"}),
+    "pki-fallback-zero-votes": ("PKI", {"kind": "random", "max_delay": 20}),
+}
+
+ACS_PATH_TRACE_SHA256 = {
+    "tcore-timer-zero-votes":
+        "7ee5f776ca1944ec9a3598dcf88215dc4d4f6097d5a10798eefc0fcb62922d8f",
+    "pki-fallback-zero-votes":
+        "ce0930b89b5d9953ddaf0466e66a242300781ac76ab202e6097940af44645119",
+}
+
 
 def scenario_trace_hash(name: str) -> str:
     scenario = Scenario.load(str(SCENARIOS / name))
     result = run(scenario.machine_factory(), scenario.params, scenario.net,
                  scenario.script, scenario.inputs, scenario.seed)
     return result.trace.sha256()
+
+
+def acs_path_run(name: str):
+    setup, delivery = ACS_PATH_SCENARIOS[name]
+    scenario = Scenario({
+        "params": {"n": 4, "t_s": 1, "t_a": 1, "setup": setup},
+        "protocol": "acs",
+        "validity": "strong",
+        "network": {"mode": "ASYNCHRONOUS", "delta": 10, "horizon": 30000},
+        "adversary": {"corrupted": {"3": {"behavior": "CRASH_AT", "time": 0}},
+                      "delivery": delivery},
+        "inputs": {"0": "0", "1": "1", "2": "0", "3": "1"},
+        "seed": 1,
+    })
+    return run(scenario.machine_factory(), scenario.params, scenario.net,
+               scenario.script, scenario.inputs, scenario.seed)
+
+
+def zero_vote_send_times(trace) -> set:
+    """Times of the round-1 0-votes on the crashed party's instance."""
+    vote = 'v1:[["aba", 3], ["VOTE", 1, 0]]'
+    return {t for t, _, _, _, detail in trace.of_kind(SEND) if detail["payload"] == vote}
 
 
 def accept8_digest() -> str:
@@ -287,3 +327,14 @@ def test_attack_reports_are_golden(layout, protocol, seed):
 def test_run_reports_are_golden(name):
     text = cli_output(["run", str(SCENARIOS / name)])
     assert hashlib.sha256(text.encode()).hexdigest() == RUN_REPORT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(ACS_PATH_SCENARIOS))
+def test_acs_zero_vote_paths_are_golden(name):
+    trace = acs_path_run(name).trace
+    times = zero_vote_send_times(trace)
+    if name == "tcore-timer-zero-votes":
+        assert min(times) == core_wait_time(10)
+    else:
+        assert times
+    assert trace.sha256() == ACS_PATH_TRACE_SHA256[name]
