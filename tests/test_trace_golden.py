@@ -21,8 +21,10 @@ from pathlib import Path
 import pytest
 
 from aba.cli import Scenario, main
-from aba.protocols import core_wait_time
-from aba.simnet import SEND, run
+from aba.core import InputConfiguration, SystemParams
+from aba.protocols import AcsProtocol, core_wait_time
+from aba.simnet import (ASYNCHRONOUS, SEND, AdversaryScript, DeliveryPolicy, NetworkConfig,
+                        run)
 
 from test_acceptance import _random_scenario
 
@@ -201,11 +203,13 @@ RUN_REPORT_SHA256 = {
         "ef76590341ce6d00eed73196fc9466713bfe37d980aac1c1be7da10f2d461a4b",
 }
 
-# Two ACS paths no committed scenario or ACCEPT-8 run reaches: at (4,1,1) with
-# party 3 crashed from the start and an asynchronous network, the t-core timer
-# itself sends the 0-votes (NONE, one-unit delays: three instances decided 1
-# before T_core), and with PKI the claims stage certifies no core, main
-# decides 0 and the voting fallback then sends the 0-votes.
+# ACS paths that no committed scenario or ACCEPT-8 run reaches, all at
+# (4,1,1) in an asynchronous network. With party 3 crashed from the start:
+# without setup and with one-unit delays, three instances decide 1 before
+# T_core and the t-core timer itself sends the 0-votes; with PKI and random
+# delays, no core is certified, main decides 0 and the voting fallback then
+# sends the 0-votes. Under `SlowToPartyThree`, party 3 decides every instance
+# 1 before main, and its fallback activation itself votes 0 on instance 0.
 ACS_PATH_SCENARIOS = {
     "tcore-timer-zero-votes": ("NONE", {"kind": "uniform"}),
     "pki-fallback-zero-votes": ("PKI", {"kind": "random", "max_delay": 20}),
@@ -216,7 +220,24 @@ ACS_PATH_TRACE_SHA256 = {
         "7ee5f776ca1944ec9a3598dcf88215dc4d4f6097d5a10798eefc0fcb62922d8f",
     "pki-fallback-zero-votes":
         "ce0930b89b5d9953ddaf0466e66a242300781ac76ab202e6097940af44645119",
+    "pki-activation-zero-votes":
+        "bd83ae05ad64b4a47ec94db459df86ef9d1c323f4a63c62c0613ee09a6d7fcfc",
 }
+
+
+class SlowToPartyThree(DeliveryPolicy):
+    """One unit per message, except: core signatures take 300, so no core is
+    certified before main starts; main's messages to party 3 take 300, so
+    parties 0-2 decide main 0 and then every instance 1 without it; and
+    party 0's broadcast reaches party 3 only after 600."""
+
+    def schedule(self, env, rng):
+        tag = env.payload[0]
+        if tag == ("rbc", 0) and env.dst[0] == 3:
+            return env.sent_at + 600
+        if tag == "coresig" or (tag == "main" and env.dst[0] == 3):
+            return env.sent_at + 300
+        return env.sent_at + 1
 
 
 def scenario_trace_hash(name: str) -> str:
@@ -227,6 +248,12 @@ def scenario_trace_hash(name: str) -> str:
 
 
 def acs_path_run(name: str):
+    if name == "pki-activation-zero-votes":
+        params = SystemParams(4, 1, 1, "PKI")
+        inputs = InputConfiguration.of([(0, "0"), (1, "1"), (2, "0"), (3, "1")])
+        return run(lambda p: AcsProtocol(params, 10), params,
+                   NetworkConfig(ASYNCHRONOUS, 10, 30000),
+                   AdversaryScript(delivery=SlowToPartyThree()), inputs, 1)
     setup, delivery = ACS_PATH_SCENARIOS[name]
     scenario = Scenario({
         "params": {"n": 4, "t_s": 1, "t_a": 1, "setup": setup},
@@ -242,10 +269,11 @@ def acs_path_run(name: str):
                scenario.script, scenario.inputs, scenario.seed)
 
 
-def zero_vote_send_times(trace) -> set:
-    """Times of the round-1 0-votes on the crashed party's instance."""
-    vote = 'v1:[["aba", 3], ["VOTE", 1, 0]]'
-    return {t for t, _, _, _, detail in trace.of_kind(SEND) if detail["payload"] == vote}
+def zero_vote_sends(trace, instance: int) -> set:
+    """(time, party) of each round-1 0-vote sent on an instance."""
+    vote = f'v1:[["aba", {instance}], ["VOTE", 1, 0]]'
+    return {(t, party) for t, _, party, _, detail in trace.of_kind(SEND)
+            if detail["payload"] == vote}
 
 
 def accept8_digest() -> str:
@@ -329,12 +357,13 @@ def test_run_reports_are_golden(name):
     assert hashlib.sha256(text.encode()).hexdigest() == RUN_REPORT_SHA256[name]
 
 
-@pytest.mark.parametrize("name", sorted(ACS_PATH_SCENARIOS))
+@pytest.mark.parametrize("name", sorted(ACS_PATH_TRACE_SHA256))
 def test_acs_zero_vote_paths_are_golden(name):
     trace = acs_path_run(name).trace
-    times = zero_vote_send_times(trace)
     if name == "tcore-timer-zero-votes":
-        assert min(times) == core_wait_time(10)
+        assert min(zero_vote_sends(trace, 3))[0] == core_wait_time(10)
+    elif name == "pki-fallback-zero-votes":
+        assert zero_vote_sends(trace, 3)
     else:
-        assert times
+        assert {party for _, party in zero_vote_sends(trace, 0)} == {3}
     assert trace.sha256() == ACS_PATH_TRACE_SHA256[name]
