@@ -161,11 +161,13 @@ def _labels(value, where: str) -> list:
     return value
 
 
-def load_table_property(path: str) -> tuple[ValidityProperty, Domain]:
+def load_table_property(path: str, params: SystemParams) -> tuple[ValidityProperty, Domain]:
     """Loads {name?, domain, default, table} from a JSON file: `domain` holds
     the input_values and output_values label lists, `default` and each table
-    value are label lists, and each table key is an encoded configuration.
-    Anything else raises ConfigError."""
+    value are label lists, and each table key encodes a configuration that
+    can occur under `params` (n - t_s or more of the parties 0..n-1, each
+    holding an input value) and that no other key names. Anything else raises
+    ConfigError."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -183,8 +185,22 @@ def load_table_property(path: str) -> tuple[ValidityProperty, Domain]:
         tuple(_labels(domain.get(side), f"domain {side}"))
         for side in ("input_values", "output_values")
     ))
-    table = {key: _labels(values, f"table entry {key!r}") for key, values in table.items()}
-    return table_property(name, table, _labels(data["default"], "default")), domain
+    n, least = params.n, params.n - params.t_s
+    canonical: dict[str, list] = {}
+    for key, values in table.items():
+        config = InputConfiguration.decode(key)
+        if len(config) < least:
+            raise ConfigError(f"table key {key!r} names fewer than n - t_s = {least} parties")
+        for party, value in config.assignments:
+            if party >= n:
+                raise ConfigError(f"table key {key!r} names party {party}, outside 0..{n - 1}")
+            if value not in domain.input_values:
+                raise ConfigError(f"table key {key!r} holds {value!r}, outside the input domain")
+        if config.encode() in canonical:
+            raise ConfigError(f"table key {key!r} names a configuration another key names")
+        canonical[config.encode()] = _labels(values, f"table entry {key!r}")
+    default = _labels(data["default"], "default")
+    return table_property(name, canonical, default, canonicalize=False), domain
 
 
 def _name_int(text: str, name: str) -> int:

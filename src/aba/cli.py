@@ -59,11 +59,11 @@ EXIT_UNSOLVABLE = 3
 EXIT_BUDGET = 4
 
 
-def _cap(value, where: str) -> int:
+def _positive(value, where: str) -> int:
     try:
-        cap = int(value)
-        if cap >= 1:
-            return cap
+        number = int(value)
+        if number >= 1:
+            return number
     except ValueError:
         pass
     raise ConfigError(f"{where} must be a positive integer, got {value!r}")
@@ -74,9 +74,9 @@ def _budget_for(args) -> Budget:
     budget = Budget()
     override = os.environ.get("ABA_BUDGET")
     if override:
-        budget.max_configs = _cap(override, "ABA_BUDGET")
+        budget.max_configs = _positive(override, "ABA_BUDGET")
     if args.budget is not None:
-        budget.max_configs = _cap(args.budget, "--budget")
+        budget.max_configs = _positive(args.budget, "--budget")
     return budget
 
 
@@ -92,9 +92,9 @@ def _emit(data: dict, pretty: bool) -> None:
     print(json.dumps(data, indent=2 if pretty else None, sort_keys=True, default=_encode))
 
 
-def _resolve_validity(args) -> tuple:
+def _resolve_validity(args, params: SystemParams) -> tuple:
     if getattr(args, "validity_table", None):
-        return catalog.load_table_property(args.validity_table)
+        return catalog.load_table_property(args.validity_table, params)
     return catalog.resolve(args.validity, values=args.values)
 
 
@@ -102,8 +102,8 @@ def _resolve_validity(args) -> tuple:
 
 
 def cmd_check(args) -> int:
-    prop, domain = _resolve_validity(args)
     params = SystemParams(args.n, args.ts, args.ta, args.setup.upper())
+    prop, domain = _resolve_validity(args, params)
     verdict = is_solvable(prop, params, domain, _budget_for(args))
     _emit(
         {"validity": prop.name, "params": params.to_dict(), "verdict": verdict.to_dict()},
@@ -116,8 +116,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_certificate(args) -> int:
-    prop, domain = _resolve_validity(args)
     params = SystemParams(args.n, args.ts, args.ta, args.setup.upper())
+    prop, domain = _resolve_validity(args, params)
     outcome = compute_similarity_certificate(prop, params, domain, _budget_for(args))
     if not outcome.feasible:
         print(
@@ -404,11 +404,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    seeds = _positive(args.seeds, "--seeds")
     scenario = Scenario.load(args.scenario)
     total_violations = 0
     decided_runs = 0
     max_decision_time = 0
-    for offset in range(args.seeds):
+    for offset in range(seeds):
         result, summary = _run_checked(scenario, scenario.seed + offset)
         total_violations += len(summary["violations"])
         if not summary["undecided"]:
@@ -417,8 +418,8 @@ def cmd_fuzz(args) -> int:
             if decide_times:
                 max_decision_time = max(max_decision_time, max(decide_times))
     report = {
-        "runs": args.seeds,
-        "decided_fraction": decided_runs / args.seeds,
+        "runs": seeds,
+        "decided_fraction": decided_runs / seeds,
         "violations": total_violations,
         "max_decision_time": max_decision_time,
     }

@@ -51,7 +51,6 @@ class AcsProtocol(Machine):
                  valid_values: Optional[tuple] = None):
         check_param_bounds(params, enforce_bounds)
         self.params = params
-        self.n = params.n
         self.quorum = params.n - params.t_s
         self.pki = params.setup == "PKI"
         self.round_len = delta + ROUND_SLACK
@@ -75,8 +74,6 @@ class AcsProtocol(Machine):
         self.main_bit: Optional[int] = None
         self.coresig_encodings: dict[int, str] = {}
         self.cert: Optional[str] = None
-        self.cert_share_sent = False
-        self.my_core_encoding: Optional[str] = None
 
     # ------------------------------------------------------------ lifecycle
 
@@ -90,7 +87,7 @@ class AcsProtocol(Machine):
     def on_timer(self, ctx, tag):
         if tag == "t-core":
             if not self.pki:
-                return self._try_zero_votes(ctx, time_ok=True)
+                return self._try_zero_votes(ctx)
             return self._start_claims(ctx)
         if isinstance(tag, tuple) and tag[0] == "claim-round":
             return self._claim_round(ctx, tag[1])
@@ -128,60 +125,37 @@ class AcsProtocol(Machine):
 
     def _from_rbc(self, ctx, j: int, actions) -> list:
         wrapped, decided = wrap_actions(("rbc", j), actions)
-        if decided:
-            value = decided[0]
-            if (self.valid_values is None or value in self.valid_values) and j not in self.delivered:
-                self.delivered[j] = value
-                wrapped += self._on_delivery(ctx, j)
+        if decided and (self.valid_values is None or decided[0] in self.valid_values):
+            self.delivered[j] = decided[0]
+            if self.fallback_active:
+                wrapped += self._from_aba(ctx, j, self.abas[j].start(ctx, 1))
+            wrapped += self._try_output(ctx)
         return wrapped
-
-    def _on_delivery(self, ctx, j: int) -> list:
-        actions = []
-        if self.fallback_active and not self.abas[j].started:
-            actions += self._from_aba(ctx, j, self.abas[j].start(ctx, 1))
-        actions += self._try_output(ctx)
-        return actions
 
     # ------------------------------------------------------------ voting composition
 
     def _from_aba(self, ctx, j: int, actions) -> list:
         wrapped, decided = wrap_actions(("aba", j), actions)
-        if decided and j not in self.aba_bits:
+        if decided:
             self.aba_bits[j] = decided[0]
-            wrapped += self._try_zero_votes(ctx, time_ok=None)
+            wrapped += self._try_zero_votes(ctx)
             wrapped += self._try_output(ctx)
         return wrapped
 
-    def _try_zero_votes(self, ctx, time_ok) -> list:
-        if not self.fallback_active:
-            return []
-        if time_ok is None:
-            time_ok = ctx.now >= self.t_core
-        ones = sum(1 for b in self.aba_bits.values() if b == 1)
-        if not time_ok or ones < self.quorum:
+    def _try_zero_votes(self, ctx) -> list:
+        """Votes 0 on every instance not yet started, once n - t_s instances
+        decided 1 and the clock reached T_core."""
+        if (not self.fallback_active or ctx.now < self.t_core
+                or sum(b == 1 for b in self.aba_bits.values()) < self.quorum):
             return []
         actions = []
-        for j in range(self.n):
-            if not self.abas[j].started:
-                actions += self._from_aba(ctx, j, self.abas[j].start(ctx, 0))
-        return actions
-
-    def _activate_fallback(self, ctx) -> list:
-        self.fallback_active = True
-        actions = []
-        for j in sorted(self.delivered):
-            if not self.abas[j].started:
-                actions += self._from_aba(ctx, j, self.abas[j].start(ctx, 1))
-        actions += self._try_zero_votes(ctx, time_ok=None)
+        for j in range(self.params.n):
+            actions += self._from_aba(ctx, j, self.abas[j].start(ctx, 0))
         return actions
 
     def _try_output(self, ctx) -> list:
-        if self.finished:
-            return []
         if self.output_set is None:
-            if self.pki and self.main_bit != 0:
-                return []
-            if len(self.aba_bits) < self.n:
+            if not self.fallback_active or len(self.aba_bits) < self.params.n:
                 return []
             self.output_set = {j for j, b in self.aba_bits.items() if b == 1}
             if len(self.output_set) < self.quorum:
@@ -202,7 +176,7 @@ class AcsProtocol(Machine):
     # ------------------------------------------------------------ certified core (PKI)
 
     def _start_claims(self, ctx) -> list:
-        self.chains = ChainBroadcastStage(self.n, self.params.t_s, ctx.party_id)
+        self.chains = ChainBroadcastStage(self.params.n, self.params.t_s, ctx.party_id)
         snapshot = tuple(sorted(self.delivered.items()))
         actions, _ = wrap_actions("claims", self.chains.start(ctx, snapshot))
         actions.append(SetTimer(("claim-round", 1), self.round_len))
@@ -228,7 +202,7 @@ class AcsProtocol(Machine):
                 if not (isinstance(item, (tuple, list)) and len(item) == 2):
                     continue
                 j, v = item
-                if not isinstance(j, int) or not (0 <= j < self.n) or j in seen:
+                if not isinstance(j, int) or not (0 <= j < self.params.n) or j in seen:
                     continue
                 if self.valid_values is not None and v not in self.valid_values:
                     continue
@@ -243,12 +217,9 @@ class AcsProtocol(Machine):
                 core[j] = (v, count)
         if len(core) < self.quorum:
             return []
-        config = InputConfiguration.of((j, v) for j, (v, _) in core.items())
-        self.my_core_encoding = config.encode()
-        ctx.sign(("coresig", self.my_core_encoding))
-        return [Broadcast(("coresig", self.my_core_encoding))] + self._on_coresig(
-            ctx, ctx.party_id, self.my_core_encoding
-        )
+        encoding = InputConfiguration.of((j, v) for j, (v, _) in core.items()).encode()
+        ctx.sign(("coresig", encoding))
+        return [Broadcast(("coresig", encoding))] + self._on_coresig(ctx, ctx.party_id, encoding)
 
     def _on_coresig(self, ctx, src: int, encoding) -> list:
         if not isinstance(encoding, str) or src in self.coresig_encodings:
@@ -256,14 +227,11 @@ class AcsProtocol(Machine):
         if not ctx.verify(src, ("coresig", encoding)):
             return []
         self.coresig_encodings[src] = encoding
-        counts: dict[str, int] = {}
-        for enc in self.coresig_encodings.values():
-            counts[enc] = counts.get(enc, 0) + 1
-        for enc, count in counts.items():
-            if count >= self.quorum and self.cert is None:
-                self.cert = enc
-                return self._on_cert_found(ctx)
-        return []
+        signers = sum(1 for enc in self.coresig_encodings.values() if enc == encoding)
+        if self.cert is not None or signers < self.quorum:
+            return []
+        self.cert = encoding
+        return self._on_cert_found(ctx)
 
     def _on_certshare(self, ctx, src: int, inner) -> list:
         if self.cert is not None:
@@ -279,38 +247,30 @@ class AcsProtocol(Machine):
         return self._on_cert_found(ctx)
 
     def _on_cert_found(self, ctx) -> list:
-        actions = []
-        if self.main_bit == 1:
-            actions += self._share_cert(ctx)
-            actions += self._adopt_certified(ctx)
-        return actions
-
-    def _share_cert(self, ctx) -> list:
-        if self.cert is None or self.cert_share_sent:
+        """Runs once both main decided 1 and a certificate is known, whichever
+        came second: shares the certificate (when this party holds its
+        signatures) and adopts the certified core."""
+        if self.main_bit != 1 or self.cert is None:
             return []
         signers = tuple(
             sorted(p for p, enc in self.coresig_encodings.items() if enc == self.cert)
         )
-        if len(signers) < self.quorum:
-            return []
-        self.cert_share_sent = True
-        return [Broadcast(("certshare", (self.cert, signers)))]
-
-    def _adopt_certified(self, ctx) -> list:
-        if self.cert is None or self.finished:
-            return []
-        return self._finish(InputConfiguration.decode(self.cert))
+        actions = []
+        if len(signers) >= self.quorum:
+            actions.append(Broadcast(("certshare", (self.cert, signers))))
+        return actions + self._finish(InputConfiguration.decode(self.cert))
 
     def _from_main(self, ctx, actions) -> list:
         wrapped, decided = wrap_actions("main", actions)
-        if decided and self.main_bit is None:
+        if decided:
             self.main_bit = decided[0]
             if self.main_bit == 1:
-                wrapped += self._share_cert(ctx)
-                wrapped += self._adopt_certified(ctx)
-            else:
-                wrapped += self._activate_fallback(ctx)
-                wrapped += self._try_output(ctx)
+                return wrapped + self._on_cert_found(ctx)
+            self.fallback_active = True
+            for j in sorted(self.delivered):
+                wrapped += self._from_aba(ctx, j, self.abas[j].start(ctx, 1))
+            wrapped += self._try_zero_votes(ctx)
+            wrapped += self._try_output(ctx)
         return wrapped
 
 
@@ -329,15 +289,12 @@ class UniversalBa(Machine):
             enforce_bounds=enforce_bounds,
             valid_values=certificate.domain.input_values,
         )
-        self.decided = False
         self.core: Optional[InputConfiguration] = None
 
     def _from_acs(self, actions) -> list:
         wrapped, decided = wrap_actions("acs", actions)
-        if decided and not self.decided:
-            self.decided = True
-            core = decided[0]
-            self.core = core
+        if decided:
+            core = self.core = decided[0]
             try:
                 value = self.certificate.lookup(core)
             except KeyError:

@@ -47,13 +47,11 @@ class CoinVotingInstance:
         self.round = 0
         self.decided: Optional[int] = None
         self.halted = False
-        self.done_sent = False
         self.votes: dict[tuple[int, int], set] = {}
         self.vote_sent: set[tuple[int, int]] = set()
         self.certified: dict[int, set] = {}
         self.cands: dict[tuple[int, int], set] = {}
         self.cand_sent: set[int] = set()
-        self.closed: set[int] = set()
         self.dones: dict[int, set] = {}
 
     @property
@@ -89,7 +87,7 @@ class CoinVotingInstance:
                 return []
             self.votes.setdefault((r, b), set()).add(src)
             actions = []
-            if len(self.votes[(r, b)]) >= self.relay and (r, b) not in self.vote_sent:
+            if len(self.votes[(r, b)]) >= self.relay:
                 actions += self._cast_vote(ctx, r, b)
             if len(self.votes[(r, b)]) >= self.quorum:
                 self.certified.setdefault(r, set()).add(b)
@@ -130,41 +128,26 @@ class CoinVotingInstance:
                 self.cands.setdefault((r, pick), set()).add(ctx.party_id)
                 actions.append(Broadcast(("CAND", r, pick)))
                 changed = True
-            if r in self.cand_sent and r not in self.closed:
+            if r in self.cand_sent:
                 # candidates count only while their value is quorum-certified
-                single = [
-                    b
-                    for b in sorted(certified)
-                    if len(self.cands.get((r, b), set())) >= self.quorum
-                ]
-                union: set = set()
-                for b in certified:
-                    union |= self.cands.get((r, b), set())
-                if single:
-                    b = single[0]
-                    self.closed.add(r)
+                cands = {b: self.cands.get((r, b), set()) for b in sorted(certified)}
+                single = next((b for b, senders in cands.items()
+                               if len(senders) >= self.quorum), None)
+                if single is not None or (
+                    len(cands) == 2 and len(cands[0] | cands[1]) >= self.quorum
+                ):
                     coin = ctx.coin((self.coin_key, r))
-                    self.est = b
-                    if b == coin and self.decided is None:
-                        actions += self._decide(ctx, b)
-                    actions += self._enter_round(ctx, r + 1)
-                    changed = True
-                elif len(certified) == 2 and len(union) >= self.quorum:
-                    self.closed.add(r)
-                    coin = ctx.coin((self.coin_key, r))
-                    self.est = coin
+                    self.est = coin if single is None else single
+                    if single == coin and self.decided is None:
+                        actions += self._decide(ctx, coin)
                     actions += self._enter_round(ctx, r + 1)
                     changed = True
         return actions
 
     def _decide(self, ctx, b: int) -> list:
         self.decided = b
-        actions = [Decide(b)]
-        if not self.done_sent:
-            self.done_sent = True
-            self.dones.setdefault(b, set()).add(ctx.party_id)
-            actions.append(Broadcast(("DONE", b)))
-        return actions
+        self.dones.setdefault(b, set()).add(ctx.party_id)
+        return [Decide(b), Broadcast(("DONE", b))]
 
 
 class BinaryBa(Machine):
@@ -176,24 +159,17 @@ class BinaryBa(Machine):
     probabilistic via the common coin.
     """
 
-    def __init__(
-        self,
-        params,
-        delta: int,
-        enforce_bounds: bool = True,
-        tag: str = "binba",
-        labels: tuple = ("0", "1"),
-    ):
+    def __init__(self, params, delta: int, enforce_bounds: bool = True,
+                 labels: tuple = ("0", "1")):
         check_param_bounds(params, enforce_bounds)
         self.params = params
         self.pki = params.setup == "PKI"
         self.labels = labels
         self.round_len = delta + ROUND_SLACK
         self.stage_end = sync_stage_duration(params, delta)
-        self.loop = CoinVotingInstance(params.n, params.t_s, coin_key=tag)
+        self.loop = CoinVotingInstance(params.n, params.t_s, coin_key="binba")
         self.chains: Optional[ChainBroadcastStage] = None
         self.input_bit: Optional[int] = None
-        self.decided = False
 
     def on_start(self, ctx, value):
         if value not in self.labels:
@@ -209,8 +185,7 @@ class BinaryBa(Machine):
         return actions
 
     def on_timer(self, ctx, tag):
-        if not self.pki:
-            return []
+        # timers are set only with PKI
         if isinstance(tag, tuple) and tag[0] == "round":
             k = tag[1]
             self.chains.on_round()
@@ -218,21 +193,17 @@ class BinaryBa(Machine):
                 return [SetTimer(("round", k + 1), self.round_len)]
             return []
         if tag == "loop-start":
-            bit, certified = self._stage_exit()
-            seed = bit if certified else self.input_bit
-            return self._from_loop(self.loop.start(ctx, seed))
+            return self._from_loop(self.loop.start(ctx, self._stage_exit()))
         return []
 
-    def _stage_exit(self) -> tuple[int, bool]:
-        """Vector exit rule: certified when at least n - t_s senders produced
-        a value; the bit is the plurality value (ties toward 0). An
-        uncertified exit falls back to the party's own input."""
-        vector = self.chains.vector()
-        values = [v for v in vector.values() if v in (0, 1)]
+    def _stage_exit(self) -> int:
+        """Vector exit rule, the loop's input bit: certified when at least
+        n - t_s senders produced a value, then the plurality value (ties
+        toward 0); an uncertified exit falls back to the party's own input."""
+        values = [v for v in self.chains.vector().values() if v in (0, 1)]
         if len(values) < self.params.n - self.params.t_s:
-            return 0, False
-        ones = sum(values)
-        return (1 if ones * 2 > len(values) else 0), True
+            return self.input_bit
+        return 1 if sum(values) * 2 > len(values) else 0
 
     def on_message(self, ctx, src, payload):
         if not isinstance(payload, tuple) or len(payload) != 2:
@@ -247,8 +218,6 @@ class BinaryBa(Machine):
 
     def _from_loop(self, actions) -> list:
         wrapped, decided = wrap_actions("loop", actions)
-        if decided and not self.decided:
-            self.decided = True
-            bit = decided[0]
-            wrapped.append(Decide(self.labels[bit]))
+        if decided:
+            wrapped.append(Decide(self.labels[decided[0]]))
         return wrapped

@@ -140,12 +140,10 @@ class ChainBroadcastStage:
     """
 
     def __init__(self, n: int, t_s: int, me: int):
-        self.t_s = t_s
         self.me = me
         self.round = 0
         self.last_round = t_s + 1
         self.accepted: dict[int, list] = {s: [] for s in range(n)}
-        self.finished = False
 
     def _stmt(self, sender: int, value):
         return ("chain", sender, value)
@@ -153,18 +151,15 @@ class ChainBroadcastStage:
     def start(self, ctx, value) -> list:
         ctx.sign(self._stmt(self.me, value))
         self.round = 1
-        self._accept(self.me, value)
+        self.accepted[self.me].append(value)
         return [Broadcast(("CHAIN", self.me, value, (self.me,)))]
 
     def on_round(self) -> None:
-        """Caller ticks this once per round boundary."""
-        if self.round:
-            self.round += 1
-        if self.round > self.last_round:
-            self.finished = True
+        """Caller ticks this once per round boundary after `start`."""
+        self.round += 1
 
     def handle(self, ctx, src: int, msg) -> list:
-        if self.finished or msg[0] != "CHAIN":
+        if self.round > self.last_round or msg[0] != "CHAIN":
             return []
         _, sender, value, signers = msg
         signers = tuple(signers)
@@ -172,8 +167,8 @@ class ChainBroadcastStage:
             return []
         if value in self.accepted[sender] or len(self.accepted[sender]) >= 2:
             return []
-        self._accept(sender, value)
-        if self.me not in signers and len(signers) <= self.t_s:
+        self.accepted[sender].append(value)
+        if self.me not in signers and len(signers) < self.last_round:
             ctx.sign(self._stmt(sender, value))
             return [Broadcast(("CHAIN", sender, value, signers + (self.me,)))]
         return []
@@ -181,13 +176,10 @@ class ChainBroadcastStage:
     def _chain_valid(self, ctx, sender, value, signers) -> bool:
         if len(set(signers)) != len(signers) or not signers or signers[0] != sender:
             return False
-        if len(signers) < min(self.round, self.last_round):
+        if len(signers) < self.round:
             return False
         stmt = self._stmt(sender, value)
         return all(ctx.verify(p, stmt) for p in signers)
-
-    def _accept(self, sender, value):
-        self.accepted[sender].append(value)
 
     def vector(self) -> dict[int, Any]:
         """sender -> accepted value, or None when silent or equivocating."""

@@ -2,10 +2,10 @@
 
 Time is abstract integer units. A single run is single-threaded and fully
 determined by its arguments: the event queue breaks ties by (time, insertion
-sequence), per-party randomness and the common coin derive from the seed via
-SHA-256, and signatures are an ideal registry-backed oracle. Replicated node
-instances share their party's random stream, so copies fed identical message
-sequences evolve identically.
+sequence), the scheduler's randomness, the common coin and shared values derive
+from the seed via SHA-256, and signatures are an ideal registry-backed oracle.
+Machines have no private randomness, so replicated node instances fed
+identical message sequences evolve identically.
 
 Payloads are passed by reference: every destination of a send receives the
 sender's object, and the trace keeps that object until it is first read.
@@ -398,7 +398,7 @@ def canonical_schedule(
 
 
 def replicate(party_id: int, count: int) -> list[NodeInstance]:
-    """Replica instances sharing the party's identity and random stream."""
+    """Replica instances sharing the party's identity."""
     return [NodeInstance(party_id=party_id, replica_tag=tag) for tag in range(count)]
 
 
@@ -431,24 +431,17 @@ class SetTimer:
 
 
 class NodeCtx:
-    """Per-node view handed to protocol handlers: identity, parameters, the
-    clock, private randomness, the common coin, and the signature oracle.
-    Handlers never see the network mode."""
+    """Per-node view handed to protocol handlers: the party id, n, delta, the
+    clock, the common coin, shared public values and the signature oracle.
+    Handlers never see the network mode or their replica tag."""
 
-    def __init__(self, sim: "Simulation", node: NodeInstance, stream: random.Random):
+    def __init__(self, sim: "Simulation", node: NodeInstance):
         self._sim = sim
         self._node = node
         self.party_id = node.party_id
-        self.replica_tag = node.replica_tag
-        self.params = sim.params
         self.n = sim.params.n
         self.delta = sim.net.delta
-        self.rand = stream
         self.now = 0
-
-    @property
-    def pki(self) -> bool:
-        return self._sim.signatures.enabled
 
     def coin(self, key: Any) -> int:
         value = self._sim.tape.coin(key)
@@ -516,8 +509,7 @@ class Simulation:
     ):
         if node.key in self._nodes:
             raise ConfigError(f"duplicate node instance {node.key}")
-        stream = self.tape.party_stream(node.party_id)
-        ctx = NodeCtx(self, node, stream)
+        ctx = NodeCtx(self, node)
         if isinstance(behavior, Equivocate):
             split = behavior.split
             if split is None:

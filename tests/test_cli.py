@@ -172,6 +172,11 @@ def check_table(data, *extra):
     ("default", ["0", 1], "default must be a list of strings"),
     ("domain", {"input_values": "01", "output_values": ["0", "1"]}, "input_values"),
     ("name", ["custom"], "name must be a string"),
+    # keys no configuration at (3,1,0) with inputs 0/1 can have
+    ("table", {"p0=0;p7=0": ["1"]}, "names party 7, outside 0..2"),
+    ("table", {"p0=2;p1=0": ["1"]}, "holds '2', outside the input domain"),
+    ("table", {"p0=0": ["1"]}, "fewer than n - t_s = 2 parties"),
+    ("table", {"p0=0;p1=0": ["0"], "p1=0;p0=0": ["1"]}, "another key names"),
 ])
 def test_malformed_validity_table_exit_two(field, value, message):
     code, out, err = check_table(dict(_TABLE, **{field: value}))
@@ -431,6 +436,13 @@ def test_fuzz_report_unchanged(capsys):
     assert code == 0
     assert out == ('{"decided_fraction": 1.0, "max_decision_time": 371, '
                    '"runs": 20, "violations": 0}\n')
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_fuzz_seeds_must_be_positive(capsys, seeds):
+    code, out, err = invoke(capsys, "fuzz", str(SCENARIOS / "ba-star.json"), "--seeds", seeds)
+    assert code == 2 and out == ""
+    assert err == f"configuration error: --seeds must be a positive integer, got {seeds}\n"
 
 
 def test_fuzz_aggregate(capsys, tmp_path):
