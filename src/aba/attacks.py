@@ -92,8 +92,8 @@ def best_effort_certificate(prop, params: SystemParams, domain):
     is empty fall back to the smallest directly-valid value. Never use this
     outside attack demonstrations."""
     sigma = {
-        config.encode(): own if choice is None else choice
-        for config, choice, own in similarity_pass(prop, params, domain)
+        encoded: own if choice is None else choice
+        for encoded, choice, own in similarity_pass(prop, params, domain)
     }
     return SimilarityCertificate(params=params, domain=domain, sigma=sigma)
 

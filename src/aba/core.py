@@ -10,8 +10,11 @@ multiset of values) pairs, for an anonymous property, whose value depends on
 nothing else, and configurations otherwise (see `_key_space`). `is_solvable`
 walks the keys to its verdict, and `similarity_pass` turns them into one row
 per configuration in canonical order, from which certificates are built.
-`SimilarityCertificate.validate` is the independent oracle: it still checks
-every pair (I, J) one at a time, but on integer configuration codes.
+`SimilarityCertificate.validate` is the independent check and shares no code
+with them: for an anonymous property it passes I when sigma(I) lies in the AND
+of V over the orbits of similar(I), enumerated directly once per orbit, and a
+pair scan over every (I, J), on integer configuration codes, decides the
+configurations of table properties and every I that fails that lookup.
 `similar()` and `neighbors()` keep the definitional, one-object-per-
 configuration form of the relations, which the tests check both against.
 """
@@ -23,6 +26,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -96,6 +100,10 @@ class Domain:
                 raise ConfigError(f"{name} domain must be non-empty")
             if len(set(vals)) != len(vals):
                 raise ConfigError(f"{name} domain has duplicate labels: {vals}")
+        split = [v for v in self.input_values if ";" in v]
+        if split:
+            raise ConfigError(f"input labels may not contain ';', which separates parties "
+                              f"in encoded configurations: {split}")
 
     @classmethod
     def binary(cls) -> "Domain":
@@ -159,6 +167,12 @@ class InputConfiguration:
 
     def encode(self) -> str:
         return ";".join(f"p{p}={v}" for p, v in self.assignments)
+
+    @staticmethod
+    def template(parties: Iterable[int]) -> str:
+        """The encoding on `parties` with each value a `str.format` field,
+        such as `p0={};p2={}`."""
+        return ";".join(f"p{p}={{}}" for p in parties)
 
     @classmethod
     def decode(cls, text: str) -> "InputConfiguration":
@@ -372,29 +386,57 @@ class SimilarityCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "SimilarityCertificate":
+        """Parses `to_json` output. Anything but an object holding `params`,
+        a `domain` of two label lists and a `sigma` object of labels raises
+        ConfigError."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ConfigError(f"certificate must be a JSON object, got {type(data).__name__}")
+        for key in ("params", "domain", "sigma"):
+            if key not in data:
+                raise ConfigError(f"certificate missing {key!r}")
+            if not isinstance(data[key], dict):
+                raise ConfigError(
+                    f"certificate {key} must be a JSON object, got {type(data[key]).__name__}"
+                )
+        domain, sigma = data["domain"], data["sigma"]
+        for side in ("input_values", "output_values"):
+            labels = domain.get(side)
+            if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
+                raise ConfigError(
+                    f"certificate domain {side} must be a list of strings, got {labels!r}"
+                )
+        if not all(isinstance(v, str) for v in sigma.values()):
+            raise ConfigError("certificate sigma values must be output labels (strings)")
         return cls(
             params=SystemParams.from_dict(data["params"]),
-            domain=Domain.from_dict(data["domain"]),
-            sigma=dict(data["sigma"]),
+            domain=Domain.from_dict(domain),
+            sigma=sigma,
         )
 
     def validate(
         self, validity: ValidityProperty, budget: Optional[Budget] = None
     ) -> tuple[bool, Optional[str]]:
         """Independent soundness re-check: sigma(I) in V(J) for every I in
-        canonical order and every J in similar(I), pair by pair in `similar()`
-        order, evaluating V at most once per J. It shares nothing with
-        `similarity_pass`. Returns (ok, first failure description).
+        canonical order and every J in similar(I). It shares nothing with
+        `similarity_pass`. Returns (ok, first failure description); the
+        budget is charged len(similar(I)) pairs per I, before I is checked.
 
-        Configurations are integer codes in which party p holds the bit field
-        d << (width * p): d = 0 for absent, d = i + 1 for input value i. For
-        each party set P the similar party sets S are listed once: every S of
-        size >= n - t_a and every S within P of size >= n - t_s, each with the
-        bit mask of the parties it keeps and the codes of its parties outside P
-        in `itertools.product` order. A pair then costs one add, one memo
-        lookup and one AND; an `InputConfiguration` is built only to evaluate
-        V or to describe a failure."""
+        For an anonymous property, I passes with one lookup when sigma(I)
+        lies in the AND of V over the orbits of similar(I), computed once
+        per orbit (`_similar_orbit_masks`). Otherwise, and for every I of a
+        table property, the pair scan decides I: J by J in `similar()` order,
+        evaluating V at most once per J, so the failure it reports and any
+        ConfigError are those of a scan over every pair.
+
+        The pair scan works on integer codes in which party p holds the bit
+        field d << (width * p): d = 0 for absent, d = i + 1 for input value
+        i. For each party set P the similar party sets S are listed once:
+        every S of size >= n - t_a and every S within P of size >= n - t_s,
+        each with the bit mask of the parties it keeps and the codes of its
+        parties outside P in `itertools.product` order. A pair then costs
+        one add, one memo lookup and one AND; an `InputConfiguration` is
+        built only to evaluate V or to describe a failure."""
         params, domain = self.params, self.domain
         budget = budget or Budget()
         budget.check_configs(count_input_configs(params, domain))
@@ -403,6 +445,8 @@ class SimilarityCertificate:
         width = len(values).bit_length()
         digits = range(1, len(values) + 1)
         field_mask = (1 << width) - 1
+        orbit_mask = (_similar_orbit_masks(evaluate, params, domain) if validity.anonymous
+                      else lambda orbit: 0)
         party_sets = [
             parties
             for size in range(params.min_config_size, n + 1)
@@ -410,6 +454,12 @@ class SimilarityCertificate:
         ]
         keep = {
             parties: sum(field_mask << width * p for p in parties) for parties in party_sets
+        }
+        rows = {  # size -> (assignment, its digits, its orbit) in product order
+            size: [(assignment, ds, tuple(sorted(ds))) for assignment, ds in zip(
+                itertools.product(values, repeat=size), itertools.product(digits, repeat=size)
+            )]
+            for size in range(params.min_config_size, n + 1)
         }
         free_codes: dict = {}  # parties outside P -> their codes in product order
         allowed: dict = {}  # code -> output mask
@@ -434,17 +484,16 @@ class SimilarityCertificate:
                     ]
                 plan.append((parties, keep[parties], codes))
             pairs = sum(len(codes) for _, _, codes in plan)
-            template = ";".join(f"p{p}={{}}" for p in own)
-            for assignment, ds in zip(
-                itertools.product(values, repeat=len(own)),
-                itertools.product(digits, repeat=len(own)),
-            ):
+            template = InputConfiguration.template(own)
+            for assignment, ds, orbit in rows[len(own)]:
                 encoded = template.format(*assignment)
                 if encoded not in self.sigma:
                     return False, f"missing sigma entry for {encoded}"
                 chosen = self.sigma[encoded]
                 bit = 1 << outputs.index(chosen) if chosen in outputs else 0
                 budget.charge_pairs(pairs)
+                if orbit_mask(orbit) & bit:
+                    continue
                 code = sum(d << width * p for d, p in zip(ds, own))
                 for parties, kept_mask, codes in plan:
                     kept = code & kept_mask
@@ -459,6 +508,56 @@ class SimilarityCertificate:
                                 f"{decode(parties, other).encode()}"
                             )
         return True, None
+
+
+def _similar_orbit_masks(
+    evaluate: Callable[[InputConfiguration], int], params: SystemParams, domain: Domain
+) -> Callable[[tuple], int]:
+    """For an anonymous property: the AND of V over the orbits of similar(I),
+    as a memoized function of I's orbit, its value digits in ascending order
+    (digit i + 1 stands for input value i).
+
+    With c the multiset of I's values, the orbits of similar(I) are
+      - every sub-multiset d <= c with |d| >= n - t_s: the sub-configurations;
+      - every d + e with d <= c and e any multiset with 1 <= |e| <= n - |c|
+        and |d| + |e| >= n - t_a: the configurations that keep d on I's
+        parties and add e on |e| parties outside I.
+    Multisets are count vectors here, and V runs once per orbit, on its
+    representative. The mask is 0 where some V raises ConfigError, so that
+    the caller's pair scan meets the error at its own point. This enumerates
+    the orbits directly and shares no code with `_similar_intersection`.
+    """
+    n, m = params.n, len(domain.input_values)
+    extensions = {  # size -> the count vectors of that size
+        size: [tuple(e.count(i) for i in range(m))
+               for e in itertools.combinations_with_replacement(range(m), size)]
+        for size in range(1, params.t_s + 1)
+    }
+
+    @functools.cache
+    def own(counts: tuple) -> int:
+        orbit = tuple(i for i, count in enumerate(counts) for _ in range(count))
+        return evaluate(_representative(domain, orbit))
+
+    @functools.cache
+    def orbit_mask(orbit: tuple) -> int:
+        room = n - len(orbit)  # parties outside I
+        result = _EVERY_OUTPUT
+        try:
+            for d in itertools.product(*(range(orbit.count(i + 1) + 1) for i in range(m))):
+                size = sum(d)
+                if size >= params.min_config_size:
+                    result &= own(d)
+                for extra in range(max(1, n - params.t_a - size), room + 1):
+                    for e in extensions[extra]:
+                        result &= own(tuple(map(operator.add, d, e)))
+                if not result:
+                    break
+        except ConfigError:
+            return 0
+        return result
+
+    return orbit_mask
 
 
 @dataclass(frozen=True)
@@ -613,19 +712,22 @@ def similarity_pass(
     params: SystemParams,
     domain: Domain,
     budget: Optional[Budget] = None,
-) -> Iterator[tuple[InputConfiguration, Optional[str], Optional[str]]]:
-    """Yields (I, choice, own) for every configuration I in canonical order:
-    `choice` is the smallest output valid under every configuration in
-    similar(I), `own` the smallest valid under I itself; None when there is
-    no such output. The budget is charged the configuration count.
+) -> Iterator[tuple[str, Optional[str], Optional[str]]]:
+    """Yields (encoded I, choice, own) for every configuration I in
+    canonical order: `choice` is the smallest output valid under every
+    configuration in similar(I), `own` the smallest valid under I itself;
+    None when there is no such output. The budget is charged the
+    configuration count.
 
     Both come from `_similar_intersection`. For an anonymous property its
     keys are orbits, so V runs once per orbit: each size reads one
     (choice, own) pair per orbit into a dict, and from it one row per
     assignment in product order, which every party set of that size shares.
-    Otherwise its keys are the configurations themselves, walked lazily: the
-    pass computes only what the configurations it has yielded need, and V
-    runs at most once per configuration.
+    A row's encoding fills its party set's `InputConfiguration.template`,
+    and no `InputConfiguration` is built per row. Otherwise its keys are the
+    configurations themselves, walked lazily: the pass computes only what
+    the configurations it has yielded need, and V runs at most once per
+    configuration.
     """
     budget = budget or Budget()
     budget.check_configs(count_input_configs(params, domain))
@@ -634,7 +736,7 @@ def similarity_pass(
     lowest = functools.partial(_lowest_output, domain)
     if not validity.anonymous:
         for key in keys():
-            yield config_of(key), lowest(intersection(key)), lowest(own(key))
+            yield config_of(key).encode(), lowest(intersection(key)), lowest(own(key))
         return
     values = domain.input_values
     for size in range(params.min_config_size, params.n + 1):
@@ -643,12 +745,15 @@ def similarity_pass(
             for orbit in itertools.combinations_with_replacement(range(len(values)), size)
         }
         rows = [  # (assignment, choice, own) in product order, shared by every party set
-            (tuple(values[d] for d in ds), *labels[tuple(sorted(ds))])
-            for ds in itertools.product(range(len(values)), repeat=size)
+            (assignment, *labels[tuple(sorted(ds))]) for assignment, ds in zip(
+                itertools.product(values, repeat=size),
+                itertools.product(range(len(values)), repeat=size),
+            )
         ]
         for subset in itertools.combinations(range(params.n), size):
+            template = InputConfiguration.template(subset)
             for assignment, choice, own_value in rows:
-                yield InputConfiguration(tuple(zip(subset, assignment))), choice, own_value
+                yield template.format(*assignment), choice, own_value
 
 
 def compute_similarity_certificate(
@@ -661,10 +766,10 @@ def compute_similarity_certificate(
     valid under all of its similar configurations; or the first configuration
     in canonical order where no output is."""
     sigma: dict[str, str] = {}
-    for config, choice, _own in similarity_pass(validity, params, domain, budget):
+    for encoded, choice, _own in similarity_pass(validity, params, domain, budget):
         if choice is None:
-            return CertificateOutcome(certificate=None, witness=config)
-        sigma[config.encode()] = choice
+            return CertificateOutcome(certificate=None, witness=InputConfiguration.decode(encoded))
+        sigma[encoded] = choice
     return CertificateOutcome(
         certificate=SimilarityCertificate(params=params, domain=domain, sigma=sigma),
         witness=None,

@@ -3,7 +3,10 @@
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -177,6 +180,9 @@ def check_table(data, *extra):
     ("table", {"p0=2;p1=0": ["1"]}, "holds '2', outside the input domain"),
     ("table", {"p0=0": ["1"]}, "fewer than n - t_s = 2 parties"),
     ("table", {"p0=0;p1=0": ["0"], "p1=0;p0=0": ["1"]}, "another key names"),
+    # a label holding the separator would make encoded configurations ambiguous
+    ("domain", {"input_values": ["0", "1;p2=1"], "output_values": ["0", "1"]},
+     "may not contain ';'"),
 ])
 def test_malformed_validity_table_exit_two(field, value, message):
     code, out, err = check_table(dict(_TABLE, **{field: value}))
@@ -532,6 +538,55 @@ def test_run_universal_certificate_params_mismatch_exit_two(capsys, tmp_path):
     code, _, err = invoke(capsys, "run", path)
     assert code == 2
     assert "certificate parameters do not match" in err
+
+
+GOLDEN_CERT = json.loads((SCENARIOS / "strong-4-1-1.cert.json").read_text())
+
+
+def _with(path, value):
+    """The golden certificate with the field at `path` replaced by `value`."""
+    data = json.loads(json.dumps(GOLDEN_CERT))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("certificate,message", [
+    ([GOLDEN_CERT], "certificate must be a JSON object, got list"),
+    ("sigma", "certificate must be a JSON object, got str"),
+    (_with(("sigma",), [1, 2]), "certificate sigma must be a JSON object, got list"),
+    (_with(("sigma",), [["a", "b"]]), "certificate sigma must be a JSON object, got list"),
+    (_with(("sigma", "p0=0;p1=0;p2=0"), 0), "certificate sigma values must be output labels"),
+    (_with(("domain", "input_values"), 5), "domain input_values must be a list of strings"),
+    (_with(("domain", "output_values"), [0, 1]),
+     "domain output_values must be a list of strings"),
+    (_with(("domain",), ["0", "1"]), "certificate domain must be a JSON object, got list"),
+    (_with(("params",), 4), "certificate params must be a JSON object, got int"),
+    ({"params": GOLDEN_CERT["params"], "domain": GOLDEN_CERT["domain"]},
+     "certificate missing 'sigma'"),
+])
+def test_run_universal_malformed_certificate_exit_two(capsys, tmp_path, certificate, message):
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(certificate))
+    path = scenario_file(tmp_path, protocol="universal", certificate=str(cert_path),
+                         inputs={"0": "0", "1": "0", "2": "0", "3": "0"})
+    code, out, err = invoke(capsys, "run", path)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("configuration error:") and message in err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "aba", "check", "--validity", "strong",
+         "--n", "4", "--ts", "1", "--ta", "1"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["verdict"]["reason"] == "SIMILARITY_AND_N_OK"
 
 
 @pytest.mark.parametrize("name", ATTACK_NAMES[:-1])

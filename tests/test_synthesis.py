@@ -5,13 +5,14 @@ against the brute-force scan.
 for every configuration I, pair by pair; the pass must reproduce their
 sigma JSON byte for byte, their witness and their best-effort tables.
 `oracle_validate` checks sigma(I) in V(J) for each J in `similar(I)`;
-`SimilarityCertificate.validate` must return its result, evaluate V in its
-order and raise where it raises. Anonymous properties, solved on orbits,
-must answer exactly as the same property run through the per-configuration
-pass.
+`SimilarityCertificate.validate` must return its result and raise where it
+raises, and on table properties, which it checks pair by pair, evaluate V in
+its order. Anonymous properties, solved on orbits, must answer exactly as
+the same property run through the per-configuration pass.
 """
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import assume, given, settings
@@ -163,6 +164,12 @@ def validate_cases(draw):
         rogue = draw(st.lists(st.sampled_from(sorted(table)), min_size=1, unique=True))
         table = {key: values + [ROGUE] if key in rogue else values
                  for key, values in table.items()}
+    validity = table_property("random", table, default, canonicalize=False)
+    return validity, _mutated(draw, params, domain, sigma)
+
+
+def _mutated(draw, params, domain, sigma):
+    """A certificate of `sigma`, intact or with one of MUTATIONS applied."""
     mutation = draw(st.sampled_from(MUTATIONS))
     key = draw(st.sampled_from(sorted(sigma)))
     if mutation == "flip":
@@ -174,8 +181,7 @@ def validate_cases(draw):
     elif mutation == "extra":
         extra = draw(st.sampled_from([f"p{params.n}=0", "p0=zz", "junk", ""]))
         sigma[extra] = draw(st.sampled_from(domain.output_values + (ROGUE,)))
-    validity = table_property("random", table, default, canonicalize=False)
-    return validity, SimilarityCertificate(params=params, domain=domain, sigma=sigma)
+    return SimilarityCertificate(params=params, domain=domain, sigma=sigma)
 
 
 def _checked(check, cert, validity):
@@ -233,13 +239,27 @@ def _strong_certificate():
 
 
 def test_validate_charges_each_configuration_its_similar_pairs():
-    prop, cert = _strong_certificate()
-    budget = Budget()
-    assert cert.validate(prop, budget) == (True, None)
-    assert budget.pair_checks_used == sum(
-        len(similar(c, cert.params, cert.domain))
-        for c in enumerate_input_configs(cert.params, cert.domain)
-    )
+    for name, values, point in [
+        ("strong", 2, (4, 1, 1, "PKI")),
+        ("interval:0:3", 0, (4, 1, 1, "NONE")),  # four values
+        ("strong", 2, (6, 2, 1, "PKI")),  # t_a < t_s
+    ]:
+        prop, domain = resolve(name, values)
+        params = SystemParams(*point)
+        cert = compute_similarity_certificate(prop, params, domain).certificate
+        evaluated = []
+
+        def counted(params, domain, config):
+            evaluated.append(config)
+            return prop.evaluate(params, domain, config)
+
+        budget = Budget()
+        assert cert.validate(dataclasses.replace(prop, evaluate=counted), budget) == (True, None)
+        # every configuration passed on its orbit: V ran at most once per orbit
+        assert len(evaluated) <= count_orbits(params, domain), name
+        assert budget.pair_checks_used == sum(
+            len(similar(c, params, domain)) for c in enumerate_input_configs(params, domain)
+        ), name
 
 
 def test_validate_raises_under_config_cap():
@@ -350,6 +370,59 @@ def test_orbit_verdicts_match_the_pass_at_every_parameter_point(name, values):
     for point in PARAMETER_POINTS:
         params = SystemParams(*point)
         assert is_solvable(prop, params, domain) == is_solvable(plain, params, domain), point
+
+
+def _oracle_cost(params, domain):
+    """Configurations the brute-force `similar()` scans of `oracle_validate`
+    build: for each I, every configuration agreeing with I where both are
+    present."""
+    n, m, least = params.n, len(domain.input_values), params.min_config_size
+    return sum(
+        math.comb(n, k) * m**k * math.comb(k, kept) * math.comb(n - k, size - kept)
+        * m ** (size - kept)
+        for k in range(least, n + 1)
+        for size in range(least, n + 1)
+        for kept in range(min(k, size) + 1)
+    )
+
+
+@st.composite
+def orbit_validate_cases(draw):
+    """A catalog property at n <= 6, on its own domain or a mismatched one,
+    and a certificate for it: the best-effort table (a constant table where
+    the property raises on the domain), intact or mutated once. Points whose
+    brute-force scan would build over 150,000 configurations are skipped."""
+    name, values = draw(st.sampled_from(CATALOG))
+    prop, domain = resolve(name, values)
+    if draw(st.integers(0, 9)) == 0:
+        domain = draw(st.sampled_from(MISMATCHED))
+    n = draw(st.integers(1, 6))
+    t_s = draw(st.integers(0, n - 1))
+    t_a = draw(st.integers(0, t_s))
+    params = SystemParams(n, t_s, t_a, draw(st.sampled_from(["PKI", "NONE"])))
+    assume(_oracle_cost(params, domain) <= 150_000)
+    try:
+        sigma = dict(best_effort_certificate(prop, params, domain).sigma)
+    except ConfigError:
+        sigma = {c.encode(): domain.output_values[0]
+                 for c in enumerate_input_configs(params, domain)}
+    return prop, _mutated(draw, params, domain, sigma)
+
+
+def _answer(check, cert, validity):
+    try:
+        return check(cert, validity)
+    except ConfigError as e:
+        return "ConfigError", str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(orbit_validate_cases())
+def test_orbit_validate_matches_oracle(case):
+    prop, cert = case
+    assert prop.anonymous
+    assert _answer(SimilarityCertificate.validate, cert, prop) == \
+        _answer(oracle_validate, cert, prop)
 
 
 # ---------------------------------------------------------------- golden pins
