@@ -10,6 +10,7 @@ environment variable overrides the enumeration cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -468,6 +469,7 @@ def cmd_attack(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aba",

@@ -42,6 +42,12 @@ N_TOO_SMALL = "N_TOO_SMALL"
 SIMILARITY_FAILS = "SIMILARITY_FAILS"
 
 
+def _param_count(key: str, value) -> int:
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"params field {key} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Party count and per-network-mode corruption bounds."""
@@ -76,8 +82,12 @@ class SystemParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SystemParams":
+        """Reads `to_dict` output. A count is an int, an integral float or an
+        integer string; a boolean or a fractional or non-finite number raises
+        ConfigError rather than being truncated by `int()`."""
         try:
-            return cls(int(d["n"]), int(d["t_s"]), int(d["t_a"]), str(d.get("setup", SETUP_PKI)))
+            n, t_s, t_a = (_param_count(key, d[key]) for key in ("n", "t_s", "t_a"))
+            return cls(n, t_s, t_a, str(d.get("setup", SETUP_PKI)))
         except KeyError as e:
             raise ConfigError(f"params missing field {e}") from e
         except (TypeError, ValueError) as e:
@@ -378,11 +388,20 @@ class SimilarityCertificate:
         return self.sigma[config.encode()]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"params": self.params.to_dict(), "domain": self.domain.to_dict(), "sigma": self.sigma},
+        """The certificate as `json.dumps(..., indent=2, sort_keys=True)`
+        writes it. `indent` makes json fall back to its pure-Python encoder,
+        so sigma, the last key and nearly all of the text, is written by the C
+        encoder with the separators that indentation would put between its
+        entries."""
+        head = json.dumps(
+            {"domain": self.domain.to_dict(), "params": self.params.to_dict()},
             indent=2,
             sort_keys=True,
         )
+        if not self.sigma:
+            return head[: -len("\n}")] + ',\n  "sigma": {}\n}'
+        entries = json.dumps(self.sigma, sort_keys=True, separators=(",\n    ", ": "))
+        return "".join((head[: -len("\n}")], ',\n  "sigma": {\n    ', entries[1:-1], "\n  }\n}"))
 
     @classmethod
     def from_json(cls, text: str) -> "SimilarityCertificate":

@@ -133,6 +133,9 @@ class SignatureOracle:
 
 
 def _jsonable(value):
+    kind = type(value)
+    if kind is str or kind is int or value is None:  # the common leaves, before isinstance
+        return value
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -147,6 +150,47 @@ _ENCODER = json.JSONEncoder(sort_keys=True)  # what json.dumps(x, sort_keys=True
 
 def _payload_detail(payload) -> str:
     return f"v{PAYLOAD_FORMAT}:" + _ENCODER.encode(_jsonable(payload))
+
+
+# The JSONL line `_ENCODER` writes for an engine SEND or DELIVER event, keys in
+# sorted order; `%d` takes only exact ints, since it writes True as 1
+_SEND_LINE = (
+    '{"detail": {"deliver_at": %s, "dst": %d, "dst_replica": %s, "payload": %s}, '
+    '"kind": "SEND", "party": %d, "replica": %d, "t": %d}'
+)
+_DELIVER_LINE = (
+    '{"detail": {"payload": %s, "src": %d, "src_replica": %d}, '
+    '"kind": "DELIVER", "party": %d, "replica": %d, "t": %d}'
+)
+_encode_str = json.encoder.encode_basestring_ascii  # the escaping `_ENCODER` uses
+# JSON of the scalars a SEND's deliver_at and dst_replica take: an int, "held" /
+# "discarded" and None; any other type has no entry
+_SCALAR_JSON = {int: int.__repr__, str: _encode_str, type(None): lambda _value: "null"}
+
+
+def _template_line(t, kind, party, replica, detail) -> Optional[str]:
+    """The JSONL line of a SEND or DELIVER event filled from its kind's
+    template, or None unless the event has exactly the engine's detail keys
+    and every field is an exact int, str or None where the engine puts one."""
+    if not (type(t) is int and type(party) is int and type(replica) is int
+            and type(detail) is dict):
+        return None
+    try:
+        if kind == SEND and len(detail) == 4:
+            dst, payload = detail["dst"], detail["payload"]
+            if type(dst) is int and type(payload) is str:
+                at, dst_replica = detail["deliver_at"], detail["dst_replica"]
+                return _SEND_LINE % (
+                    _SCALAR_JSON[type(at)](at), dst, _SCALAR_JSON[type(dst_replica)](dst_replica),
+                    _encode_str(payload), party, replica, t,
+                )
+        elif kind == DELIVER and len(detail) == 3:
+            payload, src, src_replica = detail["payload"], detail["src"], detail["src_replica"]
+            if type(payload) is str and type(src) is int and type(src_replica) is int:
+                return _DELIVER_LINE % (_encode_str(payload), src, src_replica, party, replica, t)
+    except KeyError:  # a missing key, or a scalar type `_SCALAR_JSON` does not hold
+        pass
+    return None
 
 
 class ExecutionTrace:
@@ -190,13 +234,20 @@ class ExecutionTrace:
         return self._events
 
     def jsonl(self) -> str:
-        lines = [
-            _ENCODER.encode(
-                {"t": t, "kind": kind, "party": party, "replica": replica,
-                 "detail": _jsonable(detail)}
-            )
-            for t, kind, party, replica, detail in self.events
-        ]
+        """One JSON object per event, in `json.dumps(..., sort_keys=True)`
+        form: ASCII escapes, `", "` and `": "` separators. SEND and DELIVER
+        lines are filled from a template (`_template_line`); the bytes are
+        the same either way."""
+        lines = []
+        for event in self.events:
+            line = _template_line(*event)
+            if line is None:
+                t, kind, party, replica, detail = event
+                line = _ENCODER.encode(
+                    {"t": t, "kind": kind, "party": party, "replica": replica,
+                     "detail": _jsonable(detail)}
+                )
+            lines.append(line)
         return "\n".join(lines) + "\n"
 
     def sha256(self) -> str:
@@ -216,9 +267,10 @@ class ExecutionTrace:
         """Events of one node with identities normalized to logical parties
         and scheduler metadata dropped, for comparing replicas against
         canonical runs."""
+        node_party, node_replica = node
         out = []
         for t, kind, party, replica, detail in self.events:
-            if (party, replica) != tuple(node):
+            if party != node_party or replica != node_replica:
                 continue
             if through is not None and t > through:
                 continue
@@ -226,7 +278,8 @@ class ExecutionTrace:
             norm.pop("dst_replica", None)
             norm.pop("src_replica", None)
             norm.pop("deliver_at", None)
-            out.append((t, kind, party, _jsonable(norm)))
+            # once read, SEND and DELIVER details hold only party ids and the payload string
+            out.append((t, kind, party, norm if kind in (SEND, DELIVER) else _jsonable(norm)))
         return out
 
     @staticmethod

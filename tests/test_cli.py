@@ -577,6 +577,37 @@ def test_run_universal_malformed_certificate_exit_two(capsys, tmp_path, certific
     assert err.count("\n") == 1 and err.startswith("configuration error:") and message in err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n", 4.9), ("n", True), ("t_s", True), ("t_a", False), ("t_s", 1.5),
+    ("n", float("inf")), ("t_a", float("nan")),
+])
+@pytest.mark.parametrize("where", ["scenario", "certificate"])
+def test_run_non_integral_params_exit_two(capsys, tmp_path, where, field, value):
+    params = dict(GOLDEN_CERT["params"], **{field: value})
+    if where == "scenario":
+        path = scenario_file(tmp_path, params=params)
+    else:
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(_with(("params",), params)))
+        path = scenario_file(tmp_path, protocol="universal", certificate=str(cert_path),
+                             inputs={"0": "0", "1": "0", "2": "0", "3": "0"})
+    code, out, err = invoke(capsys, "run", path)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("configuration error:")
+    assert f"params field {field} must be an integer" in err
+
+
+def test_run_integral_params_load_as_before(capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(_with(("params",), dict(GOLDEN_CERT["params"], n=4.0))))
+    path = scenario_file(tmp_path, protocol="universal", certificate=str(cert_path),
+                         params={"n": "4", "t_s": 1.0, "t_a": 1, "setup": "PKI"},
+                         inputs={"0": "0", "1": "0", "2": "0", "3": "0"})
+    code, out, _ = invoke(capsys, "run", path)
+    assert code == 0
+    assert set(json.loads(out)["decisions"].values()) == {"0"}
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))

@@ -12,6 +12,7 @@ the same property run through the per-configuration pass.
 """
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -497,3 +498,14 @@ def test_each_configuration_evaluated_at_most_once():
     outcome = compute_similarity_certificate(ValidityProperty("counted", counted), params, domain)
     assert outcome.feasible
     assert len(calls) == len(set(calls)) == len(outcome.certificate.sigma)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(max_size=6), st.text(max_size=3), max_size=6),
+       st.lists(st.sampled_from(["0", "1", "a", "\u00e9"]), min_size=1, unique=True))
+def test_certificate_json_equals_indented_dumps(sigma, labels):
+    cert = SimilarityCertificate(SystemParams(4, 1, 1), Domain(tuple(labels), tuple(labels)),
+                                 sigma)
+    want = json.dumps({"params": cert.params.to_dict(), "domain": cert.domain.to_dict(),
+                       "sigma": sigma}, indent=2, sort_keys=True)
+    assert cert.to_json() == want
