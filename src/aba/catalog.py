@@ -136,14 +136,11 @@ def clique_hull(spec: CliqueHullSpec) -> ValidityProperty:
     return ValidityProperty(name=f"clique:{spec.omega}", evaluate=evaluate, anonymous=True)
 
 
-def table_property(
-    name: str, table: dict[str, list], default: list, canonicalize: bool = True
-) -> ValidityProperty:
+def table_property(name: str, table: dict[str, list], default: list) -> ValidityProperty:
     """Property defined by an explicit {encoded-config: values} table with a
-    default for unlisted configurations."""
-
-    if canonicalize:
-        table = {InputConfiguration.decode(k).encode(): list(v) for k, v in table.items()}
+    default for unlisted configurations. Keys are canonical encodings, as
+    `InputConfiguration.encode` writes them; `load_table_property` reads and
+    checks them from a file."""
     default_vals = frozenset(default)
 
     def evaluate(params: SystemParams, domain: Domain, config: InputConfiguration) -> frozenset:
@@ -200,7 +197,7 @@ def load_table_property(path: str, params: SystemParams) -> tuple[ValidityProper
             raise ConfigError(f"table key {key!r} names a configuration another key names")
         canonical[config.encode()] = _labels(values, f"table entry {key!r}")
     default = _labels(data["default"], "default")
-    return table_property(name, canonical, default, canonicalize=False), domain
+    return table_property(name, canonical, default), domain
 
 
 def _name_int(text: str, name: str) -> int:

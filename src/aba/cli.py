@@ -25,6 +25,7 @@ from .core import (
     compute_similarity_certificate,
     is_similar_to,
     is_solvable,
+    read_integer,
 )
 from .errors import BudgetExceededError, ConfigError, ProtocolError
 from .protocols import (
@@ -146,7 +147,7 @@ def _mapping(value, where: str) -> dict:
 
 def _integer(value, where: str) -> int:
     try:
-        return int(value)
+        return read_integer(value, where)
     except (TypeError, ValueError):
         raise ConfigError(f"{where} must be an integer, got {value!r}") from None
 

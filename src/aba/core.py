@@ -3,7 +3,8 @@
 Parties are integers 0..n-1. An input configuration assigns one input value to
 each member of a party subset of size >= n - t_s; it stands for "these parties
 are honest and hold these inputs". Everything here enumerates explicit finite
-domains, guarded by a budget. One recurrence, `_similar_intersection`, gives
+domains, guarded by a budget that caps how many configurations (or orbits)
+one call enumerates. One recurrence, `_similar_intersection`, gives
 the intersection of the property over the configurations similar to a key,
 evaluating the property at most once per key. Its keys are orbits, (size,
 multiset of values) pairs, for an anonymous property, whose value depends on
@@ -14,7 +15,8 @@ per configuration in canonical order, from which certificates are built.
 with them: for an anonymous property it passes I when sigma(I) lies in the AND
 of V over the orbits of similar(I), enumerated directly once per orbit, and a
 pair scan over every (I, J), on integer configuration codes, decides the
-configurations of table properties and every I that fails that lookup.
+configurations of table properties and every I that fails that lookup; it
+plans a party set's pairs only once one of its configurations reaches it.
 `similar()` and `neighbors()` keep the definitional, one-object-per-
 configuration form of the relations, which the tests check both against.
 """
@@ -27,7 +29,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import BudgetExceededError, ConfigError
@@ -42,9 +44,13 @@ N_TOO_SMALL = "N_TOO_SMALL"
 SIMILARITY_FAILS = "SIMILARITY_FAILS"
 
 
-def _param_count(key: str, value) -> int:
+def read_integer(value, where: str) -> int:
+    """A count read from a file: an int, an integral float or an integer
+    string. A boolean or a fractional or non-finite number raises
+    ConfigError naming `where`; any other value raises int()'s TypeError or
+    ValueError, which callers word in their own terms."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"params field {key} must be an integer, got {value!r}")
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -82,11 +88,11 @@ class SystemParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SystemParams":
-        """Reads `to_dict` output. A count is an int, an integral float or an
-        integer string; a boolean or a fractional or non-finite number raises
-        ConfigError rather than being truncated by `int()`."""
+        """Reads `to_dict` output. Each count goes through `read_integer`,
+        and anything it rejects raises ConfigError."""
         try:
-            n, t_s, t_a = (_param_count(key, d[key]) for key in ("n", "t_s", "t_a"))
+            n, t_s, t_a = (read_integer(d[key], f"params field {key}")
+                           for key in ("n", "t_s", "t_a"))
             return cls(n, t_s, t_a, str(d.get("setup", SETUP_PKI)))
         except KeyError as e:
             raise ConfigError(f"params missing field {e}") from e
@@ -214,23 +220,15 @@ class ValidityProperty:
 
 @dataclass
 class Budget:
-    """Hard caps on enumeration work; exceeded caps raise, never truncate."""
+    """A hard cap on the configurations (or orbits) a checker enumerates; a
+    count over the cap raises before any work, never truncates."""
 
     max_configs: int = 5_000_000
-    max_pair_checks: int = 1_000_000_000
-    pair_checks_used: int = field(default=0, repr=False)
 
     def check_configs(self, count: int, unit: str = "configurations") -> None:
         if count > self.max_configs:
             raise BudgetExceededError(
                 f"{count} {unit} exceed the enumeration cap {self.max_configs}"
-            )
-
-    def charge_pairs(self, amount: int = 1) -> None:
-        self.pair_checks_used += amount
-        if self.pair_checks_used > self.max_pair_checks:
-            raise BudgetExceededError(
-                f"pairwise checks exceeded the cap {self.max_pair_checks}"
             )
 
 
@@ -286,36 +284,23 @@ def _compatible_configs(
 
 
 def neighbors(
-    config: InputConfiguration,
-    params: SystemParams,
-    domain: Domain,
-    budget: Optional[Budget] = None,
+    config: InputConfiguration, params: SystemParams, domain: Domain
 ) -> list[InputConfiguration]:
     """Configurations agreeing with `config` on every commonly present party."""
-    budget = budget or Budget()
-    out = []
-    for other in _compatible_configs(config, params, domain, params.min_config_size):
-        budget.charge_pairs()
-        out.append(other)
-    return out
+    return list(_compatible_configs(config, params, domain, params.min_config_size))
 
 
 def similar(
-    config: InputConfiguration,
-    params: SystemParams,
-    domain: Domain,
-    budget: Optional[Budget] = None,
+    config: InputConfiguration, params: SystemParams, domain: Domain
 ) -> list[InputConfiguration]:
     """Neighbors that are sub-configurations (corruption ambiguity) or have
     size >= n - t_a (asynchrony ambiguity)."""
-    budget = budget or Budget()
     floor_async = params.n - params.t_a
-    out = []
-    for other in _compatible_configs(config, params, domain, params.min_config_size):
-        budget.charge_pairs()
-        if len(other) >= floor_async or other.is_subset_of(config):
-            out.append(other)
-    return out
+    return [
+        other
+        for other in _compatible_configs(config, params, domain, params.min_config_size)
+        if len(other) >= floor_async or other.is_subset_of(config)
+    ]
 
 
 def is_similar_to(
@@ -439,7 +424,7 @@ class SimilarityCertificate:
         """Independent soundness re-check: sigma(I) in V(J) for every I in
         canonical order and every J in similar(I). It shares nothing with
         `similarity_pass`. Returns (ok, first failure description); the
-        budget is charged len(similar(I)) pairs per I, before I is checked.
+        budget caps the configuration count.
 
         For an anonymous property, I passes with one lookup when sigma(I)
         lies in the AND of V over the orbits of similar(I), computed once
@@ -450,12 +435,14 @@ class SimilarityCertificate:
 
         The pair scan works on integer codes in which party p holds the bit
         field d << (width * p): d = 0 for absent, d = i + 1 for input value
-        i. For each party set P the similar party sets S are listed once:
-        every S of size >= n - t_a and every S within P of size >= n - t_s,
-        each with the bit mask of the parties it keeps and the codes of its
-        parties outside P in `itertools.product` order. A pair then costs
-        one add, one memo lookup and one AND; an `InputConfiguration` is
-        built only to evaluate V or to describe a failure."""
+        i. For a party set P the similar party sets S are listed once, when
+        the first I on P goes to the pair scan: every S of size >= n - t_a
+        and every S within P of size >= n - t_s, each with the bit mask of
+        the parties it keeps and the codes of its parties outside P in
+        `itertools.product` order; a party set whose every I passes its
+        orbit lookup is never planned. A pair then costs one add, one memo
+        lookup and one AND; an `InputConfiguration` is built only to
+        evaluate V or to describe a failure."""
         params, domain = self.params, self.domain
         budget = budget or Budget()
         budget.check_configs(count_input_configs(params, domain))
@@ -488,9 +475,11 @@ class SimilarityCertificate:
                 tuple((p, values[(code >> width * p & field_mask) - 1]) for p in parties)
             )
 
-        for own in party_sets:
-            plan = []  # (S, keep mask of S, codes of S's parties outside P)
+        def plan_of(own: tuple) -> list:
+            """(S, keep mask of S, codes of S's parties outside own) for every
+            party set S similar to own, in `similar()` order."""
             inside = set(own)
+            plan = []
             for parties in party_sets:
                 if len(parties) < n - params.t_a and not inside.issuperset(parties):
                     continue
@@ -502,7 +491,10 @@ class SimilarityCertificate:
                         for ds in itertools.product(digits, repeat=len(free))
                     ]
                 plan.append((parties, keep[parties], codes))
-            pairs = sum(len(codes) for _, _, codes in plan)
+            return plan
+
+        for own in party_sets:
+            plan = None  # built when the first row on `own` fails the orbit lookup
             template = InputConfiguration.template(own)
             for assignment, ds, orbit in rows[len(own)]:
                 encoded = template.format(*assignment)
@@ -510,9 +502,9 @@ class SimilarityCertificate:
                     return False, f"missing sigma entry for {encoded}"
                 chosen = self.sigma[encoded]
                 bit = 1 << outputs.index(chosen) if chosen in outputs else 0
-                budget.charge_pairs(pairs)
                 if orbit_mask(orbit) & bit:
                     continue
+                plan = plan or plan_of(own)
                 code = sum(d << width * p for d, p in zip(ds, own))
                 for parties, kept_mask, codes in plan:
                     kept = code & kept_mask

@@ -10,7 +10,7 @@ class ConfigError(AbaError):
 
 
 class BudgetExceededError(AbaError):
-    """An enumeration or pairwise check exceeded the configured budget."""
+    """An enumeration would exceed the configured budget's cap."""
 
 
 class DomainMismatchError(ConfigError):

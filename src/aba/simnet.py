@@ -312,6 +312,9 @@ class Equivocate:
 
 @dataclass(frozen=True)
 class SilentTo:
+    """Follow the protocol, optionally from input `value`, but send nothing
+    to `parties`."""
+
     parties: frozenset
     value: Any = None
 
@@ -517,14 +520,13 @@ class NodeCtx:
 
 
 class _NodeState:
-    __slots__ = ("node", "machines", "ctx", "behavior", "crashed_at", "decided")
+    __slots__ = ("node", "machines", "ctx", "crashed_at", "decided")
 
-    def __init__(self, node, machines, ctx, behavior):
+    def __init__(self, node, machines, ctx, crashed_at):
         self.node = node
-        self.machines = machines  # list of (sub_id, machine, input)
+        self.machines = machines  # list of (sub_id, machine, input, allowed destinations)
         self.ctx = ctx
-        self.behavior = behavior
-        self.crashed_at = behavior.time if isinstance(behavior, CrashAt) else None
+        self.crashed_at = crashed_at
         self.decided = None
 
 
@@ -573,11 +575,14 @@ class Simulation:
                 ("b", machine_factory(node.party_id), behavior.value_b, complement),
             ]
         else:
-            value = node.input
+            value, allowed = node.input, None
             if isinstance(behavior, (FollowWithInput, SilentTo)):
                 value = behavior.value if behavior.value is not None else value
-            machines = [(None, machine_factory(node.party_id), value, None)]
-        self._nodes[node.key] = _NodeState(node, machines, ctx, behavior)
+            if isinstance(behavior, SilentTo):
+                allowed = frozenset(range(self.params.n)) - behavior.parties
+            machines = [(None, machine_factory(node.party_id), value, allowed)]
+        crashed_at = behavior.time if isinstance(behavior, CrashAt) else None
+        self._nodes[node.key] = _NodeState(node, machines, ctx, crashed_at)
 
     def _push(self, time: int, kind: str, data):
         heapq.heappush(self._heap, (time, self._seq, kind, data))
@@ -625,9 +630,9 @@ class Simulation:
         if not self._alive(state, now):
             return
         state.ctx.now = now
-        for sub_id, machine, value, split in state.machines:
+        for sub_id, machine, value, allowed in state.machines:
             actions = machine.on_start(state.ctx, value)
-            self._apply(state, now, sub_id, split, actions)
+            self._apply(state, now, sub_id, allowed, actions)
 
     def _dispatch_deliver(self, now: int, env: Envelope):
         self.trace.append_payload(
@@ -640,9 +645,9 @@ class Simulation:
         if state is None or not self._alive(state, now):
             return
         state.ctx.now = now
-        for sub_id, machine, _value, split in state.machines:
+        for sub_id, machine, _value, allowed in state.machines:
             actions = machine.on_message(state.ctx, env.src[0], env.payload)
-            self._apply(state, now, sub_id, split, actions)
+            self._apply(state, now, sub_id, allowed, actions)
 
     def _dispatch_timer(self, now: int, data):
         key, sub_id, tag = data
@@ -651,21 +656,21 @@ class Simulation:
             return
         self.trace.append(now, TIMER, key, {"tag": repr(tag)})
         state.ctx.now = now
-        for machine_sub, machine, _value, split in state.machines:
+        for machine_sub, machine, _value, allowed in state.machines:
             if machine_sub == sub_id:
                 actions = machine.on_timer(state.ctx, tag)
-                self._apply(state, now, machine_sub, split, actions)
+                self._apply(state, now, machine_sub, allowed, actions)
 
     # -- actions
 
-    def _apply(self, state: _NodeState, now: int, sub_id, split, actions):
+    def _apply(self, state: _NodeState, now: int, sub_id, allowed, actions):
         node = state.node
         for action in actions:
             if isinstance(action, Broadcast):
                 for party in range(self.params.n):
-                    self._send(state, now, split, party, action.payload)
+                    self._send(state, now, allowed, party, action.payload)
             elif isinstance(action, Send):
-                self._send(state, now, split, action.dst, action.payload)
+                self._send(state, now, allowed, action.dst, action.payload)
             elif isinstance(action, Decide):
                 if node.corrupted:
                     continue
@@ -684,12 +689,9 @@ class Simulation:
             else:
                 raise ProtocolError(f"unknown action {action!r}")
 
-    def _send(self, state: _NodeState, now: int, split, dst_party: int, payload):
+    def _send(self, state: _NodeState, now: int, allowed, dst_party: int, payload):
         node = state.node
-        behavior = state.behavior
-        if isinstance(behavior, SilentTo) and dst_party in behavior.parties:
-            return
-        if split is not None and dst_party not in split:
+        if allowed is not None and dst_party not in allowed:
             return
         route = node.route or {}
         target = route.get(dst_party, (dst_party, 0))

@@ -347,6 +347,11 @@ def test_run_missing_file_exit_two(capsys):
      "SILENT_TO parties must be a list of party ids"),
     ({"params": {"n": "four", "t_s": 1, "t_a": 1}}, "params fields must be integers"),
     ({"validity": "clique:x"}, "expected an integer in 'clique:x'"),
+    ({"network": {"delta": 10.9}}, "network delta must be an integer, got 10.9"),
+    ({"network": {"delta": float("inf")}}, "network delta must be an integer, got inf"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"adversary": {"corrupted": {"3": {"behavior": "CRASH_AT", "time": 2.5}}}},
+     "CRASH_AT time must be an integer, got 2.5"),
 ])
 def test_run_malformed_scenario_exit_two(capsys, tmp_path, overrides, message):
     code, out, err = invoke(capsys, "run", scenario_file(tmp_path, **overrides))

@@ -1,0 +1,31 @@
+"""The benchmark harness runs on the current package.
+
+`perfbench/tracer.py` wraps functions of `aba` by name, so renaming one of
+them breaks traced runs. A short check-grid run in each mode catches that
+before a full benchmark run does. At seed 1 the digest of the first pass
+must equal the one in `perfbench/golden.json`.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_check_grid_benchmark_is_correct(trace):
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "check-grid",
+         "--seed", "1", "--seconds", "0.5", "--trace", trace],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.strip().splitlines()
+    report = json.loads(lines[0])["report"]
+    assert report["golden_digest"] is not None
+    assert report["digest"] == report["golden_digest"]
+    assert json.loads(lines[-1])["correct"] is True, lines[-1]

@@ -23,8 +23,8 @@ import pytest
 from aba.cli import Scenario, main
 from aba.core import InputConfiguration, SystemParams
 from aba.protocols import AcsProtocol, core_wait_time
-from aba.simnet import (ASYNCHRONOUS, SEND, AdversaryScript, DeliveryPolicy, NetworkConfig,
-                        run)
+from aba.simnet import (ASYNCHRONOUS, DECIDE, DELIVER, SEND, AdversaryScript, DeliveryPolicy,
+                        NetworkConfig, run)
 
 from test_acceptance import _random_scenario
 
@@ -210,6 +210,8 @@ RUN_REPORT_SHA256 = {
 # delays, no core is certified, main decides 0 and the voting fallback then
 # sends the 0-votes. Under `SlowToPartyThree`, party 3 decides every instance
 # 1 before main, and its fallback activation itself votes 0 on instance 0.
+# Under `SlowCoresigToPartyThree`, party 3 adopts the certified core from
+# another party's certificate share.
 ACS_PATH_SCENARIOS = {
     "tcore-timer-zero-votes": ("NONE", {"kind": "uniform"}),
     "pki-fallback-zero-votes": ("PKI", {"kind": "random", "max_delay": 20}),
@@ -222,6 +224,8 @@ ACS_PATH_TRACE_SHA256 = {
         "ce0930b89b5d9953ddaf0466e66a242300781ac76ab202e6097940af44645119",
     "pki-activation-zero-votes":
         "bd83ae05ad64b4a47ec94db459df86ef9d1c323f4a63c62c0613ee09a6d7fcfc",
+    "pki-certshare-adoption":
+        "7ee6c2c428453a73344305d019f123fa4238e2daf001fd968c07227aa07020f3",
 }
 
 
@@ -240,6 +244,23 @@ class SlowToPartyThree(DeliveryPolicy):
         return env.sent_at + 1
 
 
+class SlowCoresigToPartyThree(DeliveryPolicy):
+    """One unit per message, except that core signatures to party 3 take
+    400: parties 0-2 certify the core and share the certificate, and party 3
+    adopts it from a share before any signature reaches it."""
+
+    def schedule(self, env, rng):
+        if env.payload[0] == "coresig" and env.dst[0] == 3:
+            return env.sent_at + 400
+        return env.sent_at + 1
+
+
+ACS_PATH_POLICIES = {
+    "pki-activation-zero-votes": SlowToPartyThree,
+    "pki-certshare-adoption": SlowCoresigToPartyThree,
+}
+
+
 def scenario_trace_hash(name: str) -> str:
     scenario = Scenario.load(str(SCENARIOS / name))
     result = run(scenario.machine_factory(), scenario.params, scenario.net,
@@ -248,12 +269,12 @@ def scenario_trace_hash(name: str) -> str:
 
 
 def acs_path_run(name: str):
-    if name == "pki-activation-zero-votes":
+    if name in ACS_PATH_POLICIES:
         params = SystemParams(4, 1, 1, "PKI")
         inputs = InputConfiguration.of([(0, "0"), (1, "1"), (2, "0"), (3, "1")])
         return run(lambda p: AcsProtocol(params, 10), params,
                    NetworkConfig(ASYNCHRONOUS, 10, 30000),
-                   AdversaryScript(delivery=SlowToPartyThree()), inputs, 1)
+                   AdversaryScript(delivery=ACS_PATH_POLICIES[name]()), inputs, 1)
     setup, delivery = ACS_PATH_SCENARIOS[name]
     scenario = Scenario({
         "params": {"n": 4, "t_s": 1, "t_a": 1, "setup": setup},
@@ -274,6 +295,13 @@ def zero_vote_sends(trace, instance: int) -> set:
     vote = f'v1:[["aba", {instance}], ["VOTE", 1, 0]]'
     return {(t, party) for t, _, party, _, detail in trace.of_kind(SEND)
             if detail["payload"] == vote}
+
+
+def first_delivery(trace, party: int, tag: str) -> int:
+    """Time of the first message tagged `tag` delivered to `party`."""
+    prefix = f'v1:["{tag}"'
+    return min(t for t, _, dst, _, detail in trace.of_kind(DELIVER)
+               if dst == party and detail["payload"].startswith(prefix))
 
 
 def accept8_digest() -> str:
@@ -364,6 +392,11 @@ def test_acs_zero_vote_paths_are_golden(name):
         assert min(zero_vote_sends(trace, 3))[0] == core_wait_time(10)
     elif name == "pki-fallback-zero-votes":
         assert zero_vote_sends(trace, 3)
-    else:
+    elif name == "pki-activation-zero-votes":
         assert {party for _, party in zero_vote_sends(trace, 0)} == {3}
+    else:
+        # party 3 decides holding no core signature: it adopted a shared certificate
+        decided = next(t for t, _, party, _, _ in trace.of_kind(DECIDE) if party == 3)
+        assert first_delivery(trace, 3, "certshare") <= decided
+        assert decided < first_delivery(trace, 3, "coresig")
     assert trace.sha256() == ACS_PATH_TRACE_SHA256[name]
