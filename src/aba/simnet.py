@@ -8,14 +8,21 @@ Machines have no private randomness, so replicated node instances fed
 identical message sequences evolve identically.
 
 Payloads are passed by reference: every destination of a send receives the
-sender's object, and the trace keeps that object until it is first read.
-Machines therefore never mutate a payload after sending or receiving it.
+sender's object. The trace stores each SEND and DELIVER as one flat record
+holding that object; their detail dicts and payload text are built on the
+first read of `ExecutionTrace.events`. Machines therefore never mutate a
+payload after sending or receiving it.
+
+An exception raised by a corrupted node's machine crashes that node only: the
+trace gets one CRASH event naming the exception type, and the node takes no
+further events. An honest machine's exception propagates out of the run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
@@ -68,7 +75,7 @@ class NodeInstance:
         return (self.party_id, self.replica_tag)
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     src: NodeKey
     dst: NodeKey
@@ -196,42 +203,49 @@ def _template_line(t, kind, party, replica, detail) -> Optional[str]:
 class ExecutionTrace:
     """Append-only event log; JSONL serialization and SHA-256 hashing.
 
-    SEND and DELIVER events store the message payload object itself. The
-    first read of `events` (and so of `jsonl()`, `sha256()` and
-    `node_transcript()`) replaces each such payload by its `v1:` JSON string,
-    serializing every distinct payload object once, however many SEND and
-    DELIVER events share it. This relies on the simulator's contract that a
-    payload is never mutated after it is sent (see `Machine`): the string is
-    the one an eager serialization at send time would have produced.
+    Events read as `(t, kind, party, replica, detail)` tuples. The engine
+    stores each SEND and DELIVER as a flat record instead,
+    `(t, kind, party, replica, peer, peer_replica, payload, deliver_at)`: the
+    peer is a SEND's destination and a DELIVER's source, and a DELIVER's
+    deliver_at is None. The first read of `events` (and so of `jsonl()`,
+    `sha256()` and `node_transcript()`) turns each flat record into the
+    five-field tuple, building its detail dict with the payload's `v1:` JSON
+    string and serializing every distinct payload object once, however many
+    records share it. This relies on the simulator's contract that a payload
+    is never mutated after it is sent (see `Machine`): the string is the one
+    an eager serialization at send time would have produced.
     """
 
     def __init__(self):
-        self._events: list[tuple] = []  # (t, kind, party, replica, detail)
-        self._pending: list[dict] = []  # details whose "payload" is still an object
+        self._events: list[tuple] = []
+        self._built = 0  # every event before this index is a five-field tuple
 
     def append(self, t: int, kind: str, node: NodeKey, detail: dict):
         self._events.append((t, kind, node[0], node[1], detail))
 
-    def append_payload(self, t: int, kind: str, node: NodeKey, detail: dict):
-        """Appends an event whose `detail["payload"]` is an unserialized
-        payload object."""
-        self.append(t, kind, node, detail)
-        self._pending.append(detail)
-
     @property
     def events(self) -> list[tuple]:
-        if self._pending:
-            # keyed by id(): every pending payload was alive when this read began,
-            # so no two of them share an id
+        events = self._events
+        if self._built < len(events):
+            # keyed by id(): every payload of a flat record is alive while this
+            # read runs, so no two of them share an id
             texts: dict[int, str] = {}
-            for detail in self._pending:
-                payload = detail["payload"]
+            for i in range(self._built, len(events)):
+                event = events[i]
+                if len(event) != 8:
+                    continue
+                t, kind, party, replica, peer, peer_replica, payload, deliver_at = event
                 text = texts.get(id(payload))
                 if text is None:
                     text = texts[id(payload)] = _payload_detail(payload)
-                detail["payload"] = text
-            self._pending = []
-        return self._events
+                if kind == SEND:
+                    detail = {"dst": peer, "dst_replica": peer_replica, "payload": text,
+                              "deliver_at": deliver_at}
+                else:
+                    detail = {"src": peer, "src_replica": peer_replica, "payload": text}
+                events[i] = (t, kind, party, replica, detail)
+            self._built = len(events)
+        return events
 
     def jsonl(self) -> str:
         """One JSON object per event, in `json.dumps(..., sort_keys=True)`
@@ -259,7 +273,7 @@ class ExecutionTrace:
         return hashlib.sha256(text.encode()).hexdigest()
 
     def of_kind(self, kind: str) -> list[tuple]:
-        # only SEND and DELIVER carry payloads; other kinds need no serialization
+        # only SEND and DELIVER are flat records; other kinds are read as stored
         events = self.events if kind in (SEND, DELIVER) else self._events
         return [e for e in events if e[1] == kind]
 
@@ -493,7 +507,7 @@ class NodeCtx:
 
     def __init__(self, sim: "Simulation", node: NodeInstance):
         self._sim = sim
-        self._node = node
+        self._key = node.key
         self.party_id = node.party_id
         self.n = sim.params.n
         self.delta = sim.net.delta
@@ -501,12 +515,12 @@ class NodeCtx:
 
     def coin(self, key: Any) -> int:
         value = self._sim.tape.coin(key)
-        self._sim.trace.append(self.now, COIN, self._node.key, {"key": repr(key), "value": value})
+        self._sim.trace.append(self.now, COIN, self._key, {"key": repr(key), "value": value})
         return value
 
     def sign(self, payload: Any) -> tuple:
         token = self._sim.signatures.sign(self.party_id, payload)
-        self._sim.trace.append(self.now, SIGN, self._node.key, {"payload": repr(payload)})
+        self._sim.trace.append(self.now, SIGN, self._key, {"payload": repr(payload)})
         return token
 
     def verify(self, party_id: int, payload: Any, token: Any = None) -> bool:
@@ -520,10 +534,12 @@ class NodeCtx:
 
 
 class _NodeState:
-    __slots__ = ("node", "machines", "ctx", "crashed_at", "decided")
+    __slots__ = ("node", "key", "route", "machines", "ctx", "crashed_at", "decided")
 
     def __init__(self, node, machines, ctx, crashed_at):
         self.node = node
+        self.key = node.key
+        self.route = node.route or {}
         self.machines = machines  # list of (sub_id, machine, input, allowed destinations)
         self.ctx = ctx
         self.crashed_at = crashed_at
@@ -552,7 +568,10 @@ class Simulation:
         self._sched_rng = self.tape.scheduler_stream()
         self._nodes: dict[NodeKey, _NodeState] = {}
         self._heap: list = []
-        self._seq = 0
+        self._seq = itertools.count()  # insertion order, the heap's tie-break
+        self._parties = range(params.n)
+        self._max_delay = net.delta if net.mode == SYNCHRONOUS else None
+        self._record = self.trace._events.append  # SEND and DELIVER flat records
 
     # -- construction
 
@@ -585,8 +604,7 @@ class Simulation:
         self._nodes[node.key] = _NodeState(node, machines, ctx, crashed_at)
 
     def _push(self, time: int, kind: str, data):
-        heapq.heappush(self._heap, (time, self._seq, kind, data))
-        self._seq += 1
+        heapq.heappush(self._heap, (time, next(self._seq), kind, data))
 
     # -- run loop
 
@@ -597,23 +615,24 @@ class Simulation:
                 self.trace.append(state.crashed_at, CRASH, key, {"at": state.crashed_at})
             self._push(0, "START", key)
         horizon = self.net.horizon
+        heap = self._heap
         while True:
-            if not self._heap:
+            if not heap:
                 held = self.policy.flush()
                 if not held:
                     break
                 for env in held:
                     self._push(horizon, "DELIVER", env)
                 continue
-            time, _, kind, data = heapq.heappop(self._heap)
+            time, _, kind, data = heapq.heappop(heap)
             if time > horizon:
                 break
-            if kind == "START":
-                self._dispatch_start(time, data)
-            elif kind == "DELIVER":
+            if kind == "DELIVER":
                 self._dispatch_deliver(time, data)
             elif kind == "TIMER":
                 self._dispatch_timer(time, data)
+            elif kind == "START":
+                self._dispatch_start(time, data)
         return self.outcomes()
 
     def outcomes(self) -> dict[NodeKey, Any]:
@@ -621,9 +640,16 @@ class Simulation:
         return {key: state.decided for key, state in self._nodes.items()}
 
     # -- dispatch
+    #
+    # A corrupted node whose machine raises is crashed by `_contain`; an honest
+    # machine's exception is a bug, so the bare `raise` lets it abort the run.
 
     def _alive(self, state: _NodeState, now: int) -> bool:
         return state.crashed_at is None or now < state.crashed_at
+
+    def _contain(self, state: _NodeState, now: int, exc: Exception):
+        self.trace.append(now, CRASH, state.key, {"at": now, "error": type(exc).__name__})
+        state.crashed_at = now
 
     def _dispatch_start(self, now: int, key: NodeKey):
         state = self._nodes[key]
@@ -631,23 +657,33 @@ class Simulation:
             return
         state.ctx.now = now
         for sub_id, machine, value, allowed in state.machines:
-            actions = machine.on_start(state.ctx, value)
+            try:
+                actions = machine.on_start(state.ctx, value)
+            except Exception as exc:
+                if not state.node.corrupted:
+                    raise
+                self._contain(state, now, exc)
+                return
             self._apply(state, now, sub_id, allowed, actions)
 
     def _dispatch_deliver(self, now: int, env: Envelope):
-        self.trace.append_payload(
-            now,
-            DELIVER,
-            env.dst,
-            {"src": env.src[0], "src_replica": env.src[1], "payload": env.payload},
-        )
-        state = self._nodes.get(tuple(env.dst))
+        src, dst, payload = env.src, env.dst, env.payload
+        self._record((now, DELIVER, dst[0], dst[1], src[0], src[1], payload, None))
+        state = self._nodes.get(tuple(dst))
         if state is None or not self._alive(state, now):
             return
-        state.ctx.now = now
+        ctx = state.ctx
+        ctx.now = now
         for sub_id, machine, _value, allowed in state.machines:
-            actions = machine.on_message(state.ctx, env.src[0], env.payload)
-            self._apply(state, now, sub_id, allowed, actions)
+            try:
+                actions = machine.on_message(ctx, src[0], payload)
+            except Exception as exc:
+                if not state.node.corrupted:
+                    raise
+                self._contain(state, now, exc)
+                return
+            if actions:
+                self._apply(state, now, sub_id, allowed, actions)
 
     def _dispatch_timer(self, now: int, data):
         key, sub_id, tag = data
@@ -658,7 +694,13 @@ class Simulation:
         state.ctx.now = now
         for machine_sub, machine, _value, allowed in state.machines:
             if machine_sub == sub_id:
-                actions = machine.on_timer(state.ctx, tag)
+                try:
+                    actions = machine.on_timer(state.ctx, tag)
+                except Exception as exc:
+                    if not state.node.corrupted:
+                        raise
+                    self._contain(state, now, exc)
+                    return
                 self._apply(state, now, machine_sub, allowed, actions)
 
     # -- actions
@@ -667,66 +709,63 @@ class Simulation:
         node = state.node
         for action in actions:
             if isinstance(action, Broadcast):
-                for party in range(self.params.n):
-                    self._send(state, now, allowed, party, action.payload)
+                self._send(state, now, allowed, self._parties, action.payload)
             elif isinstance(action, Send):
-                self._send(state, now, allowed, action.dst, action.payload)
+                self._send(state, now, allowed, (action.dst,), action.payload)
             elif isinstance(action, Decide):
                 if node.corrupted:
                     continue
                 if action.value is None:
-                    raise ProtocolError(f"node {node.key} decided None")
+                    raise ProtocolError(f"node {state.key} decided None")
                 if state.decided is not None:
-                    raise ProtocolError(f"node {node.key} decided twice")
+                    raise ProtocolError(f"node {state.key} decided twice")
                 state.decided = action.value
-                self.trace.append(now, DECIDE, node.key, {"value": action.value})
+                self.trace.append(now, DECIDE, state.key, {"value": action.value})
                 for env, at in self.policy.on_decide(node.party_id, now):
                     self._push(at, "DELIVER", env)
             elif isinstance(action, SetTimer):
                 if action.delay < 1:
                     raise ProtocolError("timer delay must be >= 1")
-                self._push(now + action.delay, "TIMER", (node.key, sub_id, action.tag))
+                self._push(now + action.delay, "TIMER", (state.key, sub_id, action.tag))
             else:
                 raise ProtocolError(f"unknown action {action!r}")
 
-    def _send(self, state: _NodeState, now: int, allowed, dst_party: int, payload):
-        node = state.node
-        if allowed is not None and dst_party not in allowed:
-            return
-        route = node.route or {}
-        target = route.get(dst_party, (dst_party, 0))
-        if target is None:
-            # discarded in transit: the sender still observes its own send
-            self.trace.append_payload(
-                now,
-                SEND,
-                node.key,
-                {"dst": dst_party, "dst_replica": None,
-                 "payload": payload, "deliver_at": "discarded"},
-            )
-            return
-        targets = target if isinstance(target, list) else [target]
-        for dst_key in targets:
-            dst_key = tuple(dst_key)
-            if dst_key not in self._nodes:
+    def _send(self, state: _NodeState, now: int, allowed, dst_parties, payload):
+        """Sends `payload` to each of `dst_parties` that `allowed` admits, along
+        the node's route, recording one SEND per concrete destination."""
+        key = state.key
+        party, replica = key
+        route = state.route
+        nodes = self._nodes
+        schedule = self.policy.schedule
+        rng = self._sched_rng
+        heap = self._heap
+        seq = self._seq
+        record = self._record
+        max_delay = self._max_delay
+        for dst_party in dst_parties:
+            if allowed is not None and dst_party not in allowed:
                 continue
-            env = Envelope(src=node.key, dst=dst_key, payload=payload, sent_at=now)
-            deliver_at = self.policy.schedule(env, self._sched_rng)
-            detail = {
-                "dst": dst_key[0],
-                "dst_replica": dst_key[1],
-                "payload": payload,
-            }
-            if deliver_at is not None:
-                if deliver_at <= now:
-                    raise ProtocolError("delivery must be strictly after send")
-                if self.net.mode == SYNCHRONOUS and deliver_at - now > self.net.delta:
-                    raise ProtocolError("synchronous delivery exceeded delta")
-                detail["deliver_at"] = deliver_at
-                self._push(deliver_at, "DELIVER", env)
-            else:
-                detail["deliver_at"] = "held"
-            self.trace.append_payload(now, SEND, node.key, detail)
+            target = route.get(dst_party, (dst_party, 0))
+            if target is None:
+                # discarded in transit: the sender still observes its own send
+                record((now, SEND, party, replica, dst_party, None, payload, "discarded"))
+                continue
+            for dst_key in target if isinstance(target, list) else (target,):
+                dst_key = tuple(dst_key)
+                if dst_key not in nodes:
+                    continue
+                env = Envelope(key, dst_key, payload, now)
+                deliver_at = schedule(env, rng)
+                if deliver_at is None:
+                    deliver_at = "held"
+                else:
+                    if deliver_at <= now:
+                        raise ProtocolError("delivery must be strictly after send")
+                    if max_delay is not None and deliver_at - now > max_delay:
+                        raise ProtocolError("synchronous delivery exceeded delta")
+                    heapq.heappush(heap, (deliver_at, next(seq), "DELIVER", env))
+                record((now, SEND, party, replica, dst_key[0], dst_key[1], payload, deliver_at))
 
 
 # ---------------------------------------------------------------- run helper

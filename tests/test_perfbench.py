@@ -2,8 +2,11 @@
 
 `perfbench/tracer.py` wraps functions of `aba` by name, so renaming one of
 them breaks traced runs. A short check-grid run in each mode catches that
-before a full benchmark run does. At seed 1 the digest of the first pass
-must equal the one in `perfbench/golden.json`.
+before a full benchmark run does. Short untraced runs of the two simulator
+workloads pin the trace hashes of the engine's per-message path: fuzz-universal
+digests the traces of the first seeds at each grid point, and run-attack every
+report and trace hash it checks. At seed 1 the digest of the first pass must
+equal the one in `perfbench/golden.json`.
 """
 
 import json
@@ -16,10 +19,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("trace", ["0", "1"])
-def test_check_grid_benchmark_is_correct(trace):
+def run_benchmark(workload, trace):
+    """A half-second benchmark run at seed 1, checked against the golden digest."""
     out = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "check-grid",
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "0.5", "--trace", trace],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
@@ -29,3 +32,13 @@ def test_check_grid_benchmark_is_correct(trace):
     assert report["golden_digest"] is not None
     assert report["digest"] == report["golden_digest"]
     assert json.loads(lines[-1])["correct"] is True, lines[-1]
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_check_grid_benchmark_is_correct(trace):
+    run_benchmark("check-grid", trace)
+
+
+@pytest.mark.parametrize("workload", ["fuzz-universal", "run-attack"])
+def test_simulator_benchmark_is_correct(workload):
+    run_benchmark(workload, "0")
