@@ -9,13 +9,16 @@ identical message sequences evolve identically.
 
 Payloads are passed by reference: every destination of a send receives the
 sender's object. The trace stores each SEND and DELIVER as one flat record
-holding that object; their detail dicts and payload text are built on the
-first read of `ExecutionTrace.events`. Machines therefore never mutate a
+holding that object. `jsonl()`, `sha256()` and `node_transcript()` read the
+flat records directly; only `events` (and `of_kind(SEND | DELIVER)`) builds
+their detail dicts. One memo per trace serializes each payload object once,
+on the first read that needs its text. Machines therefore never mutate a
 payload after sending or receiving it.
 
-An exception raised by a corrupted node's machine crashes that node only: the
-trace gets one CRASH event naming the exception type, and the node takes no
-further events. An honest machine's exception propagates out of the run.
+An exception raised by a corrupted node's machine, or by the engine applying
+that node's actions, crashes that node only: the trace gets one CRASH event
+naming the exception type, and the node takes no further events. An honest
+node's exception propagates out of the run.
 """
 
 from __future__ import annotations
@@ -175,6 +178,12 @@ _encode_str = json.encoder.encode_basestring_ascii  # the escaping `_ENCODER` us
 _SCALAR_JSON = {int: int.__repr__, str: _encode_str, type(None): lambda _value: "null"}
 
 
+def _scalar_json(value) -> Optional[str]:
+    """`_SCALAR_JSON` applied to `value`, or None for a type it does not hold."""
+    encode = _SCALAR_JSON.get(type(value))
+    return None if encode is None else encode(value)
+
+
 def _template_line(t, kind, party, replica, detail) -> Optional[str]:
     """The JSONL line of a SEND or DELIVER event filled from its kind's
     template, or None unless the event has exactly the engine's detail keys
@@ -207,61 +216,106 @@ class ExecutionTrace:
     stores each SEND and DELIVER as a flat record instead,
     `(t, kind, party, replica, peer, peer_replica, payload, deliver_at)`: the
     peer is a SEND's destination and a DELIVER's source, and a DELIVER's
-    deliver_at is None. The first read of `events` (and so of `jsonl()`,
-    `sha256()` and `node_transcript()`) turns each flat record into the
-    five-field tuple, building its detail dict with the payload's `v1:` JSON
-    string and serializing every distinct payload object once, however many
-    records share it. This relies on the simulator's contract that a payload
-    is never mutated after it is sent (see `Machine`): the string is the one
-    an eager serialization at send time would have produced.
+    deliver_at is None. Only `events` (and `of_kind(SEND | DELIVER)`, which
+    reads it) turns flat records into five-field tuples with detail dicts, in
+    place. `jsonl()`, `sha256()` and `node_transcript()` read flat records as
+    they are and build no detail dict.
+
+    Every reader takes a payload's `v1:` JSON string from one memo per trace,
+    keyed by the payload object's id and holding the object, so each distinct
+    payload is serialized at most once per trace, however many records share
+    it and in whatever order the readers run. A read of `events` after the
+    run is over empties the memo. This relies on the simulator's contract
+    that a payload is never mutated after it is sent (see `Machine`): the
+    string is the one an eager serialization at send time would have
+    produced.
     """
 
     def __init__(self):
         self._events: list[tuple] = []
         self._built = 0  # every event before this index is a five-field tuple
+        # id(payload) -> (payload, its v1 string); holding the payload keeps
+        # its id from being reused once `events` drops a record's reference
+        self._texts: dict[int, tuple[Any, str]] = {}
+        self._final = False  # set when the run is over: no flat record will follow
 
     def append(self, t: int, kind: str, node: NodeKey, detail: dict):
         self._events.append((t, kind, node[0], node[1], detail))
+
+    def _text(self, payload) -> str:
+        entry = self._texts.get(id(payload))
+        if entry is None:
+            entry = self._texts[id(payload)] = (payload, _payload_detail(payload))
+        return entry[1]
 
     @property
     def events(self) -> list[tuple]:
         events = self._events
         if self._built < len(events):
-            # keyed by id(): every payload of a flat record is alive while this
-            # read runs, so no two of them share an id
-            texts: dict[int, str] = {}
+            texts = self._texts
             for i in range(self._built, len(events)):
                 event = events[i]
                 if len(event) != 8:
                     continue
                 t, kind, party, replica, peer, peer_replica, payload, deliver_at = event
-                text = texts.get(id(payload))
-                if text is None:
-                    text = texts[id(payload)] = _payload_detail(payload)
+                # `_text` inlined: this loop runs once per record
+                entry = texts.get(id(payload))
+                if entry is None:
+                    entry = texts[id(payload)] = (payload, _payload_detail(payload))
                 if kind == SEND:
-                    detail = {"dst": peer, "dst_replica": peer_replica, "payload": text,
+                    detail = {"dst": peer, "dst_replica": peer_replica, "payload": entry[1],
                               "deliver_at": deliver_at}
                 else:
-                    detail = {"src": peer, "src_replica": peer_replica, "payload": text}
+                    detail = {"src": peer, "src_replica": peer_replica, "payload": entry[1]}
                 events[i] = (t, kind, party, replica, detail)
             self._built = len(events)
+        if self._final:
+            # every record holds its text and none will follow, so no read
+            # needs the memo, and the payloads it holds may go
+            self._texts.clear()
         return events
 
     def jsonl(self) -> str:
         """One JSON object per event, in `json.dumps(..., sort_keys=True)`
-        form: ASCII escapes, `", "` and `": "` separators. SEND and DELIVER
-        lines are filled from a template (`_template_line`); the bytes are
-        the same either way."""
+        form: ASCII escapes, `", "` and `": "` separators. A flat record whose
+        fields are the engine's exact ints, strings and None fills its kind's
+        template directly; an event `events` built goes through
+        `_template_line`; anything else is written by the generic encoder.
+        The bytes are the same on every path."""
+        text_of = self._text
+        quoted: dict[int, str] = {}  # id(payload) -> its escaped text, for this call
         lines = []
-        for event in self.events:
-            line = _template_line(*event)
-            if line is None:
+        append = lines.append
+        for event in self._events:
+            if len(event) == 8:
+                t, kind, party, replica, peer, peer_replica, payload, deliver_at = event
+                text = quoted.get(id(payload))
+                if text is None:
+                    text = quoted[id(payload)] = _encode_str(text_of(payload))
+                if type(t) is type(party) is type(replica) is type(peer) is int:
+                    if kind == SEND:
+                        # `%s` writes an exact int as `%d` does
+                        at = deliver_at if type(deliver_at) is int else _scalar_json(deliver_at)
+                        dst_replica = (peer_replica if type(peer_replica) is int
+                                       else _scalar_json(peer_replica))
+                        if at is not None and dst_replica is not None:
+                            append(_SEND_LINE % (at, peer, dst_replica, text, party, replica, t))
+                            continue
+                    elif type(peer_replica) is int:
+                        append(_DELIVER_LINE % (text, peer, peer_replica, party, replica, t))
+                        continue
+                # the detail `events` would build; the encoder sorts its keys
+                detail = ({"dst": peer, "dst_replica": peer_replica, "deliver_at": deliver_at}
+                          if kind == SEND else {"src": peer, "src_replica": peer_replica})
+                detail["payload"] = text_of(payload)
+            else:  # a record `events` built, or an event of another kind
+                line = _template_line(*event)
+                if line is not None:
+                    append(line)
+                    continue
                 t, kind, party, replica, detail = event
-                line = _ENCODER.encode(
-                    {"t": t, "kind": kind, "party": party, "replica": replica,
-                     "detail": _jsonable(detail)}
-                )
-            lines.append(line)
+            append(_ENCODER.encode({"t": t, "kind": kind, "party": party, "replica": replica,
+                                    "detail": _jsonable(detail)}))
         return "\n".join(lines) + "\n"
 
     def sha256(self) -> str:
@@ -280,20 +334,30 @@ class ExecutionTrace:
     def node_transcript(self, node: NodeKey, through: Optional[int] = None) -> list:
         """Events of one node with identities normalized to logical parties
         and scheduler metadata dropped, for comparing replicas against
-        canonical runs."""
+        canonical runs: a SEND reads `{"dst": party, "payload": text}` and a
+        DELIVER `{"src": party, "payload": text}`."""
         node_party, node_replica = node
+        text_of = self._text
         out = []
-        for t, kind, party, replica, detail in self.events:
-            if party != node_party or replica != node_replica:
+        for event in self._events:
+            if event[2] != node_party or event[3] != node_replica:
                 continue
+            t, kind, party = event[0], event[1], event[2]
             if through is not None and t > through:
                 continue
-            norm = dict(detail)
-            norm.pop("dst_replica", None)
-            norm.pop("src_replica", None)
-            norm.pop("deliver_at", None)
-            # once read, SEND and DELIVER details hold only party ids and the payload string
-            out.append((t, kind, party, norm if kind in (SEND, DELIVER) else _jsonable(norm)))
+            if len(event) == 8:
+                text = text_of(event[6])
+                norm = ({"dst": event[4], "payload": text} if kind == SEND
+                        else {"src": event[4], "payload": text})
+            else:
+                norm = dict(event[4])
+                norm.pop("dst_replica", None)
+                norm.pop("src_replica", None)
+                norm.pop("deliver_at", None)
+                # built SEND and DELIVER details hold only party ids and the payload string
+                if kind not in (SEND, DELIVER):
+                    norm = _jsonable(norm)
+            out.append((t, kind, party, norm))
         return out
 
     @staticmethod
@@ -633,6 +697,7 @@ class Simulation:
                 self._dispatch_timer(time, data)
             elif kind == "START":
                 self._dispatch_start(time, data)
+        self.trace._final = True
         return self.outcomes()
 
     def outcomes(self) -> dict[NodeKey, Any]:
@@ -641,8 +706,10 @@ class Simulation:
 
     # -- dispatch
     #
-    # A corrupted node whose machine raises is crashed by `_contain`; an honest
-    # machine's exception is a bug, so the bare `raise` lets it abort the run.
+    # A corrupted node whose machine raises, or whose actions the engine
+    # rejects (a timer delay below 1, an unknown action), is crashed by
+    # `_contain`; the actions before the rejected one stay applied. An honest
+    # node's exception is a bug, so the bare `raise` lets it abort the run.
 
     def _alive(self, state: _NodeState, now: int) -> bool:
         return state.crashed_at is None or now < state.crashed_at
@@ -659,12 +726,12 @@ class Simulation:
         for sub_id, machine, value, allowed in state.machines:
             try:
                 actions = machine.on_start(state.ctx, value)
+                self._apply(state, now, sub_id, allowed, actions)
             except Exception as exc:
                 if not state.node.corrupted:
                     raise
                 self._contain(state, now, exc)
                 return
-            self._apply(state, now, sub_id, allowed, actions)
 
     def _dispatch_deliver(self, now: int, env: Envelope):
         src, dst, payload = env.src, env.dst, env.payload
@@ -677,13 +744,13 @@ class Simulation:
         for sub_id, machine, _value, allowed in state.machines:
             try:
                 actions = machine.on_message(ctx, src[0], payload)
+                if actions:
+                    self._apply(state, now, sub_id, allowed, actions)
             except Exception as exc:
                 if not state.node.corrupted:
                     raise
                 self._contain(state, now, exc)
                 return
-            if actions:
-                self._apply(state, now, sub_id, allowed, actions)
 
     def _dispatch_timer(self, now: int, data):
         key, sub_id, tag = data
@@ -696,12 +763,12 @@ class Simulation:
             if machine_sub == sub_id:
                 try:
                     actions = machine.on_timer(state.ctx, tag)
+                    self._apply(state, now, machine_sub, allowed, actions)
                 except Exception as exc:
                     if not state.node.corrupted:
                         raise
                     self._contain(state, now, exc)
                     return
-                self._apply(state, now, machine_sub, allowed, actions)
 
     # -- actions
 

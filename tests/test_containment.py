@@ -1,24 +1,30 @@
 """A corrupted node's exception crashes that node only.
 
 When the machine of a corrupted node raises in `on_start`, `on_message` or
-`on_timer`, the engine records one CRASH event naming the exception type and
-treats the node as crashed from then on. An honest machine's exception is a
-bug and still propagates out of the run.
+`on_timer`, or the engine rejects one of its actions (a timer delay below 1,
+an unknown action), the engine records one CRASH event naming the exception
+type and treats the node as crashed from then on. An honest node's exception
+is a bug and still propagates out of the run.
 """
 
 import pytest
 
 from aba.catalog import resolve
 from aba.core import InputConfiguration as IC, SystemParams, compute_similarity_certificate
-from aba.protocols import Machine, UniversalBa
+from aba.errors import ProtocolError
+from aba.protocols import ConstantProtocol, Machine, UniversalBa
 from aba.simnet import (
     CRASH,
+    DECIDE,
     SEND,
     SYNCHRONOUS,
+    TIMER,
     AdversaryScript,
+    Broadcast,
     Equivocate,
     FollowWithInput,
     NetworkConfig,
+    SetTimer,
     SyncRandomDelay,
     run,
 )
@@ -114,3 +120,54 @@ def test_equivocating_node_stops_both_copies():
 def test_honest_machine_exception_still_aborts_the_run():
     with pytest.raises(Boom, match="on_message call 3"):
         universal_run(0, "on_message", 3)
+
+
+class BadAction(Machine):
+    """Broadcasts, then emits `bad` and a second broadcast in the same
+    action list of `on_start`."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def on_start(self, ctx, value):
+        return [Broadcast(("before",)), self.bad, Broadcast(("after",))]
+
+
+BAD_ACTIONS = {
+    "zero-delay-timer": (lambda: SetTimer("x", 0), "timer delay must be >= 1"),
+    "unknown-action": (lambda: object(), "unknown action"),
+}
+
+
+def bad_action_run(bad_party, bad, corrupted):
+    def factory(p):
+        return BadAction(bad) if p == bad_party else ConstantProtocol("0")
+
+    inputs = IC.of((p, "0") for p in range(PARAMS.n))
+    script = AdversaryScript(corrupted={bad_party: FollowWithInput("0")} if corrupted else {})
+    net = NetworkConfig(mode=SYNCHRONOUS, delta=DELTA, horizon=200)
+    return run(factory, PARAMS, net, script, inputs, 1)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ACTIONS))
+def test_corrupted_node_rejected_action_crashes_only_that_node(name):
+    make, _message = BAD_ACTIONS[name]
+    result = bad_action_run(3, make(), corrupted=True)
+    assert result.honest_decisions(corrupted=[3]) == {(p, 0): "0" for p in range(3)}
+    assert result.outcomes[(3, 0)] is None
+    events = result.trace.events
+    crashes = [e for e in events if e[1] == CRASH]
+    assert crashes == [(0, CRASH, 3, 0, {"at": 0, "error": "ProtocolError"})]
+    assert list(crashes[0][4]) == ["at", "error"]
+    # the broadcast before the rejected action went out, the one after it did not
+    payloads = [e[4]["payload"] for e in events if e[1] == SEND and e[2] == 3]
+    assert payloads == ['v1:["before"]'] * PARAMS.n
+    assert not any(e[1] == TIMER for e in events)
+    assert len([e for e in events if e[1] == DECIDE]) == 3
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ACTIONS))
+def test_honest_node_rejected_action_still_aborts_the_run(name):
+    make, message = BAD_ACTIONS[name]
+    with pytest.raises(ProtocolError, match=message):
+        bad_action_run(3, make(), corrupted=False)

@@ -5,8 +5,9 @@ them breaks traced runs. A short check-grid run in each mode catches that
 before a full benchmark run does. Short untraced runs of the two simulator
 workloads pin the trace hashes of the engine's per-message path: fuzz-universal
 digests the traces of the first seeds at each grid point, and run-attack every
-report and trace hash it checks. At seed 1 the digest of the first pass must
-equal the one in `perfbench/golden.json`.
+report and trace hash it checks. Traced runs of both pin the same digests when
+every trace is read through `events` first. At seed 1 the digest of the first
+pass must equal the one in `perfbench/golden.json`.
 """
 
 import json
@@ -42,3 +43,10 @@ def test_check_grid_benchmark_is_correct(trace):
 @pytest.mark.parametrize("workload", ["fuzz-universal", "run-attack"])
 def test_simulator_benchmark_is_correct(workload):
     run_benchmark(workload, "0")
+
+
+@pytest.mark.parametrize("workload", ["fuzz-universal", "run-attack"])
+def test_traced_simulator_benchmark_is_correct(workload):
+    # a traced run reads `events` before `jsonl()`, so its digests come from
+    # already-built records
+    run_benchmark(workload, "1")

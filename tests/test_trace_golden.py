@@ -323,7 +323,11 @@ def attack_trace_digest(kind: str, protocol: str, seed: int) -> str:
         code = main(["attack", kind, "--protocol", protocol, "--seed", str(seed)]
                     + ATTACK_KINDS[kind])
     assert code == 0
-    report = json.loads(out.getvalue())
+    return report_trace_digest(kind, json.loads(out.getvalue()))
+
+
+def report_trace_digest(kind: str, report: dict) -> str:
+    """sha256 over an attack report's trace hashes, one per line."""
     if kind == "split-brain":
         hashes = [report["executions"][execution]["trace_hash"]
                   for execution in ("a_right_crashed", "b_left_crashed",
@@ -377,6 +381,44 @@ def test_attack_reports_are_golden(layout, protocol, seed):
     text = cli_output(["attack", kind, "--protocol", protocol, "--seed", str(seed)] + flags)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         ATTACK_REPORT_SHA256[(layout, protocol, seed)]
+
+
+REPLAY_PROTOCOLS = ("local-min", "majority", "bin-ba", "universal:strong")
+
+
+def attack_digests(seed: int = 1) -> dict:
+    """The full-report and trace digests of each attack kind against each of
+    `REPLAY_PROTOCOLS`, keyed `"<kind> <protocol>"`."""
+    digests = {}
+    for kind, flags in ATTACK_KINDS.items():
+        for protocol in REPLAY_PROTOCOLS:
+            text = cli_output(["attack", kind, "--protocol", protocol, "--seed", str(seed)]
+                              + flags)
+            digests[f"{kind} {protocol}"] = [hashlib.sha256(text.encode()).hexdigest(),
+                                             report_trace_digest(kind, json.loads(text))]
+    return digests
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_attack_digests_independent_of_hash_seed(hash_seed):
+    # trace readers memoize payload text by object id: a replay in a fresh
+    # process under another string hash must print the same reports
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import json; from test_trace_golden import attack_digests; "
+         "print(json.dumps(attack_digests()))"],
+        env=env, capture_output=True, text=True, check=True, timeout=600,
+    )
+    digests = json.loads(out.stdout)
+    assert sorted(digests) == sorted(f"{kind} {protocol}" for kind in ATTACK_KINDS
+                                     for protocol in REPLAY_PROTOCOLS)
+    for key, (report, traces) in digests.items():
+        kind, protocol = key.split(" ")
+        assert report == ATTACK_REPORT_SHA256[(kind, protocol, 1)], key
+        assert traces == ATTACK_TRACE_SHA256[(kind, protocol, 1)], key
 
 
 @pytest.mark.parametrize("name", sorted(RUN_REPORT_SHA256))

@@ -1,0 +1,307 @@
+"""The trace readers against copies of the implementations they replaced.
+
+`jsonl()`, `sha256()` and `node_transcript()` read the engine's flat SEND and
+DELIVER records directly, and `events` builds detail dicts in place, so a
+trace may hold both kinds of record when it is read. These tests run each
+wiring once per read order and compare every reader with the earlier
+implementations, which built every record with `events` first:
+`parent_events` and `parent_node_transcript` are copies of them, and
+`parent_jsonl` is the generic writer whose bytes their template writer
+reproduced. Every payload object must be serialized at most once per trace,
+whatever order the readers run in.
+"""
+
+import hashlib
+import itertools
+import json
+
+import pytest
+
+import aba.simnet as simnet
+from aba.core import SystemParams
+from aba.protocols import Machine
+from aba.simnet import (
+    ASYNCHRONOUS,
+    DELIVER,
+    SEND,
+    SYNCHRONOUS,
+    Broadcast,
+    Decide,
+    DeliveryPolicy,
+    ExecutionTrace,
+    NetworkConfig,
+    NodeInstance,
+    PartitionPolicy,
+    Send,
+    SetTimer,
+    Simulation,
+    _jsonable,
+    _payload_detail,
+)
+
+PARAMS = SystemParams(n=4, t_s=1, t_a=1, setup="PKI")
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def parent_events(records):
+    """`ExecutionTrace.events` as it was: every flat record built into a
+    five-field tuple, each payload object serialized once per read."""
+    events = list(records)
+    texts = {}
+    for i, event in enumerate(events):
+        if len(event) != 8:
+            continue
+        t, kind, party, replica, peer, peer_replica, payload, deliver_at = event
+        text = texts.get(id(payload))
+        if text is None:
+            text = texts[id(payload)] = _payload_detail(payload)
+        if kind == SEND:
+            detail = {"dst": peer, "dst_replica": peer_replica, "payload": text,
+                      "deliver_at": deliver_at}
+        else:
+            detail = {"src": peer, "src_replica": peer_replica, "payload": text}
+        events[i] = (t, kind, party, replica, detail)
+    return events
+
+
+def parent_jsonl(events):
+    return "\n".join(
+        json.dumps({"t": t, "kind": kind, "party": party, "replica": replica,
+                    "detail": _jsonable(detail)}, sort_keys=True)
+        for t, kind, party, replica, detail in events
+    ) + "\n"
+
+
+def parent_node_transcript(events, node, through=None):
+    node_party, node_replica = node
+    out = []
+    for t, kind, party, replica, detail in events:
+        if party != node_party or replica != node_replica:
+            continue
+        if through is not None and t > through:
+            continue
+        norm = dict(detail)
+        norm.pop("dst_replica", None)
+        norm.pop("src_replica", None)
+        norm.pop("deliver_at", None)
+        out.append((t, kind, party, norm if kind in (SEND, DELIVER) else _jsonable(norm)))
+    return out
+
+
+def shape(events):
+    """Each event with its detail as (key, type, value) triples in key order."""
+    return [(*e[:4], [(k, type(v), v) for k, v in e[4].items()]) for e in events]
+
+
+# ---------------------------------------------------------------- wirings
+
+
+class Prober(Machine):
+    """Broadcasts on start and on a timer, sends one payload object to its
+    successor, flips a coin, signs, re-broadcasts the payload object it
+    receives third and decides on its second delivery. With `world.mid_run`
+    set, the first delivery anywhere reads `events`."""
+
+    def __init__(self, party, world):
+        self.party = party
+        self.world = world
+        self.received = 0
+
+    def on_start(self, ctx, value):
+        ctx.coin(("round", self.party))
+        ctx.sign(("hello", self.party))
+        return [Broadcast(("hello", self.party, value)),
+                Send((self.party + 1) % ctx.n, self.world.shared),
+                SetTimer(("tick", self.party), 3)]
+
+    def on_message(self, ctx, src, payload):
+        self.received += 1
+        world = self.world
+        if world.mid_run and world.snapshot is None:
+            world.snapshot = shape(world.sim.trace.events)
+        if self.received == 2:
+            return [Decide(str(self.party % 2))]
+        if self.received == 3:
+            return [Broadcast(payload)]
+        return []
+
+    def on_timer(self, ctx, tag):
+        return [Broadcast(("tick", self.party, {"at": ctx.now, "tag": tag}))]
+
+
+class HalfUnitDelay(DeliveryPolicy):
+    """Delivers after 1.5 units: a float deliver_at, which no template takes."""
+
+    def schedule(self, env, rng):
+        return env.sent_at + 1.5
+
+
+class World:
+    def __init__(self, mid_run):
+        self.mid_run = mid_run
+        self.snapshot = None
+        self.sim = None
+        self.shared = ("shared", [1, None, True])
+
+
+def plain(routes=None, tags=None):
+    tags = tags or {}
+    return [NodeInstance(party_id=p, replica_tag=tags.get(p, 0), input=str(p % 2),
+                         route=(routes or {}).get(p)) for p in range(PARAMS.n)]
+
+
+def tagged(tag):
+    """Party 1 runs as replica `tag` only, and every route to it names that tag."""
+    routes = {p: {1: (1, tag)} for p in range(PARAMS.n)}
+    return plain(routes=routes, tags={1: tag}), None, SYNCHRONOUS
+
+
+WIRINGS = {
+    "plain": lambda: (plain(), None, SYNCHRONOUS),
+    "partition-held": lambda: (
+        plain(), PartitionPolicy([[(0, 0), (1, 0)], [(2, 0), (3, 0)]]), ASYNCHRONOUS),
+    "route-none-discarded": lambda: (plain(routes={0: {2: None}}), None, SYNCHRONOUS),
+    "multicast": lambda: (
+        plain(routes={p: {1: [(1, 0), (1, 1)]} for p in (0, 2, 3)})
+        + [NodeInstance(party_id=1, replica_tag=1, input="1")], None, SYNCHRONOUS),
+    "bool-replica-tag": lambda: tagged(True),
+    "str-replica-tag": lambda: tagged("b"),
+    "float-deliver-at": lambda: (plain(), HalfUnitDelay(), SYNCHRONOUS),
+}
+
+# what each wiring must show in its JSONL, so that it takes the path it names
+COVERS = {
+    "partition-held": '"deliver_at": "held"',
+    "route-none-discarded": '"deliver_at": "discarded", "dst": 2, "dst_replica": null',
+    "multicast": '"dst_replica": 1,',
+    "bool-replica-tag": '"replica": true',
+    "str-replica-tag": '"dst_replica": "b"',
+    "float-deliver-at": '"deliver_at": "1.5"',
+}
+
+
+def run_wiring(name, mid_run=False):
+    nodes, policy, mode = WIRINGS[name]()
+    world = World(mid_run)
+    sim = Simulation(PARAMS, NetworkConfig(mode=mode, delta=10, horizon=300), 7, policy=policy)
+    world.sim = sim
+    for node in nodes:
+        sim.add_node(node, lambda p: Prober(p, world))
+    sim.run()
+    return sim.trace, [node.key for node in nodes], world.snapshot
+
+
+THROUGH = (None, 0, 5, 12)
+
+
+def transcripts(trace, keys):
+    return {(key, through): trace.node_transcript(key, through=through)
+            for key in keys for through in THROUGH}
+
+
+def assert_transcripts_equal(got, events):
+    for (key, through), transcript in got.items():
+        expected = parent_node_transcript(events, key, through)
+        assert transcript == expected
+        # the hash tells True from 1 and 1.0 from 1, where == does not
+        assert ExecutionTrace.transcript_hash(transcript) == \
+            ExecutionTrace.transcript_hash(expected)
+
+
+# ---------------------------------------------------------------- differential
+
+
+READ_ORDERS = ["no-events-read", "events-mid-run", "events-after-run",
+               "transcript-before-and-after-jsonl"]
+
+
+@pytest.mark.parametrize("order", READ_ORDERS)
+@pytest.mark.parametrize("name", sorted(WIRINGS))
+def test_readers_equal_parent_implementations(name, order):
+    reference, _keys, _snapshot = run_wiring(name)
+    expected_events = parent_events(reference._events)
+    expected = parent_jsonl(expected_events)
+    assert COVERS.get(name, '"kind": "SEND"') in expected
+
+    trace, keys, snapshot = run_wiring(name, mid_run=order == "events-mid-run")
+    if order == "events-mid-run":
+        # the read saw a prefix, and flat records were appended after it
+        assert snapshot is not None and snapshot == shape(expected_events[:len(snapshot)])
+        assert any(len(e) == 8 for e in trace._events)
+    else:
+        assert snapshot is None
+    if order == "events-after-run":
+        assert shape(trace.events) == shape(expected_events)
+    if order == "transcript-before-and-after-jsonl":
+        assert_transcripts_equal(transcripts(trace, keys), expected_events)
+    assert trace.jsonl().split("\n") == expected.split("\n")
+    assert trace.sha256() == hashlib.sha256(expected.encode()).hexdigest()
+    assert_transcripts_equal(transcripts(trace, keys), expected_events)
+    if order == "no-events-read":
+        # no reader but `events` builds a record
+        assert [len(e) for e in trace._events] == [len(e) for e in reference._events]
+    assert shape(trace.events) == shape(expected_events)
+    assert trace.jsonl() == expected
+
+
+# ---------------------------------------------------------------- serialize once
+
+
+READERS = {
+    "events": lambda trace, keys: trace.events,
+    "jsonl": lambda trace, keys: trace.jsonl(),
+    "node_transcript": lambda trace, keys: transcripts(trace, keys),
+}
+
+
+def counting(monkeypatch):
+    """Counts `_payload_detail` calls; keeps each payload so ids stay unique."""
+    calls = []
+
+    def detail(payload):
+        calls.append(payload)
+        return _payload_detail(payload)
+
+    monkeypatch.setattr(simnet, "_payload_detail", detail)
+    return calls
+
+
+@pytest.mark.parametrize("mid_run", [False, True], ids=["after-run", "events-mid-run"])
+@pytest.mark.parametrize("readers", list(itertools.permutations(READERS)),
+                         ids="-".join)
+def test_each_payload_serialized_at_most_once_per_trace(monkeypatch, readers, mid_run):
+    calls = counting(monkeypatch)
+    trace, keys, _snapshot = run_wiring("multicast", mid_run=mid_run)
+    assert bool(calls) == mid_run
+    payloads = {id(e[6]) for e in trace._events if len(e) == 8}
+    for reader in readers:
+        READERS[reader](trace, keys)
+        READERS[reader](trace, keys)
+    assert len({id(p) for p in calls}) == len(calls)
+    # jsonl reads every record, so every payload of the run was serialized
+    assert len(calls) >= len(payloads) and {id(p) for p in calls} >= payloads
+
+
+def test_transcript_serializes_only_its_nodes_payloads(monkeypatch):
+    calls = counting(monkeypatch)
+    trace, _keys, _snapshot = run_wiring("plain")
+    own = {id(e[6]) for e in trace._events if len(e) == 8 and e[2:4] == (2, 0)}
+    trace.node_transcript((2, 0))
+    assert {id(p) for p in calls} == own and len(calls) == len(own)
+    assert all(len(e) == 8 for e in trace._events if e[1] in (SEND, DELIVER))  # nothing built
+
+
+@pytest.mark.parametrize("mid_run", [False, True], ids=["after-run", "events-mid-run"])
+def test_events_after_the_run_releases_the_memo(mid_run):
+    trace, keys, _snapshot = run_wiring("plain", mid_run=mid_run)
+    assert bool(trace._texts) == mid_run
+    trace.node_transcript(keys[0])
+    assert trace._texts
+    trace.events
+    assert trace._texts == {}
+    # built records carry their text: no later read serializes again
+    trace.jsonl()
+    transcripts(trace, keys)
+    assert trace._texts == {}
