@@ -100,15 +100,19 @@ class AcsProtocol(Machine):
         if not isinstance(payload, tuple) or len(payload) != 2:
             return []
         tag, inner = payload
-        if isinstance(tag, tuple) and tag[0] == "rbc":
-            j = tag[1]
-            if j in self.rbcs:
-                return self._from_rbc(ctx, j, self.rbcs[j].handle(ctx, src, inner))
-            return []
-        if isinstance(tag, tuple) and tag[0] == "aba":
-            j = tag[1]
-            if j in self.abas:
-                return self._from_aba(ctx, j, self.abas[j].handle(ctx, src, inner))
+        if isinstance(tag, tuple):
+            if len(tag) != 2:
+                return []
+            kind, j = tag
+            try:
+                rbc = self.rbcs.get(j) if kind == "rbc" else None
+                aba = self.abas.get(j) if kind == "aba" else None
+            except TypeError:  # an unhashable index
+                return []
+            if rbc is not None:
+                return self._from_rbc(ctx, j, rbc.handle(ctx, src, inner))
+            if aba is not None:
+                return self._from_aba(ctx, j, aba.handle(ctx, src, inner))
             return []
         if tag == "claims" and self.chains is not None:
             actions, _ = wrap_actions("claims", self.chains.handle(ctx, src, inner))
@@ -124,6 +128,8 @@ class AcsProtocol(Machine):
     # ------------------------------------------------------------ broadcast stage
 
     def _from_rbc(self, ctx, j: int, actions) -> list:
+        if not actions:
+            return []
         wrapped, decided = wrap_actions(("rbc", j), actions)
         if decided and (self.valid_values is None or decided[0] in self.valid_values):
             self.delivered[j] = decided[0]
@@ -135,6 +141,8 @@ class AcsProtocol(Machine):
     # ------------------------------------------------------------ voting composition
 
     def _from_aba(self, ctx, j: int, actions) -> list:
+        if not actions:
+            return []
         wrapped, decided = wrap_actions(("aba", j), actions)
         if decided:
             self.aba_bits[j] = decided[0]
@@ -261,6 +269,8 @@ class AcsProtocol(Machine):
         return actions + self._finish(InputConfiguration.decode(self.cert))
 
     def _from_main(self, ctx, actions) -> list:
+        if not actions:
+            return []
         wrapped, decided = wrap_actions("main", actions)
         if decided:
             self.main_bit = decided[0]
@@ -292,6 +302,8 @@ class UniversalBa(Machine):
         self.core: Optional[InputConfiguration] = None
 
     def _from_acs(self, actions) -> list:
+        if not actions:
+            return []
         wrapped, decided = wrap_actions("acs", actions)
         if decided:
             core = self.core = decided[0]

@@ -6,7 +6,9 @@ protocol otherwise. Per round: votes relay at t_s + 1 and a value becomes
 quorum-certified at n - t_s support; parties then exchange one candidate each
 and close the round on n - t_s certified candidates, deciding when a
 unanimous candidate matches the common coin and adopting the coin on a split.
-A certified value can only be displaced by another round's quorum.
+A certified value can only be displaced by another round's quorum. State
+changes only when a counter crosses one of these thresholds, so the round
+rules are re-evaluated only then.
 
 `BinaryBa` composes the full (t_s, t_a) protocol: with PKI it first runs a
 fixed-duration signed-chain stage whose vector seeds the voting loop (with a
@@ -37,6 +39,12 @@ class CoinVotingInstance:
     Messages: ("VOTE", r, b) relayed votes, ("CAND", r, b) round candidates,
     ("DONE", b) decision gossip. Deciding keeps the instance participating so
     laggards complete their rounds; n - t_s DONEs halt it.
+
+    `handle` re-runs the round rules (`_progress`) only when a threshold is
+    crossed: a VOTE that newly certifies its value, or a CAND or DONE from a
+    new sender. A node's own vote enters `votes` when it is cast, and counts
+    toward certification on the next VOTE delivered for that (r, b), which
+    is often the node's own broadcast coming back, a duplicate.
     """
 
     def __init__(self, n: int, t_s: int, coin_key: Any):
@@ -85,29 +93,47 @@ class CoinVotingInstance:
             _, r, b = msg
             if b not in (0, 1) or r < 1:
                 return []
-            self.votes.setdefault((r, b), set()).add(src)
-            actions = []
-            if len(self.votes[(r, b)]) >= self.relay:
-                actions += self._cast_vote(ctx, r, b)
-            if len(self.votes[(r, b)]) >= self.quorum:
-                self.certified.setdefault(r, set()).add(b)
-            return actions + self._progress(ctx)
+            voters = self.votes.get((r, b))
+            if voters is None:
+                voters = self.votes[(r, b)] = set()
+            voters.add(src)
+            # a duplicate still counts: the node's own vote, added when it was
+            # cast, is certified only by the next VOTE delivered for (r, b)
+            actions = self._cast_vote(ctx, r, b) if len(voters) >= self.relay else []
+            if len(voters) >= self.quorum:
+                bits = self.certified.setdefault(r, set())
+                if b not in bits:
+                    bits.add(b)
+                    return actions + self._progress(ctx)
+            return actions
         if kind == "CAND":
             _, r, b = msg
             if b not in (0, 1) or r < 1:
                 return []
-            self.cands.setdefault((r, b), set()).add(src)
-            return self._progress(ctx)
+            return self._add_sender(ctx, self.cands, (r, b), src)
         if kind == "DONE":
             _, b = msg
             if b not in (0, 1):
                 return []
-            self.dones.setdefault(b, set()).add(src)
-            return self._progress(ctx)
+            return self._add_sender(ctx, self.dones, b, src)
         return []
 
+    def _add_sender(self, ctx, table: dict, key, src: int) -> list:
+        senders = table.get(key)
+        if senders is None:
+            table[key] = {src}
+        elif src in senders:
+            return []
+        else:
+            senders.add(src)
+        return self._progress(ctx)
+
     def _progress(self, ctx) -> list:
+        """Runs the round rules to a fixpoint. They read only `dones`,
+        `certified`, `cands`, `round`, `est` and `cand_sent`, so `handle`
+        calls this only when one of those changed."""
         actions = []
+        quorum = self.quorum
         changed = True
         while changed and not self.halted:
             changed = False
@@ -115,33 +141,38 @@ class CoinVotingInstance:
                 if len(senders) >= self.relay and self.decided is None:
                     actions += self._decide(ctx, b)
                     changed = True
-                if len(senders) >= self.quorum:
+                if len(senders) >= quorum:
                     self.halted = True
                     return actions
             if not self.started:
                 break
             r = self.round
-            certified = self.certified.get(r, set())
-            if certified and r not in self.cand_sent:
+            certified = self.certified.get(r)
+            if not certified:
+                continue
+            if r not in self.cand_sent:
                 self.cand_sent.add(r)
                 pick = self.est if self.est in certified else min(certified)
                 self.cands.setdefault((r, pick), set()).add(ctx.party_id)
                 actions.append(Broadcast(("CAND", r, pick)))
                 changed = True
-            if r in self.cand_sent:
-                # candidates count only while their value is quorum-certified
-                cands = {b: self.cands.get((r, b), set()) for b in sorted(certified)}
-                single = next((b for b, senders in cands.items()
-                               if len(senders) >= self.quorum), None)
-                if single is not None or (
-                    len(cands) == 2 and len(cands[0] | cands[1]) >= self.quorum
-                ):
-                    coin = ctx.coin((self.coin_key, r))
-                    self.est = coin if single is None else single
-                    if single == coin and self.decided is None:
-                        actions += self._decide(ctx, coin)
-                    actions += self._enter_round(ctx, r + 1)
-                    changed = True
+            # candidates count only while their value is quorum-certified
+            cands0 = self.cands.get((r, 0)) if 0 in certified else None
+            cands1 = self.cands.get((r, 1)) if 1 in certified else None
+            if cands0 is not None and len(cands0) >= quorum:
+                single = 0
+            elif cands1 is not None and len(cands1) >= quorum:
+                single = 1
+            elif cands0 is None or cands1 is None or len(cands0 | cands1) < quorum:
+                continue
+            else:
+                single = None
+            coin = ctx.coin((self.coin_key, r))
+            self.est = coin if single is None else single
+            if single == coin and self.decided is None:
+                actions += self._decide(ctx, coin)
+            actions += self._enter_round(ctx, r + 1)
+            changed = True
         return actions
 
     def _decide(self, ctx, b: int) -> list:

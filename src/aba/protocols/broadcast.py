@@ -29,6 +29,10 @@ class RbcInstance:
     value is eventually delivered by every honest party; any delivered value
     for an honest sender equals its input; and no two honest parties deliver
     different values as long as fewer than n - 2*t_s parties are corrupted.
+
+    The instance is quiet once it has sent READY and delivered: later ECHOes
+    and READYs are dropped without verifying their signatures. ECHOes are
+    dropped as soon as READY is sent.
     """
 
     def __init__(self, n: int, t_s: int, pki: bool, sender: int):
@@ -77,10 +81,12 @@ class RbcInstance:
         return [Broadcast(("ECHO", value))]
 
     def _on_echo(self, ctx, src, value) -> list:
+        if self.ready_sent:
+            return []
         if self.pki and not ctx.verify(src, self._echo_stmt(value)):
             return []
         self.echoes.setdefault(value, set()).add(src)
-        if len(self.echoes[value]) >= self.quorum and not self.ready_sent:
+        if len(self.echoes[value]) >= self.quorum:
             cert = sorted(self.echoes[value])[: self.quorum] if self.pki else None
             self.ready_sent = True
             return [Broadcast(("READY", value, cert))]
@@ -91,9 +97,12 @@ class RbcInstance:
             return True
         if not isinstance(cert, (list, tuple)) or len(set(cert)) < self.quorum:
             return False
-        return all(ctx.verify(p, self._echo_stmt(value)) for p in cert)
+        stmt = self._echo_stmt(value)
+        return all(ctx.verify(p, stmt) for p in cert)
 
     def _on_ready(self, ctx, src, value, cert) -> list:
+        if self.ready_sent and self.delivered is not None:
+            return []
         if not self._cert_valid(ctx, value, cert):
             return []
         self.readies.setdefault(value, set()).add(src)

@@ -447,7 +447,7 @@ class SyncRandomDelay(DeliveryPolicy):
         self.delta = delta
 
     def schedule(self, env, rng):
-        return env.sent_at + rng.randint(1, self.delta)
+        return env.sent_at + rng.randrange(self.delta) + 1  # the draw of randint(1, delta)
 
 
 class AsyncUniformDelay(DeliveryPolicy):
@@ -464,7 +464,7 @@ class AsyncRandomDelay(DeliveryPolicy):
         self.max_delay = max_delay
 
     def schedule(self, env, rng):
-        return env.sent_at + rng.randint(1, self.max_delay)
+        return env.sent_at + rng.randrange(self.max_delay) + 1  # the draw of randint(1, max_delay)
 
 
 class PartitionPolicy(DeliveryPolicy):
@@ -598,12 +598,15 @@ class NodeCtx:
 
 
 class _NodeState:
-    __slots__ = ("node", "key", "route", "machines", "ctx", "crashed_at", "decided")
+    __slots__ = ("node", "key", "route", "targets", "machines", "ctx", "crashed_at", "decided")
 
     def __init__(self, node, machines, ctx, crashed_at):
         self.node = node
         self.key = node.key
         self.route = node.route or {}
+        # exact-int destination party -> the existing node keys its route
+        # gives, or None when the route discards; filled by the first send
+        self.targets: dict[int, Optional[tuple]] = {}
         self.machines = machines  # list of (sub_id, machine, input, allowed destinations)
         self.ctx = ctx
         self.crashed_at = crashed_at
@@ -802,8 +805,7 @@ class Simulation:
         the node's route, recording one SEND per concrete destination."""
         key = state.key
         party, replica = key
-        route = state.route
-        nodes = self._nodes
+        targets = state.targets
         schedule = self.policy.schedule
         rng = self._sched_rng
         heap = self._heap
@@ -813,15 +815,20 @@ class Simulation:
         for dst_party in dst_parties:
             if allowed is not None and dst_party not in allowed:
                 continue
-            target = route.get(dst_party, (dst_party, 0))
-            if target is None:
+            if type(dst_party) is int:
+                try:
+                    dst_keys = targets[dst_party]
+                except KeyError:
+                    dst_keys = targets[dst_party] = self._route(state.route, dst_party)
+            else:
+                # resolved on every send: True or 1.0 equals an int's entry
+                # but is recorded as given
+                dst_keys = self._route(state.route, dst_party)
+            if dst_keys is None:
                 # discarded in transit: the sender still observes its own send
                 record((now, SEND, party, replica, dst_party, None, payload, "discarded"))
                 continue
-            for dst_key in target if isinstance(target, list) else (target,):
-                dst_key = tuple(dst_key)
-                if dst_key not in nodes:
-                    continue
+            for dst_key in dst_keys:
                 env = Envelope(key, dst_key, payload, now)
                 deliver_at = schedule(env, rng)
                 if deliver_at is None:
@@ -833,6 +840,19 @@ class Simulation:
                         raise ProtocolError("synchronous delivery exceeded delta")
                     heapq.heappush(heap, (deliver_at, next(seq), "DELIVER", env))
                 record((now, SEND, party, replica, dst_key[0], dst_key[1], payload, deliver_at))
+
+    def _route(self, route: dict, dst_party) -> Optional[tuple]:
+        """The keys of the existing nodes that `route` sends `dst_party`'s
+        messages to, or None when it discards them."""
+        target = route.get(dst_party, (dst_party, 0))
+        if target is None:
+            return None
+        dst_keys = []
+        for dst_key in target if isinstance(target, list) else (target,):
+            dst_key = tuple(dst_key)
+            if dst_key in self._nodes:
+                dst_keys.append(dst_key)
+        return tuple(dst_keys)
 
 
 # ---------------------------------------------------------------- run helper

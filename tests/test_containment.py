@@ -5,6 +5,9 @@ When the machine of a corrupted node raises in `on_start`, `on_message` or
 an unknown action), the engine records one CRASH event naming the exception
 type and treats the node as crashed from then on. An honest node's exception
 is a bug and still propagates out of the run.
+
+An honest ACS machine drops a message whose tag is malformed (not a 2-tuple,
+or with an unhashable index) instead of raising.
 """
 
 import pytest
@@ -12,7 +15,7 @@ import pytest
 from aba.catalog import resolve
 from aba.core import InputConfiguration as IC, SystemParams, compute_similarity_certificate
 from aba.errors import ProtocolError
-from aba.protocols import ConstantProtocol, Machine, UniversalBa
+from aba.protocols import AcsProtocol, ConstantProtocol, Machine, UniversalBa
 from aba.simnet import (
     CRASH,
     DECIDE,
@@ -171,3 +174,59 @@ def test_honest_node_rejected_action_still_aborts_the_run(name):
     make, message = BAD_ACTIONS[name]
     with pytest.raises(ProtocolError, match=message):
         bad_action_run(3, make(), corrupted=False)
+
+
+MALFORMED_TAGS = {
+    "empty-tuple": (),
+    "list-index": ("rbc", [1]),
+    "dict-index": ("aba", {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_TAGS))
+def test_honest_acs_drops_a_malformed_tag(name):
+    acs = AcsProtocol(PARAMS, DELTA)
+    assert acs.on_message(None, 3, (MALFORMED_TAGS[name], "x")) == []
+
+
+class Garbling(Machine):
+    """Runs `inner`, and also broadcasts a universal-layer message whose ACS
+    tag is malformed when it starts."""
+
+    def __init__(self, inner, tag):
+        self.inner = inner
+        self.tag = tag
+
+    def on_start(self, ctx, value):
+        return self.inner.on_start(ctx, value) + [Broadcast(("acs", (self.tag, "x")))]
+
+    def on_message(self, ctx, src, payload):
+        return self.inner.on_message(ctx, src, payload)
+
+    def on_timer(self, ctx, tag):
+        return self.inner.on_timer(ctx, tag)
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_TAGS))
+def test_corrupted_malformed_acs_tag_does_not_abort_the_honest_run(name):
+    prop, domain = resolve("strong", 2)
+    cert = compute_similarity_certificate(prop, PARAMS, domain).certificate
+
+    def factory(p):
+        machine = UniversalBa(PARAMS, DELTA, cert)
+        return Garbling(machine, MALFORMED_TAGS[name]) if p == 3 else machine
+
+    inputs = IC.of([(0, "1"), (1, "1"), (2, "1"), (3, "0")])
+    script = AdversaryScript(corrupted={3: FollowWithInput("0")},
+                             delivery=SyncRandomDelay(DELTA))
+    net = NetworkConfig(mode=SYNCHRONOUS, delta=DELTA, horizon=8000)
+    result = run(factory, PARAMS, net, script, inputs, 3)
+    events = result.trace.events
+    assert any(e[1] == SEND and e[2] == 3 and e[4]["payload"].startswith('v1:["acs", [')
+               and '"x"]]' in e[4]["payload"] for e in events)
+    assert not any(e[1] == CRASH for e in events)
+    honest = result.honest_decisions(corrupted=[3])
+    assert sorted(honest) == [(0, 0), (1, 0), (2, 0)]
+    assert len(set(honest.values())) == 1  # agreement
+    truth = IC.of((p, "1") for p in range(3))
+    assert set(honest.values()) <= prop.evaluate(PARAMS, domain, truth)  # validity

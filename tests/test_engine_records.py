@@ -31,6 +31,7 @@ from aba.simnet import (
     NetworkConfig,
     NodeInstance,
     PartitionPolicy,
+    RandomTape,
     Send,
     SetTimer,
     SilentTo,
@@ -275,3 +276,102 @@ def test_non_payload_kinds_read_without_building_records():
     assert [e for e in trace._events if len(e) == 8] == flat
     assert len(trace.of_kind(SEND)) == sends
     assert not any(len(e) == 8 for e in trace._events)
+
+
+class Resender(Machine):
+    """Sends to `True`, to party 1, to a party with no node and to everyone
+    when it starts and again on each of its first three deliveries, so that
+    every send after the first to an int party reads the node's cached
+    destinations."""
+
+    def __init__(self):
+        self.received = 0
+
+    def on_start(self, ctx, value):
+        return self._sends(ctx, 0)
+
+    def on_message(self, ctx, src, payload):
+        self.received += 1
+        return self._sends(ctx, self.received) if self.received <= 3 else []
+
+    def _sends(self, ctx, k):
+        return [Send(True, ("bool", k)), Send(1, ("one", k)), Send(ctx.n + 2, ("lost", k)),
+                Broadcast(("all", k))]
+
+
+def true_routed():
+    # party 1's route is a multicast whose keys are lists; True looks it up too
+    routes = {p: {1: [[1, 0], [1, 1]], 2: None} for p in range(PARAMS.n)}
+    nodes = plain(routes=routes)
+    nodes.append(NodeInstance(party_id=1, replica_tag=1, input="1", route=routes[1]))
+    return nodes, lambda: SyncRandomDelay(10), SYNCHRONOUS, {}
+
+
+CACHE_WIRINGS = {
+    "plain": lambda: (plain(), None, SYNCHRONOUS, {}),
+    "route-none-discarded": discarded,
+    "multicast-replica-tags": multicast,
+    "list-keys-and-true": true_routed,
+    "silent-and-equivocate": adversaries,
+}
+
+
+def run_resender(cls, build):
+    nodes, policy, mode, behaviors = build()
+    sim = cls(PARAMS, NetworkConfig(mode=mode, delta=10, horizon=300), 5,
+              policy=policy() if policy else None)
+    for node in nodes:
+        sim.add_node(node, lambda p: Resender(), behaviors.get(node.party_id))
+    return sim, sim.run()
+
+
+@pytest.mark.parametrize("name", CACHE_WIRINGS)
+def test_cached_destinations_send_as_the_eager_path(name, monkeypatch):
+    build = CACHE_WIRINGS[name]
+    routed = []  # each destination `_route` is asked for
+    route = Simulation._route
+
+    def counting_route(self, table, dst_party):
+        routed.append(dst_party)
+        return route(self, table, dst_party)
+
+    monkeypatch.setattr(Simulation, "_route", counting_route)
+    sim, outcomes = run_resender(Simulation, build)
+    eager, eager_outcomes = run_resender(EagerSimulation, build)
+    assert outcomes == eager_outcomes
+    events = sim.trace.events
+    assert shape(events) == shape(eager.trace.events)
+    assert sim.trace.jsonl() == generic_jsonl(eager.trace.events)
+    sends = details(events, SEND)
+    assert any(d["dst"] is True for d in sends) or name == "list-keys-and-true"
+    assert any(d["payload"] == 'v1:["one", 3]' for d in sends)  # the last re-send went out
+    for state in sim._nodes.values():
+        targets = state.targets
+        assert targets and all(type(party) is int for party in targets)
+        # a party with no node (which silent and equivocating senders never send to)
+        assert targets.get(PARAMS.n + 2, ()) == ()
+        for party, keys in targets.items():
+            target = state.route.get(party, (party, 0))
+            if target is None:
+                assert keys is None
+            else:
+                listed = target if isinstance(target, list) else [target]
+                assert keys == tuple(tuple(k) for k in listed if tuple(k) in sim._nodes)
+    # each node looks an int party up once; True is looked up on every send
+    int_lookups = [dst for dst in routed if type(dst) is int]
+    assert len(int_lookups) == sum(len(state.targets) for state in sim._nodes.values())
+    assert sum(dst is True for dst in routed) > len(sim._nodes)
+
+
+@pytest.mark.parametrize("policy", [SyncRandomDelay, AsyncRandomDelay])
+@pytest.mark.parametrize("delay", [1, 10, 40])
+def test_random_delays_are_the_draws_of_randint(policy, delay):
+    """The random policies draw `randrange(delay) + 1`; this pins it to the
+    stream of `randint(1, delay)`, which every golden trace hash was made
+    with."""
+    env = Envelope((0, 0), (1, 0), None, 7)
+    for seed in range(6):
+        rng, reference = RandomTape(seed).scheduler_stream(), RandomTape(seed).scheduler_stream()
+        drawn = [policy(delay).schedule(env, rng) - 7 for _ in range(300)]
+        assert drawn == [reference.randint(1, delay) for _ in range(300)]
+        assert rng.getstate() == reference.getstate()  # the same amount drawn, also at delay 1
