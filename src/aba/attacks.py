@@ -91,10 +91,11 @@ def best_effort_certificate(prop, params: SystemParams, domain):
     the similarity condition fails: configurations whose similar-intersection
     is empty fall back to the smallest directly-valid value. Never use this
     outside attack demonstrations."""
-    sigma = {
-        encoded: own if choice is None else choice
-        for encoded, choice, own in similarity_pass(prop, params, domain)
-    }
+    sigma: dict = {}
+    for encodings, choices, owns in similarity_pass(prop, params, domain):
+        if None in choices:
+            choices = [own if choice is None else choice for choice, own in zip(choices, owns)]
+        sigma.update(zip(encodings, choices))
     return SimilarityCertificate(params=params, domain=domain, sigma=sigma)
 
 

@@ -59,6 +59,7 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_UNSOLVABLE = 3
 EXIT_BUDGET = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that went away
 
 
 def _positive(value, where: str) -> int:
@@ -543,7 +544,13 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # meet a closed stdout here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone; the flush at exit now writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -9,8 +9,8 @@ the intersection of the property over the configurations similar to a key,
 evaluating the property at most once per key. Its keys are orbits, (size,
 multiset of values) pairs, for an anonymous property, whose value depends on
 nothing else, and configurations otherwise (see `_key_space`). `is_solvable`
-walks the keys to its verdict, and `similarity_pass` turns them into one row
-per configuration in canonical order, from which certificates are built.
+walks the keys to its verdict, and `similarity_pass` turns them into rows in
+canonical order, a party set at a time, from which certificates are built.
 `SimilarityCertificate.validate` is the independent check and shares no code
 with them: for an anonymous property it passes I when sigma(I) lies in the AND
 of V over the orbits of similar(I), enumerated directly once per orbit, and a
@@ -183,12 +183,6 @@ class InputConfiguration:
 
     def encode(self) -> str:
         return ";".join(f"p{p}={v}" for p, v in self.assignments)
-
-    @staticmethod
-    def template(parties: Iterable[int]) -> str:
-        """The encoding on `parties` with each value a `str.format` field,
-        such as `p0={};p2={}`."""
-        return ";".join(f"p{p}={{}}" for p in parties)
 
     @classmethod
     def decode(cls, text: str) -> "InputConfiguration":
@@ -410,7 +404,7 @@ class SimilarityCertificate:
                 raise ConfigError(
                     f"certificate domain {side} must be a list of strings, got {labels!r}"
                 )
-        if not all(isinstance(v, str) for v in sigma.values()):
+        if not all(map(isinstance, sigma.values(), itertools.repeat(str))):
             raise ConfigError("certificate sigma values must be output labels (strings)")
         return cls(
             params=SystemParams.from_dict(data["params"]),
@@ -428,10 +422,12 @@ class SimilarityCertificate:
 
         For an anonymous property, I passes with one lookup when sigma(I)
         lies in the AND of V over the orbits of similar(I), computed once
-        per orbit (`_similar_orbit_masks`). Otherwise, and for every I of a
-        table property, the pair scan decides I: J by J in `similar()` order,
-        evaluating V at most once per J, so the failure it reports and any
-        ConfigError are those of a scan over every pair.
+        per orbit (`_similar_orbit_masks`); a party set's lookups run in
+        bulk, and only its missing or failing rows go on, in order. For
+        those, and for every I of a table property, the pair scan decides
+        I: J by J in `similar()` order, evaluating V at most once per J, so
+        the failure it reports and any ConfigError are those of a scan over
+        every pair.
 
         The pair scan works on integer codes in which party p holds the bit
         field d << (width * p): d = 0 for absent, d = i + 1 for input value
@@ -451,6 +447,7 @@ class SimilarityCertificate:
         width = len(values).bit_length()
         digits = range(1, len(values) + 1)
         field_mask = (1 << width) - 1
+        bit_of = {value: 1 << i for i, value in enumerate(outputs)}
         orbit_mask = (_similar_orbit_masks(evaluate, params, domain) if validity.anonymous
                       else lambda orbit: 0)
         party_sets = [
@@ -461,12 +458,9 @@ class SimilarityCertificate:
         keep = {
             parties: sum(field_mask << width * p for p in parties) for parties in party_sets
         }
-        rows = {  # size -> (assignment, its digits, its orbit) in product order
-            size: [(assignment, ds, tuple(sorted(ds))) for assignment, ds in zip(
-                itertools.product(values, repeat=size), itertools.product(digits, repeat=size)
-            )]
-            for size in range(params.min_config_size, n + 1)
-        }
+        row_masks: dict = {}  # size -> the orbit mask of each assignment in product order
+        digit_rows = functools.cache(  # size -> the digits of each assignment in product order
+            lambda size: list(itertools.product(digits, repeat=size)))
         free_codes: dict = {}  # parties outside P -> their codes in product order
         allowed: dict = {}  # code -> output mask
 
@@ -494,18 +488,22 @@ class SimilarityCertificate:
             return plan
 
         for own in party_sets:
+            if len(own) not in row_masks:
+                codes, orbits = _orbit_codes(n, len(values), len(own))
+                mask_of = {code: orbit_mask(orbit) for code, orbit in orbits.items()}
+                row_masks[len(own)] = list(map(mask_of.__getitem__, codes))
             plan = None  # built when the first row on `own` fails the orbit lookup
-            template = InputConfiguration.template(own)
-            for assignment, ds, orbit in rows[len(own)]:
-                encoded = template.format(*assignment)
+            encodings = list(_encodings(own, values))
+            bits = map(bit_of.get, map(self.sigma.get, encodings), itertools.repeat(0))
+            failing = map(operator.not_, map(operator.and_, row_masks[len(own)], bits))
+            for row in itertools.compress(itertools.count(), failing):
+                encoded = encodings[row]
                 if encoded not in self.sigma:
                     return False, f"missing sigma entry for {encoded}"
                 chosen = self.sigma[encoded]
-                bit = 1 << outputs.index(chosen) if chosen in outputs else 0
-                if orbit_mask(orbit) & bit:
-                    continue
+                bit = bit_of.get(chosen, 0)
                 plan = plan or plan_of(own)
-                code = sum(d << width * p for d, p in zip(ds, own))
+                code = sum(d << width * p for d, p in zip(digit_rows(len(own))[row], own))
                 for parties, kept_mask, codes in plan:
                     kept = code & kept_mask
                     for offset in codes:
@@ -525,24 +523,26 @@ def _similar_orbit_masks(
     evaluate: Callable[[InputConfiguration], int], params: SystemParams, domain: Domain
 ) -> Callable[[tuple], int]:
     """For an anonymous property: the AND of V over the orbits of similar(I),
-    as a memoized function of I's orbit, its value digits in ascending order
-    (digit i + 1 stands for input value i).
+    as a function of I's orbit, its value indices in ascending order.
 
     With c the multiset of I's values, the orbits of similar(I) are
       - every sub-multiset d <= c with |d| >= n - t_s: the sub-configurations;
       - every d + e with d <= c and e any multiset with 1 <= |e| <= n - |c|
         and |d| + |e| >= n - t_a: the configurations that keep d on I's
         parties and add e on |e| parties outside I.
-    Multisets are count vectors here, and V runs once per orbit, on its
-    representative. The mask is 0 where some V raises ConfigError, so that
-    the caller's pair scan meets the error at its own point. This enumerates
-    the orbits directly and shares no code with `_similar_intersection`.
+    Only a d with |d| >= min(n - t_s, |c| - t_a) adds one, so the walk
+    removes at most |c| - min(n - t_s, |c| - t_a) values from c; the AND over
+    the extensions of d is memoized per (d, n - |c|). Multisets are count
+    vectors, and V runs once per orbit, on its representative. The mask is 0
+    where some V raises ConfigError, so that the caller's pair scan meets the
+    error at its own point. This enumerates the orbits directly and shares no
+    code with `_similar_intersection`.
     """
     n, m = params.n, len(domain.input_values)
-    extensions = {  # size -> the count vectors of that size
+    vectors = {  # size -> the count vectors of that size
         size: [tuple(e.count(i) for i in range(m))
                for e in itertools.combinations_with_replacement(range(m), size)]
-        for size in range(1, params.t_s + 1)
+        for size in range(params.t_s + 1)
     }
 
     @functools.cache
@@ -551,24 +551,52 @@ def _similar_orbit_masks(
         return evaluate(_representative(domain, orbit))
 
     @functools.cache
+    def extended(d: tuple, room: int) -> int:
+        """The AND of V over d + e for every e that fits in `room` parties."""
+        result = _EVERY_OUTPUT
+        for extra in range(max(1, n - params.t_a - sum(d)), room + 1):
+            for e in vectors[extra]:
+                result &= own(tuple(map(operator.add, d, e)))
+        return result
+
     def orbit_mask(orbit: tuple) -> int:
-        room = n - len(orbit)  # parties outside I
+        counts = tuple(map(orbit.count, range(m)))
+        removable = len(orbit) - min(params.min_config_size, len(orbit) - params.t_a)
         result = _EVERY_OUTPUT
         try:
-            for d in itertools.product(*(range(orbit.count(i + 1) + 1) for i in range(m))):
-                size = sum(d)
-                if size >= params.min_config_size:
-                    result &= own(d)
-                for extra in range(max(1, n - params.t_a - size), room + 1):
-                    for e in extensions[extra]:
-                        result &= own(tuple(map(operator.add, d, e)))
-                if not result:
-                    break
+            for removed in range(removable + 1):
+                for r in vectors[removed]:
+                    d = tuple(map(operator.sub, counts, r))
+                    if min(d) < 0:
+                        continue
+                    if removed <= len(orbit) - params.min_config_size:
+                        result &= own(d)
+                    result &= extended(d, n - len(orbit))  # n - |c| parties outside I
+                    if not result:
+                        return 0
         except ConfigError:
             return 0
         return result
 
     return orbit_mask
+
+
+def _orbit_codes(n: int, m: int, size: int) -> tuple[list, dict]:
+    """Orbits of `size` values out of m, keyed by an additive code, the
+    orbit's count vector read in base n + 1: the code of each assignment in
+    `itertools.product` order, and {code: orbit as sorted value indices}."""
+    weights = [(n + 1) ** i for i in range(m)]
+    orbits = {sum(map(weights.__getitem__, orbit)): orbit
+              for orbit in itertools.combinations_with_replacement(range(m), size)}
+    return list(map(sum, itertools.product(weights, repeat=size))), orbits
+
+
+def _encodings(parties: tuple, values: tuple) -> Iterator[str]:
+    """`InputConfiguration.encode()` of every assignment of `values` to
+    `parties`, in `itertools.product` order, joined from per-party pieces."""
+    *head, last = parties
+    return map("".join, itertools.product(*([f"p{p}={v};" for v in values] for p in head),
+                                          [f"p{last}={v}" for v in values]))
 
 
 @dataclass(frozen=True)
@@ -723,22 +751,23 @@ def similarity_pass(
     params: SystemParams,
     domain: Domain,
     budget: Optional[Budget] = None,
-) -> Iterator[tuple[str, Optional[str], Optional[str]]]:
-    """Yields (encoded I, choice, own) for every configuration I in
-    canonical order: `choice` is the smallest output valid under every
-    configuration in similar(I), `own` the smallest valid under I itself;
-    None when there is no such output. The budget is charged the
-    configuration count.
+) -> Iterator[tuple[Iterable[str], list, list]]:
+    """Yields blocks (encodings, choices, owns) that cover every
+    configuration I once, in canonical order: for each I its encoding (a
+    block's encodings are an iterable read once), `choice`, the smallest
+    output valid under every configuration in similar(I), and `own`, the
+    smallest valid under I itself; None when there is no such output. The
+    budget is charged the configuration count.
 
     Both come from `_similar_intersection`. For an anonymous property its
-    keys are orbits, so V runs once per orbit: each size reads one
-    (choice, own) pair per orbit into a dict, and from it one row per
-    assignment in product order, which every party set of that size shares.
-    A row's encoding fills its party set's `InputConfiguration.template`,
-    and no `InputConfiguration` is built per row. Otherwise its keys are the
-    configurations themselves, walked lazily: the pass computes only what
-    the configurations it has yielded need, and V runs at most once per
-    configuration.
+    keys are orbits, so V runs once per orbit, and a block is a party set:
+    each size reads one (choice, own) pair per orbit, and from it, by the
+    orbit code of each assignment (`_orbit_codes`), one list of each in
+    product order, which every party set of that size shares; no
+    `InputConfiguration` is built per row. Otherwise its keys are the
+    configurations themselves, one per block, walked lazily: the pass
+    computes only what the configurations it has yielded need, and V runs at
+    most once per configuration.
     """
     budget = budget or Budget()
     budget.check_configs(count_input_configs(params, domain))
@@ -747,24 +776,16 @@ def similarity_pass(
     lowest = functools.partial(_lowest_output, domain)
     if not validity.anonymous:
         for key in keys():
-            yield config_of(key).encode(), lowest(intersection(key)), lowest(own(key))
+            yield (config_of(key).encode(),), [lowest(intersection(key))], [lowest(own(key))]
         return
     values = domain.input_values
     for size in range(params.min_config_size, params.n + 1):
-        labels = {
-            orbit: (lowest(intersection(orbit)), lowest(own(orbit)))
-            for orbit in itertools.combinations_with_replacement(range(len(values)), size)
-        }
-        rows = [  # (assignment, choice, own) in product order, shared by every party set
-            (assignment, *labels[tuple(sorted(ds))]) for assignment, ds in zip(
-                itertools.product(values, repeat=size),
-                itertools.product(range(len(values)), repeat=size),
-            )
-        ]
-        for subset in itertools.combinations(range(params.n), size):
-            template = InputConfiguration.template(subset)
-            for assignment, choice, own_value in rows:
-                yield template.format(*assignment), choice, own_value
+        codes, orbits = _orbit_codes(params.n, len(values), size)
+        labels = {code: (lowest(intersection(orbit)), lowest(own(orbit)))
+                  for code, orbit in orbits.items()}
+        choices, owns = map(list, zip(*map(labels.__getitem__, codes)))
+        for parties in itertools.combinations(range(params.n), size):
+            yield _encodings(parties, values), choices, owns
 
 
 def compute_similarity_certificate(
@@ -774,13 +795,14 @@ def compute_similarity_certificate(
     budget: Optional[Budget] = None,
 ) -> CertificateOutcome:
     """The certificate choosing, for every configuration, the smallest output
-    valid under all of its similar configurations; or the first configuration
-    in canonical order where no output is."""
+    valid under all of its similar configurations, a block of rows at a time;
+    or the first configuration in canonical order where no output is."""
     sigma: dict[str, str] = {}
-    for encoded, choice, _own in similarity_pass(validity, params, domain, budget):
-        if choice is None:
+    for encodings, choices, _owns in similarity_pass(validity, params, domain, budget):
+        if None in choices:
+            encoded = next(itertools.islice(encodings, choices.index(None), None))
             return CertificateOutcome(certificate=None, witness=InputConfiguration.decode(encoded))
-        sigma[encoded] = choice
+        sigma.update(zip(encodings, choices))
     return CertificateOutcome(
         certificate=SimilarityCertificate(params=params, domain=domain, sigma=sigma),
         witness=None,

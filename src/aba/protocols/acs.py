@@ -247,6 +247,9 @@ class AcsProtocol(Machine):
         if not (isinstance(inner, tuple) and len(inner) == 2):
             return []
         encoding, signers = inner
+        if not (isinstance(signers, tuple)
+                and all(type(p) is int and 0 <= p < self.params.n for p in signers)):
+            return []
         if not isinstance(encoding, str) or len(set(signers)) < self.quorum:
             return []
         if not all(ctx.verify(p, ("coresig", encoding)) for p in signers):

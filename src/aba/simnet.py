@@ -90,7 +90,7 @@ class Envelope:
 
 
 class RandomTape:
-    """Seed-derived randomness: per-party streams, the common coin, and
+    """Seed-derived randomness: the scheduler's stream, the common coin, and
     shared public values. Derivations use SHA-256 so they are stable across
     platforms and runs."""
 
@@ -100,9 +100,6 @@ class RandomTape:
     def _derive(self, *tags) -> int:
         text = f"{self.seed}|" + "|".join(repr(t) for t in tags)
         return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-
-    def party_stream(self, party_id: int) -> random.Random:
-        return random.Random(self._derive("party", party_id))
 
     def scheduler_stream(self) -> random.Random:
         return random.Random(self._derive("scheduler"))

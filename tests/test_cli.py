@@ -652,3 +652,29 @@ def test_readme_protocol_list_is_the_registry():
     readme = (ROOT / "README.md").read_text()
     listed = re.search(r'"protocol": +"([^"]+)"', readme).group(1)
     assert listed.split(" | ") == list(PROTOCOLS)
+
+
+def _python_m_aba(argv, **kwargs):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "aba", *argv], env=env, timeout=120,
+                          **kwargs)
+
+
+def test_closed_stdout_exits_141_without_a_message():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        out = _python_m_aba(["check", "--validity", "strong", "--n", "4", "--ts", "1",
+                             "--ta", "1"], stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert out.stderr == b""
+    assert out.returncode == 141
+
+
+def test_missing_scenario_file_still_exits_two():
+    out = _python_m_aba(["run", str(SCENARIOS / "no-such-scenario.json")],
+                        capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stderr.startswith("configuration error:")

@@ -7,7 +7,8 @@ type and treats the node as crashed from then on. An honest node's exception
 is a bug and still propagates out of the run.
 
 An honest ACS machine drops a message whose tag is malformed (not a 2-tuple,
-or with an unhashable index) instead of raising.
+or with an unhashable index), and a certshare whose signers are not a tuple
+of party ids, instead of raising.
 """
 
 import pytest
@@ -224,6 +225,57 @@ def test_corrupted_malformed_acs_tag_does_not_abort_the_honest_run(name):
     events = result.trace.events
     assert any(e[1] == SEND and e[2] == 3 and e[4]["payload"].startswith('v1:["acs", [')
                and '"x"]]' in e[4]["payload"] for e in events)
+    assert not any(e[1] == CRASH for e in events)
+    honest = result.honest_decisions(corrupted=[3])
+    assert sorted(honest) == [(0, 0), (1, 0), (2, 0)]
+    assert len(set(honest.values())) == 1  # agreement
+    truth = IC.of((p, "1") for p in range(3))
+    assert set(honest.values()) <= prop.evaluate(PARAMS, domain, truth)  # validity
+
+
+JUNK_CERTSHARES = {
+    "int-signers": ("x", 5),
+    "list-signers": ("x", ([0], [1], [2])),
+    "list-of-ids": ("x", [0, 1, 2]),
+    "bool-signer": ("x", (0, 1, True)),
+    "out-of-range": ("x", (0, 1, 7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JUNK_CERTSHARES))
+def test_honest_acs_drops_a_junk_certshare(name):
+    acs = AcsProtocol(PARAMS, DELTA)
+    assert acs.on_message(None, 3, ("certshare", JUNK_CERTSHARES[name])) == []
+
+
+class JunkSharing(Garbling):
+    """Runs `inner`, and also broadcasts every junk certshare when it starts."""
+
+    def __init__(self, inner):
+        super().__init__(inner, None)
+
+    def on_start(self, ctx, value):
+        return self.inner.on_start(ctx, value) + [
+            Broadcast(("acs", ("certshare", junk))) for junk in JUNK_CERTSHARES.values()]
+
+
+def test_corrupted_junk_certshares_do_not_abort_the_honest_run():
+    prop, domain = resolve("strong", 2)
+    cert = compute_similarity_certificate(prop, PARAMS, domain).certificate
+
+    def factory(p):
+        machine = UniversalBa(PARAMS, DELTA, cert)
+        return JunkSharing(machine) if p == 3 else machine
+
+    inputs = IC.of([(0, "1"), (1, "1"), (2, "1"), (3, "0")])
+    script = AdversaryScript(corrupted={3: FollowWithInput("0")},
+                             delivery=SyncRandomDelay(DELTA))
+    net = NetworkConfig(mode=SYNCHRONOUS, delta=DELTA, horizon=8000)
+    result = run(factory, PARAMS, net, script, inputs, 3)
+    events = result.trace.events
+    shares = [e for e in events if e[1] == SEND and e[2] == 3
+              and e[4]["payload"].startswith('v1:["acs", ["certshare", ["x"')]
+    assert len(shares) == len(JUNK_CERTSHARES) * PARAMS.n
     assert not any(e[1] == CRASH for e in events)
     honest = result.honest_decisions(corrupted=[3])
     assert sorted(honest) == [(0, 0), (1, 0), (2, 0)]

@@ -220,15 +220,6 @@ def test_common_coin_unbiased():
     assert abs(hits / 10_000 - 0.5) < 0.02
 
 
-def test_party_streams_shared_by_replicas():
-    tape = RandomTape(7)
-    a = tape.party_stream(2)
-    b = tape.party_stream(2)
-    assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
-    c = tape.party_stream(3)
-    assert [c.random() for _ in range(5)] != [tape.party_stream(2).random() for _ in range(5)]
-
-
 # ---------------------------------------------------------------- signatures
 
 

@@ -12,6 +12,7 @@ the same property run through the per-configuration pass.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -25,9 +26,11 @@ from aba.core import (
     Budget,
     CertificateOutcome,
     Domain,
+    InputConfiguration,
     SimilarityCertificate,
     SystemParams,
     ValidityProperty,
+    _encodings,
     _output_masks,
     compute_similarity_certificate,
     count_input_configs,
@@ -430,6 +433,77 @@ def test_orbit_validate_matches_oracle(case):
     assert prop.anonymous
     assert _answer(SimilarityCertificate.validate, cert, prop) == \
         _answer(oracle_validate, cert, prop)
+
+
+@st.composite
+def bulk_cases(draw):
+    """An anonymous catalog property at n <= 6, PKI or NONE, on its own
+    domain or a mismatched one, and a table for it, the one
+    `orbit_validate_cases` draws: the best-effort table or a constant one,
+    and a copy with one of MUTATIONS applied."""
+    name, values = draw(st.sampled_from(CATALOG))
+    prop, domain = resolve(name, values)
+    if draw(st.integers(0, 4)) == 0:
+        domain = draw(st.sampled_from(MISMATCHED))
+    n = draw(st.integers(1, 6))
+    t_s = draw(st.integers(0, n - 1))
+    t_a = draw(st.integers(0, t_s))
+    params = SystemParams(n, t_s, t_a, draw(st.sampled_from(["PKI", "NONE"])))
+    assume(_oracle_cost(params, domain) <= 150_000)
+    try:
+        sigma = dict(best_effort_certificate(prop, params, domain).sigma)
+    except ConfigError:
+        sigma = {c.encode(): domain.output_values[0]
+                 for c in enumerate_input_configs(params, domain)}
+    intact = SimilarityCertificate(params=params, domain=domain, sigma=dict(sigma))
+    return prop, params, domain, intact, _mutated(draw, params, domain, sigma)
+
+
+def _bulk_answers(validity, params, domain, intact, mutated):
+    """The witness and certificate JSON bytes of the synthesis, the
+    best-effort JSON, and the validate answers on both tables; each one the
+    ConfigError it raises instead."""
+    def synthesized():
+        outcome = compute_similarity_certificate(validity, params, domain)
+        return outcome.witness, outcome.feasible and outcome.certificate.to_json().encode()
+
+    checks = (synthesized, lambda: best_effort_certificate(validity, params, domain).to_json(),
+              lambda: intact.validate(validity), lambda: mutated.validate(validity))
+    answers = []
+    for check in checks:
+        try:
+            answers.append(check())
+        except ConfigError as e:
+            answers.append(("ConfigError", str(e)))
+    return answers
+
+
+@settings(max_examples=150, deadline=None)
+@given(bulk_cases())
+def test_bulk_rows_answer_as_the_per_configuration_rows(case):
+    prop, params, domain, intact, mutated = case
+    assert prop.anonymous
+    plain = dataclasses.replace(prop, anonymous=False)
+    assert _bulk_answers(prop, params, domain, intact, mutated) == \
+        _bulk_answers(plain, params, domain, intact, mutated)
+
+
+LABELS = ["0", "ab", "\u22a5", "{}", "{0}", "x=y", "p1=0", ""]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(LABELS), min_size=1, max_size=3, unique=True),
+       st.integers(1, 4), st.data())
+def test_joined_encodings_equal_encode(labels, n, data):
+    parties = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    want = [InputConfiguration(tuple(zip(parties, assignment))).encode()
+            for assignment in itertools.product(labels, repeat=len(parties))]
+    assert list(_encodings(parties, tuple(labels))) == want
+    # and the certificate of an anonymous property is keyed by them
+    domain = Domain(tuple(labels), tuple(labels))
+    params = SystemParams(n, n - 1, 0)
+    cert = compute_similarity_certificate(constant_property(), params, domain).certificate
+    assert list(cert.sigma) == [c.encode() for c in enumerate_input_configs(params, domain)]
 
 
 # ---------------------------------------------------------------- golden pins
