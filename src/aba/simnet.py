@@ -9,11 +9,10 @@ identical message sequences evolve identically.
 
 Payloads are passed by reference: every destination of a send receives the
 sender's object. The trace stores each SEND and DELIVER as one flat record
-holding that object. `jsonl()`, `sha256()` and `node_transcript()` read the
-flat records directly; only `events` (and `of_kind(SEND | DELIVER)`) builds
-their detail dicts. One memo per trace serializes each payload object once,
-on the first read that needs its text. Machines therefore never mutate a
-payload after sending or receiving it.
+holding that object, and every reader works from those records; `events`
+is a read-only view of them. One memo per trace serializes each payload
+object once, on the first read that needs its text. Machines therefore
+never mutate a payload after sending or receiving it.
 
 An exception raised by a corrupted node's machine, or by the engine applying
 that node's actions, crashes that node only: the trace gets one CRASH event
@@ -147,7 +146,7 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (str, int, bool)) or value is None:
+    if isinstance(value, (str, int, bool)):
         return value
     return repr(value)
 
@@ -170,40 +169,14 @@ _DELIVER_LINE = (
     '"kind": "DELIVER", "party": %d, "replica": %d, "t": %d}'
 )
 _encode_str = json.encoder.encode_basestring_ascii  # the escaping `_ENCODER` uses
-# JSON of the scalars a SEND's deliver_at and dst_replica take: an int, "held" /
-# "discarded" and None; any other type has no entry
-_SCALAR_JSON = {int: int.__repr__, str: _encode_str, type(None): lambda _value: "null"}
 
 
 def _scalar_json(value) -> Optional[str]:
-    """`_SCALAR_JSON` applied to `value`, or None for a type it does not hold."""
-    encode = _SCALAR_JSON.get(type(value))
-    return None if encode is None else encode(value)
-
-
-def _template_line(t, kind, party, replica, detail) -> Optional[str]:
-    """The JSONL line of a SEND or DELIVER event filled from its kind's
-    template, or None unless the event has exactly the engine's detail keys
-    and every field is an exact int, str or None where the engine puts one."""
-    if not (type(t) is int and type(party) is int and type(replica) is int
-            and type(detail) is dict):
-        return None
-    try:
-        if kind == SEND and len(detail) == 4:
-            dst, payload = detail["dst"], detail["payload"]
-            if type(dst) is int and type(payload) is str:
-                at, dst_replica = detail["deliver_at"], detail["dst_replica"]
-                return _SEND_LINE % (
-                    _SCALAR_JSON[type(at)](at), dst, _SCALAR_JSON[type(dst_replica)](dst_replica),
-                    _encode_str(payload), party, replica, t,
-                )
-        elif kind == DELIVER and len(detail) == 3:
-            payload, src, src_replica = detail["payload"], detail["src"], detail["src_replica"]
-            if type(payload) is str and type(src) is int and type(src_replica) is int:
-                return _DELIVER_LINE % (_encode_str(payload), src, src_replica, party, replica, t)
-    except KeyError:  # a missing key, or a scalar type `_SCALAR_JSON` does not hold
-        pass
-    return None
+    """The JSON of a SEND's deliver_at or dst_replica that is not an int: a
+    str ("held", "discarded") escaped, None as null; None for any other type."""
+    if type(value) is str:
+        return _encode_str(value)
+    return "null" if value is None else None
 
 
 class ExecutionTrace:
@@ -213,16 +186,16 @@ class ExecutionTrace:
     stores each SEND and DELIVER as a flat record instead,
     `(t, kind, party, replica, peer, peer_replica, payload, deliver_at)`: the
     peer is a SEND's destination and a DELIVER's source, and a DELIVER's
-    deliver_at is None. Only `events` (and `of_kind(SEND | DELIVER)`, which
-    reads it) turns flat records into five-field tuples with detail dicts, in
-    place. `jsonl()`, `sha256()` and `node_transcript()` read flat records as
-    they are and build no detail dict.
+    deliver_at is None. Records keep that shape for the trace's whole life.
+    `events` and `of_kind()` return a new list of five-field tuples, each
+    with a new detail dict, and write nothing back; `jsonl()`, `sha256()` and
+    `node_transcript()` read the flat records as they are.
 
     Every reader takes a payload's `v1:` JSON string from one memo per trace,
-    keyed by the payload object's id and holding the object, so each distinct
-    payload is serialized at most once per trace, however many records share
-    it and in whatever order the readers run. A read of `events` after the
-    run is over empties the memo. This relies on the simulator's contract
+    keyed by the payload object's id, so each distinct payload is serialized
+    at most once per trace, however many records share it and in whatever
+    order the readers run. The records hold every payload, so no id is
+    reused while the trace lives. This relies on the simulator's contract
     that a payload is never mutated after it is sent (see `Machine`): the
     string is the one an eager serialization at send time would have
     produced.
@@ -230,55 +203,47 @@ class ExecutionTrace:
 
     def __init__(self):
         self._events: list[tuple] = []
-        self._built = 0  # every event before this index is a five-field tuple
-        # id(payload) -> (payload, its v1 string); holding the payload keeps
-        # its id from being reused once `events` drops a record's reference
-        self._texts: dict[int, tuple[Any, str]] = {}
-        self._final = False  # set when the run is over: no flat record will follow
+        self._texts: dict[int, str] = {}  # id(payload) -> its v1 string
 
     def append(self, t: int, kind: str, node: NodeKey, detail: dict):
         self._events.append((t, kind, node[0], node[1], detail))
 
     def _text(self, payload) -> str:
-        entry = self._texts.get(id(payload))
-        if entry is None:
-            entry = self._texts[id(payload)] = (payload, _payload_detail(payload))
-        return entry[1]
+        text = self._texts.get(id(payload))
+        if text is None:
+            text = self._texts[id(payload)] = _payload_detail(payload)
+        return text
+
+    def _view(self, records: Iterable[tuple]) -> list[tuple]:
+        """`records` as five-field tuples, each with a new detail dict."""
+        text_of = self._text
+        out = []
+        for event in records:
+            if len(event) == 8:
+                t, kind, party, replica, peer, peer_replica, payload, deliver_at = event
+                text = text_of(payload)
+                detail = ({"dst": peer, "dst_replica": peer_replica, "payload": text,
+                           "deliver_at": deliver_at} if kind == SEND
+                          else {"src": peer, "src_replica": peer_replica, "payload": text})
+                event = (t, kind, party, replica, detail)
+            else:
+                event = (*event[:4], dict(event[4]))
+            out.append(event)
+        return out
 
     @property
     def events(self) -> list[tuple]:
-        events = self._events
-        if self._built < len(events):
-            texts = self._texts
-            for i in range(self._built, len(events)):
-                event = events[i]
-                if len(event) != 8:
-                    continue
-                t, kind, party, replica, peer, peer_replica, payload, deliver_at = event
-                # `_text` inlined: this loop runs once per record
-                entry = texts.get(id(payload))
-                if entry is None:
-                    entry = texts[id(payload)] = (payload, _payload_detail(payload))
-                if kind == SEND:
-                    detail = {"dst": peer, "dst_replica": peer_replica, "payload": entry[1],
-                              "deliver_at": deliver_at}
-                else:
-                    detail = {"src": peer, "src_replica": peer_replica, "payload": entry[1]}
-                events[i] = (t, kind, party, replica, detail)
-            self._built = len(events)
-        if self._final:
-            # every record holds its text and none will follow, so no read
-            # needs the memo, and the payloads it holds may go
-            self._texts.clear()
-        return events
+        return self._view(self._events)
+
+    def of_kind(self, kind: str) -> list[tuple]:
+        return self._view(e for e in self._events if e[1] == kind)
 
     def jsonl(self) -> str:
         """One JSON object per event, in `json.dumps(..., sort_keys=True)`
         form: ASCII escapes, `", "` and `": "` separators. A flat record whose
         fields are the engine's exact ints, strings and None fills its kind's
-        template directly; an event `events` built goes through
-        `_template_line`; anything else is written by the generic encoder.
-        The bytes are the same on every path."""
+        template directly; anything else is written by the generic encoder.
+        The bytes are the same on both paths."""
         text_of = self._text
         quoted: dict[int, str] = {}  # id(payload) -> its escaped text, for this call
         lines = []
@@ -301,16 +266,8 @@ class ExecutionTrace:
                     elif type(peer_replica) is int:
                         append(_DELIVER_LINE % (text, peer, peer_replica, party, replica, t))
                         continue
-                # the detail `events` would build; the encoder sorts its keys
-                detail = ({"dst": peer, "dst_replica": peer_replica, "deliver_at": deliver_at}
-                          if kind == SEND else {"src": peer, "src_replica": peer_replica})
-                detail["payload"] = text_of(payload)
-            else:  # a record `events` built, or an event of another kind
-                line = _template_line(*event)
-                if line is not None:
-                    append(line)
-                    continue
-                t, kind, party, replica, detail = event
+                event = self._view((event,))[0]  # the encoder sorts its detail's keys
+            t, kind, party, replica, detail = event
             append(_ENCODER.encode({"t": t, "kind": kind, "party": party, "replica": replica,
                                     "detail": _jsonable(detail)}))
         return "\n".join(lines) + "\n"
@@ -322,11 +279,6 @@ class ExecutionTrace:
     def text_sha256(text: str) -> str:
         """The trace hash of a `jsonl()` text."""
         return hashlib.sha256(text.encode()).hexdigest()
-
-    def of_kind(self, kind: str) -> list[tuple]:
-        # only SEND and DELIVER are flat records; other kinds are read as stored
-        events = self.events if kind in (SEND, DELIVER) else self._events
-        return [e for e in events if e[1] == kind]
 
     def node_transcript(self, node: NodeKey, through: Optional[int] = None) -> list:
         """Events of one node with identities normalized to logical parties
@@ -347,13 +299,7 @@ class ExecutionTrace:
                 norm = ({"dst": event[4], "payload": text} if kind == SEND
                         else {"src": event[4], "payload": text})
             else:
-                norm = dict(event[4])
-                norm.pop("dst_replica", None)
-                norm.pop("src_replica", None)
-                norm.pop("deliver_at", None)
-                # built SEND and DELIVER details hold only party ids and the payload string
-                if kind not in (SEND, DELIVER):
-                    norm = _jsonable(norm)
+                norm = _jsonable(event[4])
             out.append((t, kind, party, norm))
         return out
 
@@ -697,7 +643,6 @@ class Simulation:
                 self._dispatch_timer(time, data)
             elif kind == "START":
                 self._dispatch_start(time, data)
-        self.trace._final = True
         return self.outcomes()
 
     def outcomes(self) -> dict[NodeKey, Any]:

@@ -2,12 +2,12 @@
 replaced.
 
 The simulator fans a broadcast out in one call and appends each SEND and
-DELIVER as a flat record, whose detail dict and payload text are built on the
-first read of `events`. `EagerSimulation` keeps the per-destination send path
-that recorded a finished detail dict, payload serialized, at every event.
-Each wiring runs on both, and the events (values, types and detail key order)
-and the JSONL bytes must be equal, including a read of `events` taken in the
-middle of the run.
+DELIVER as a flat record, which keeps that shape for the trace's life; each
+read of `events` returns a new list of five-field tuples with detail dicts.
+`EagerSimulation` keeps the per-destination send path that recorded a
+finished detail dict, payload serialized, at every event. Each wiring runs on
+both, and the events (values, types and detail key order) and the JSONL bytes
+must be equal, including a read of `events` taken in the middle of the run.
 """
 
 import json
@@ -19,10 +19,14 @@ from aba.errors import ProtocolError
 from aba.protocols import Machine
 from aba.simnet import (
     ASYNCHRONOUS,
+    COIN,
+    CRASH,
     DECIDE,
     DELIVER,
     SEND,
+    SIGN,
     SYNCHRONOUS,
+    TIMER,
     AsyncRandomDelay,
     Broadcast,
     Decide,
@@ -268,14 +272,39 @@ def test_flat_records_read_as_the_eager_recording(name):
 
 def test_non_payload_kinds_read_without_building_records():
     trace, _outcomes, _snapshot = run_wiring(Simulation, discarded)
-    flat = [e for e in trace._events if len(e) == 8]
-    sends = sum(e[1] == SEND for e in trace._events)
+    records = list(trace._events)
+    flat = [e for e in records if len(e) == 8]
+    sends = sum(e[1] == SEND for e in records)
     assert flat and {e[1] for e in flat} == {SEND, DELIVER}
     decisions = trace.of_kind(DECIDE)
     assert decisions and all(len(e) == 5 for e in decisions)
     assert [e for e in trace._events if len(e) == 8] == flat
     assert len(trace.of_kind(SEND)) == sends
-    assert not any(len(e) == 8 for e in trace._events)
+    # reads write nothing back: the same record objects, SENDs still flat
+    assert len(trace._events) == len(records)
+    assert all(now is before for now, before in zip(trace._events, records))
+
+
+@pytest.mark.parametrize("name", WIRINGS)
+def test_events_is_a_read_only_view(name):
+    build, _covers = WIRINGS[name]
+    trace, _outcomes, _snapshot = run_wiring(Simulation, build)
+    text, digest = trace.jsonl(), trace.sha256()
+    first, second = trace.events, trace.events
+    assert first == second and first is not second
+    for kind in (SEND, DELIVER, TIMER, COIN, SIGN, DECIDE, CRASH):
+        assert trace.of_kind(kind) == [e for e in trace.events if e[1] == kind]
+    # mutate every returned list and detail dict
+    for returned in (first, *(trace.of_kind(kind) for kind in (SEND, DELIVER, DECIDE, COIN))):
+        for _t, _kind, _party, _replica, detail in returned:
+            detail["payload"] = "mutated"
+            detail.pop("dst", None)
+            detail["extra"] = 1
+        returned.reverse()
+        returned[0] = None
+    assert trace.jsonl() == text and trace.sha256() == digest
+    assert trace.events == second
+    assert all(len(e) == 8 for e in trace._events if e[1] in (SEND, DELIVER))
 
 
 class Resender(Machine):

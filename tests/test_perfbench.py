@@ -6,8 +6,8 @@ before a full benchmark run does. Short untraced runs of the two simulator
 workloads pin the trace hashes of the engine's per-message path: fuzz-universal
 digests the traces of the first seeds at each grid point, and run-attack every
 report and trace hash it checks. Traced runs of both pin the same digests when
-every trace is read through `events` first. At seed 1 the digest of the first
-pass must equal the one in `perfbench/golden.json`.
+`events` is read before `jsonl()`. At seed 1 the digest of the first pass must
+equal the one in `perfbench/golden.json`.
 """
 
 import json
@@ -47,6 +47,6 @@ def test_simulator_benchmark_is_correct(workload):
 
 @pytest.mark.parametrize("workload", ["fuzz-universal", "run-attack"])
 def test_traced_simulator_benchmark_is_correct(workload):
-    # a traced run reads `events` before `jsonl()`, so its digests come from
-    # already-built records
+    # a traced run reads `events` before `jsonl()`, so its digests are
+    # written from payload texts that `events` put in the memo
     run_benchmark(workload, "1")

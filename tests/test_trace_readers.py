@@ -1,9 +1,9 @@
 """The trace readers against copies of the implementations they replaced.
 
 `jsonl()`, `sha256()` and `node_transcript()` read the engine's flat SEND and
-DELIVER records directly, and `events` builds detail dicts in place, so a
-trace may hold both kinds of record when it is read. These tests run each
-wiring once per read order and compare every reader with the earlier
+DELIVER records directly, and `events` returns a new list of five-field
+tuples built from them, writing nothing back. These tests run each wiring
+once per read order and compare every reader with the earlier
 implementations, which built every record with `events` first:
 `parent_events` and `parent_node_transcript` are copies of them, and
 `parent_jsonl` is the generic writer whose bytes their template writer
@@ -22,6 +22,8 @@ from aba.core import SystemParams
 from aba.protocols import Machine
 from aba.simnet import (
     ASYNCHRONOUS,
+    COIN,
+    DECIDE,
     DELIVER,
     SEND,
     SYNCHRONOUS,
@@ -240,7 +242,7 @@ def test_readers_equal_parent_implementations(name, order):
     assert trace.sha256() == hashlib.sha256(expected.encode()).hexdigest()
     assert_transcripts_equal(transcripts(trace, keys), expected_events)
     if order == "no-events-read":
-        # no reader but `events` builds a record
+        # no reader writes a record back
         assert [len(e) for e in trace._events] == [len(e) for e in reference._events]
     assert shape(trace.events) == shape(expected_events)
     assert trace.jsonl() == expected
@@ -294,14 +296,29 @@ def test_transcript_serializes_only_its_nodes_payloads(monkeypatch):
 
 
 @pytest.mark.parametrize("mid_run", [False, True], ids=["after-run", "events-mid-run"])
-def test_events_after_the_run_releases_the_memo(mid_run):
+def test_reads_write_nothing_back(monkeypatch, mid_run):
+    calls = counting(monkeypatch)
     trace, keys, _snapshot = run_wiring("plain", mid_run=mid_run)
-    assert bool(trace._texts) == mid_run
-    trace.node_transcript(keys[0])
-    assert trace._texts
+    records = list(trace._events)
     trace.events
-    assert trace._texts == {}
-    # built records carry their text: no later read serializes again
     trace.jsonl()
     transcripts(trace, keys)
-    assert trace._texts == {}
+    trace.events
+    assert len(trace._events) == len(records)
+    assert all(now is before for now, before in zip(trace._events, records))
+    # the memo outlives every read: each payload was serialized exactly once
+    payloads = {id(e[6]) for e in records if len(e) == 8}
+    assert {id(p) for p in calls} == payloads and len(calls) == len(payloads)
+
+
+@pytest.mark.parametrize("name", sorted(WIRINGS))
+def test_of_kind_serializes_only_what_it_returns(monkeypatch, name):
+    calls = counting(monkeypatch)
+    trace, _keys, _snapshot = run_wiring(name)
+    assert not calls
+    assert trace.of_kind(DECIDE) and trace.of_kind(COIN)
+    assert not calls
+    sends = [e for e in trace._events if e[1] == SEND]
+    assert sends and len(trace.of_kind(SEND)) == len(sends)
+    payloads = {id(e[6]) for e in sends}
+    assert {id(p) for p in calls} == payloads and len(calls) == len(payloads)
