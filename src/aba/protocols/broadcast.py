@@ -22,6 +22,23 @@ from ..simnet import Broadcast, Decide
 from .base import Machine, check_param_bounds
 
 
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def _party_ids(signers) -> Optional[tuple]:
+    """`signers` as a tuple when it is an iterable of exact ints, else None."""
+    try:
+        signers = tuple(signers)
+    except TypeError:
+        return None
+    return signers if all(type(p) is int for p in signers) else None
+
+
 class RbcInstance:
     """One sender's reliable broadcast; embed one per sender.
 
@@ -32,7 +49,8 @@ class RbcInstance:
 
     The instance is quiet once it has sent READY and delivered: later ECHOes
     and READYs are dropped without verifying their signatures. ECHOes are
-    dropped as soon as READY is sent.
+    dropped as soon as READY is sent. A malformed message is dropped (see
+    `_well_formed`).
     """
 
     def __init__(self, n: int, t_s: int, pki: bool, sender: int):
@@ -60,15 +78,35 @@ class RbcInstance:
             ctx.sign(self._prop_stmt(value))
         return [Broadcast(("PROPOSE", value))]
 
+    def _well_formed(self, msg) -> bool:
+        """The message shapes: ("PROPOSE", v), ("ECHO", v) and
+        ("READY", v, cert). ECHO and READY values key `echoes` and `readies`,
+        so they must be hashable; with PKI a READY's cert must be a list or
+        tuple of party ids."""
+        if not isinstance(msg, tuple) or not msg:
+            return False
+        kind = msg[0]
+        if kind == "PROPOSE":
+            return len(msg) == 2
+        if kind == "ECHO":
+            return len(msg) == 2 and _hashable(msg[1])
+        if kind == "READY":
+            if len(msg) != 3 or not _hashable(msg[1]):
+                return False
+            cert = msg[2]
+            return not self.pki or (isinstance(cert, (list, tuple))
+                                    and all(type(p) is int for p in cert))
+        return False
+
     def handle(self, ctx, src: int, msg) -> list:
+        if not self._well_formed(msg):
+            return []
         kind = msg[0]
         if kind == "PROPOSE":
             return self._on_propose(ctx, src, msg[1])
         if kind == "ECHO":
             return self._on_echo(ctx, src, msg[1])
-        if kind == "READY":
-            return self._on_ready(ctx, src, msg[1], msg[2])
-        return []
+        return self._on_ready(ctx, src, msg[1], msg[2])
 
     def _on_propose(self, ctx, src, value) -> list:
         if src != self.sender or self.echoed:
@@ -95,10 +133,9 @@ class RbcInstance:
     def _cert_valid(self, ctx, value, cert) -> bool:
         if not self.pki:
             return True
-        if not isinstance(cert, (list, tuple)) or len(set(cert)) < self.quorum:
+        if len(set(cert)) < self.quorum:
             return False
-        stmt = self._echo_stmt(value)
-        return all(ctx.verify(p, stmt) for p in cert)
+        return ctx.verify_all(cert, self._echo_stmt(value))
 
     def _on_ready(self, ctx, src, value, cert) -> list:
         if self.ready_sent and self.delivered is not None:
@@ -146,6 +183,12 @@ class ChainBroadcastStage:
     a chain accepted at round t_s + 1 carries an honest signature, whose owner
     already relayed. In a synchronous network the vectors therefore agree at
     every honest party.
+
+    A chain for a value already accepted from its sender, or for a sender
+    that already has two values, changes nothing whatever its signatures
+    say, so it is dropped before they are verified. A message that is not
+    ("CHAIN", sender, value, signers), with a hashable sender and signers an
+    iterable of party ids, is dropped too.
     """
 
     def __init__(self, n: int, t_s: int, me: int):
@@ -168,15 +211,18 @@ class ChainBroadcastStage:
         self.round += 1
 
     def handle(self, ctx, src: int, msg) -> list:
-        if self.round > self.last_round or msg[0] != "CHAIN":
+        if not (isinstance(msg, tuple) and len(msg) == 4 and msg[0] == "CHAIN"):
             return []
         _, sender, value, signers = msg
-        signers = tuple(signers)
+        signers = _party_ids(signers)
+        if signers is None or not _hashable(sender) or self.round > self.last_round:
+            return []
+        held = self.accepted.get(sender)  # True finds party 1's values
+        if held is None or value in held or len(held) >= 2:
+            return []
         if not self._chain_valid(ctx, sender, value, signers):
             return []
-        if value in self.accepted[sender] or len(self.accepted[sender]) >= 2:
-            return []
-        self.accepted[sender].append(value)
+        held.append(value)
         if self.me not in signers and len(signers) < self.last_round:
             ctx.sign(self._stmt(sender, value))
             return [Broadcast(("CHAIN", sender, value, signers + (self.me,)))]
@@ -187,8 +233,7 @@ class ChainBroadcastStage:
             return False
         if len(signers) < self.round:
             return False
-        stmt = self._stmt(sender, value)
-        return all(ctx.verify(p, stmt) for p in signers)
+        return ctx.verify_all(signers, self._stmt(sender, value))
 
     def vector(self) -> dict[int, Any]:
         """sender -> accepted value, or None when silent or equivocating."""

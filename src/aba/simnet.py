@@ -1,8 +1,8 @@
 """Deterministic seeded discrete-event simulator for message-passing protocols.
 
 Time is abstract integer units. A single run is single-threaded and fully
-determined by its arguments: the event queue breaks ties by (time, insertion
-sequence), the scheduler's randomness, the common coin and shared values derive
+determined by its arguments: the event queue pops events by (time, insertion
+order), the scheduler's randomness, the common coin and shared values derive
 from the seed via SHA-256, and signatures are an ideal registry-backed oracle.
 Machines have no private randomness, so replicated node instances fed
 identical message sequences evolve identically.
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import itertools
 import json
 import random
 from dataclasses import dataclass, field
@@ -133,6 +132,15 @@ class SignatureOracle:
         if not self.enabled:
             raise SetupUnavailableError("signatures require PKI setup")
         return (party_id, repr(payload)) in self._registry
+
+    def verify_all(self, parties: Iterable[int], payload: Any) -> bool:
+        """`all(verify(p, payload) for p in parties)`, with `payload`'s
+        registry text computed once for the whole set."""
+        if not self.enabled:
+            raise SetupUnavailableError("signatures require PKI setup")
+        text = repr(payload)
+        registry = self._registry
+        return all((party, text) in registry for party in parties)
 
 
 # ---------------------------------------------------------------- trace
@@ -533,6 +541,10 @@ class NodeCtx:
     def verify(self, party_id: int, payload: Any, token: Any = None) -> bool:
         return self._sim.signatures.verify(party_id, payload, token)
 
+    def verify_all(self, parties: Iterable[int], payload: Any) -> bool:
+        """Whether every one of `parties` signed `payload`."""
+        return self._sim.signatures.verify_all(parties, payload)
+
     def shared_uniform64(self, tag: str) -> int:
         return self._sim.tape.shared_uniform64(tag)
 
@@ -558,7 +570,17 @@ class _NodeState:
 
 class Simulation:
     """Event loop: pops the earliest event (ties by insertion order), feeds
-    the node's state machine, enqueues resulting sends and timers."""
+    the node's state machine, enqueues resulting sends and timers.
+
+    The queue is a calendar of time buckets: `_buckets` maps each pending
+    time to its events in insertion order, and `_times` is a heap of those
+    times, so an event costs one list append and only a new time costs a
+    heap push. Popping the earliest time's bucket and running it in order is
+    the (time, insertion) order of a heap with an insertion counter. Each
+    entry keeps its own time, because equal times of different types (3 and
+    3.0) share a bucket and each event is still traced at the time it was
+    given.
+    """
 
     def __init__(
         self,
@@ -577,8 +599,8 @@ class Simulation:
         )
         self._sched_rng = self.tape.scheduler_stream()
         self._nodes: dict[NodeKey, _NodeState] = {}
-        self._heap: list = []
-        self._seq = itertools.count()  # insertion order, the heap's tie-break
+        self._buckets: dict[Any, list] = {}  # time -> [(time, kind, data), ...]
+        self._times: list = []  # heap of the times in `_buckets`
         self._parties = range(params.n)
         self._max_delay = net.delta if net.mode == SYNCHRONOUS else None
         self._record = self.trace._events.append  # SEND and DELIVER flat records
@@ -614,7 +636,12 @@ class Simulation:
         self._nodes[node.key] = _NodeState(node, machines, ctx, crashed_at)
 
     def _push(self, time: int, kind: str, data):
-        heapq.heappush(self._heap, (time, next(self._seq), kind, data))
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [(time, kind, data)]
+            heapq.heappush(self._times, time)
+        else:
+            bucket.append((time, kind, data))
 
     # -- run loop
 
@@ -625,24 +652,28 @@ class Simulation:
                 self.trace.append(state.crashed_at, CRASH, key, {"at": state.crashed_at})
             self._push(0, "START", key)
         horizon = self.net.horizon
-        heap = self._heap
+        buckets, times = self._buckets, self._times
+        deliver = self._dispatch_deliver
         while True:
-            if not heap:
+            if not times:
                 held = self.policy.flush()
                 if not held:
                     break
                 for env in held:
                     self._push(horizon, "DELIVER", env)
                 continue
-            time, _, kind, data = heapq.heappop(heap)
+            time = heapq.heappop(times)
             if time > horizon:
                 break
-            if kind == "DELIVER":
-                self._dispatch_deliver(time, data)
-            elif kind == "TIMER":
-                self._dispatch_timer(time, data)
-            elif kind == "START":
-                self._dispatch_start(time, data)
+            # an event pushed at this time from here on opens a new bucket,
+            # which runs next
+            for time, kind, data in buckets.pop(time):
+                if kind == "DELIVER":
+                    deliver(time, data)
+                elif kind == "TIMER":
+                    self._dispatch_timer(time, data)
+                elif kind == "START":
+                    self._dispatch_start(time, data)
         return self.outcomes()
 
     def outcomes(self) -> dict[NodeKey, Any]:
@@ -681,8 +712,8 @@ class Simulation:
     def _dispatch_deliver(self, now: int, env: Envelope):
         src, dst, payload = env.src, env.dst, env.payload
         self._record((now, DELIVER, dst[0], dst[1], src[0], src[1], payload, None))
-        state = self._nodes.get(tuple(dst))
-        if state is None or not self._alive(state, now):
+        state = self._nodes.get(dst)  # a key tuple, as `_route` gives it
+        if state is None or (state.crashed_at is not None and now >= state.crashed_at):
             return
         ctx = state.ctx
         ctx.now = now
@@ -734,6 +765,8 @@ class Simulation:
                 state.decided = action.value
                 self.trace.append(now, DECIDE, state.key, {"value": action.value})
                 for env, at in self.policy.on_decide(node.party_id, now):
+                    if at <= now:
+                        raise ProtocolError("release must be strictly after the decision")
                     self._push(at, "DELIVER", env)
             elif isinstance(action, SetTimer):
                 if action.delay < 1:
@@ -750,8 +783,7 @@ class Simulation:
         targets = state.targets
         schedule = self.policy.schedule
         rng = self._sched_rng
-        heap = self._heap
-        seq = self._seq
+        push = self._push
         record = self._record
         max_delay = self._max_delay
         for dst_party in dst_parties:
@@ -780,7 +812,7 @@ class Simulation:
                         raise ProtocolError("delivery must be strictly after send")
                     if max_delay is not None and deliver_at - now > max_delay:
                         raise ProtocolError("synchronous delivery exceeded delta")
-                    heapq.heappush(heap, (deliver_at, next(seq), "DELIVER", env))
+                    push(deliver_at, "DELIVER", env)
                 record((now, SEND, party, replica, dst_key[0], dst_key[1], payload, deliver_at))
 
     def _route(self, route: dict, dst_party) -> Optional[tuple]:

@@ -8,8 +8,11 @@ is a bug and still propagates out of the run.
 
 An honest ACS machine drops a message whose tag is malformed (not a 2-tuple,
 or with an unhashable index), and a certshare whose signers are not a tuple
-of party ids, instead of raising.
+of party ids, instead of raising. So do the reliable broadcast and the chain
+relay for a message of the wrong shape, and neither changes its state.
 """
+
+import copy
 
 import pytest
 
@@ -17,9 +20,11 @@ from aba.catalog import resolve
 from aba.core import InputConfiguration as IC, SystemParams, compute_similarity_certificate
 from aba.errors import ProtocolError
 from aba.protocols import AcsProtocol, ConstantProtocol, Machine, UniversalBa
+from aba.protocols.broadcast import ChainBroadcastStage, RbcInstance
 from aba.simnet import (
     CRASH,
     DECIDE,
+    DELIVER,
     SEND,
     SYNCHRONOUS,
     TIMER,
@@ -28,8 +33,12 @@ from aba.simnet import (
     Equivocate,
     FollowWithInput,
     NetworkConfig,
+    NodeCtx,
+    NodeInstance,
     SetTimer,
+    Simulation,
     SyncRandomDelay,
+    _payload_detail,
     run,
 )
 
@@ -282,3 +291,116 @@ def test_corrupted_junk_certshares_do_not_abort_the_honest_run():
     assert len(set(honest.values())) == 1  # agreement
     truth = IC.of((p, "1") for p in range(3))
     assert set(honest.values()) <= prop.evaluate(PARAMS, domain, truth)  # validity
+
+
+# malformed reliable-broadcast and chain-relay messages: each made an honest
+# handler raise before the shape guards
+JUNK_CHAINS = {
+    "short": ("CHAIN", 1, "0"),
+    "int-signers": ("CHAIN", 1, "0", 5),
+    "list-sender": ("CHAIN", [1], "0", (1,)),
+    "list-signer": ("CHAIN", 1, "0", ([1],)),
+    "not-a-tuple": 5,
+    "list-message": ["CHAIN", 1, "0", (1,)],
+}
+JUNK_RBCS = {
+    "not-a-tuple": 5,
+    "empty": (),
+    "short-ready": ("READY", "0"),
+    "short-propose": ("PROPOSE",),
+    "list-echo": ("ECHO", ["x"]),
+    "list-ready": ("READY", ["x"], None),
+}
+# junk only with PKI, where a READY's certificate is read
+JUNK_CERTS = {
+    "int-cert": ("READY", "0", 5),
+    "list-signers-cert": ("READY", "0", [[0], [1], [2]]),
+}
+
+
+def junk_rbcs(setup):
+    return {**JUNK_RBCS, **JUNK_CERTS} if setup == "PKI" else JUNK_RBCS
+
+
+def pki_ctx(party, params=PARAMS):
+    sim = Simulation(params, NetworkConfig(mode=SYNCHRONOUS, delta=DELTA), seed=1)
+    return NodeCtx(sim, NodeInstance(party_id=party))
+
+
+@pytest.mark.parametrize("name", sorted(JUNK_CHAINS))
+def test_chain_stage_drops_a_malformed_chain(name):
+    ctx = pki_ctx(0)
+    ctx.sign(("chain", 1, "0"))  # party 1 would have signed it, as a key for True too
+    stage = ChainBroadcastStage(PARAMS.n, PARAMS.t_s, me=0)
+    stage.start(ctx, "mine")
+    before = copy.deepcopy(vars(stage))
+    assert stage.handle(ctx, 1, JUNK_CHAINS[name]) == []
+    assert vars(stage) == before
+
+
+@pytest.mark.parametrize("setup, name", [(setup, name) for setup in ("PKI", "NONE")
+                                         for name in sorted(junk_rbcs(setup))])
+def test_rbc_drops_a_malformed_message(setup, name):
+    params = SystemParams(4, 1, 1, setup)
+    pki = setup == "PKI"
+    ctx = pki_ctx(3, params)
+    if pki:  # every statement a junk value could name is signed
+        sim = ctx._sim
+        for party in range(params.n):
+            for value in ("0", ["x"]):
+                sim.signatures.sign(party, ("rbc-prop", 0, value))
+                sim.signatures.sign(party, ("rbc-echo", 0, value))
+    rbc = RbcInstance(params.n, params.t_s, pki, sender=0)
+    assert rbc.handle(ctx, 1, ("ECHO", "0")) == []  # one echo counted
+    before = copy.deepcopy(vars(rbc))
+    assert rbc.handle(ctx, 1, junk_rbcs(setup)[name]) == []
+    assert vars(rbc) == before
+
+
+class JunkRelaying(Garbling):
+    """Runs `inner`; when it starts, also broadcasts every junk RBC message
+    to every instance, and at T_core every junk chain to the claims stage."""
+
+    def __init__(self, inner, setup):
+        super().__init__(inner, None)
+        self.rbc_junk = junk_rbcs(setup).values()
+
+    def on_start(self, ctx, value):
+        return self.inner.on_start(ctx, value) + [
+            Broadcast(("acs", (("rbc", j), junk))) for j in range(ctx.n) for junk in self.rbc_junk]
+
+    def on_timer(self, ctx, tag):
+        actions = self.inner.on_timer(ctx, tag)
+        if tag == ("acs", "t-core"):
+            actions += [Broadcast(("acs", ("claims", junk))) for junk in JUNK_CHAINS.values()]
+        return actions
+
+
+@pytest.mark.parametrize("setup", ["PKI", "NONE"])
+def test_corrupted_junk_rbc_and_chains_do_not_abort_the_honest_run(setup):
+    params = SystemParams(4, 1, 1, setup)
+    prop, domain = resolve("strong", 2)
+    cert = compute_similarity_certificate(prop, params, domain).certificate
+
+    def factory(p):
+        machine = UniversalBa(params, DELTA, cert)
+        return JunkRelaying(machine, setup) if p == 3 else machine
+
+    inputs = IC.of([(0, "1"), (1, "1"), (2, "1"), (3, "0")])
+    script = AdversaryScript(corrupted={3: FollowWithInput("0")},
+                             delivery=SyncRandomDelay(DELTA))
+    net = NetworkConfig(mode=SYNCHRONOUS, delta=DELTA, horizon=8000)
+    result = run(factory, params, net, script, inputs, 3)
+    events = result.trace.events
+    junk_texts = {_payload_detail(("acs", (("rbc", j), junk)))
+                  for j in range(params.n) for junk in junk_rbcs(setup).values()}
+    if setup == "PKI":
+        junk_texts |= {_payload_detail(("acs", ("claims", junk))) for junk in JUNK_CHAINS.values()}
+    delivered = {e[4]["payload"] for e in events if e[1] == DELIVER and e[2] != 3}
+    assert junk_texts <= delivered
+    assert not any(e[1] == CRASH for e in events)
+    honest = result.honest_decisions(corrupted=[3])
+    assert sorted(honest) == [(0, 0), (1, 0), (2, 0)]
+    assert len(set(honest.values())) == 1  # agreement
+    truth = IC.of((p, "1") for p in range(3))
+    assert set(honest.values()) <= prop.evaluate(params, domain, truth)  # validity

@@ -297,6 +297,9 @@ class StubCtx:
     def verify(self, party_id, payload, token=None) -> bool:
         return (party_id, repr(payload)) in self.registry
 
+    def verify_all(self, parties, payload) -> bool:
+        return all(self.verify(p, payload) for p in parties)
+
 
 class Draws:
     """Choices read from bytes that hypothesis drew, so that it shrinks a
