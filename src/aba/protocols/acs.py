@@ -214,8 +214,12 @@ class AcsProtocol(Machine):
                     continue
                 if self.valid_values is not None and v not in self.valid_values:
                     continue
+                try:
+                    count = support.get((j, v), 0)
+                except TypeError:  # an unhashable value: drop the pair
+                    continue
                 seen.add(j)
-                support[(j, v)] = support.get((j, v), 0) + 1
+                support[(j, v)] = count + 1
         core: dict[int, tuple] = {}
         for (j, v), count in sorted(support.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
             if count <= self.params.t_s:

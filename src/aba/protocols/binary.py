@@ -86,36 +86,35 @@ class CoinVotingInstance:
         return [Broadcast(("VOTE", r, b))]
 
     def handle(self, ctx, src: int, msg) -> list:
-        if self.halted:
+        # the shape check: a tuple, a VOTE or CAND of arity 3 whose round is an
+        # exact int >= 1 (not a bool), or a DONE of arity 2; anything else is
+        # dropped, so a peer's junk never raises here
+        if self.halted or type(msg) is not tuple:
             return []
-        kind = msg[0]
-        if kind == "VOTE":
-            _, r, b = msg
-            if b not in (0, 1) or r < 1:
+        if len(msg) == 3:
+            kind, r, b = msg
+            if type(r) is not int or r < 1 or b not in (0, 1):
                 return []
-            voters = self.votes.get((r, b))
-            if voters is None:
-                voters = self.votes[(r, b)] = set()
-            voters.add(src)
-            # a duplicate still counts: the node's own vote, added when it was
-            # cast, is certified only by the next VOTE delivered for (r, b)
-            actions = self._cast_vote(ctx, r, b) if len(voters) >= self.relay else []
-            if len(voters) >= self.quorum:
-                bits = self.certified.setdefault(r, set())
-                if b not in bits:
-                    bits.add(b)
-                    return actions + self._progress(ctx)
-            return actions
-        if kind == "CAND":
-            _, r, b = msg
-            if b not in (0, 1) or r < 1:
-                return []
-            return self._add_sender(ctx, self.cands, (r, b), src)
-        if kind == "DONE":
-            _, b = msg
-            if b not in (0, 1):
-                return []
-            return self._add_sender(ctx, self.dones, b, src)
+            if kind == "VOTE":
+                voters = self.votes.get((r, b))
+                if voters is None:
+                    voters = self.votes[(r, b)] = set()
+                voters.add(src)
+                # a duplicate still counts: the node's own vote, added when it
+                # was cast, is certified only by the next VOTE delivered for (r, b)
+                actions = self._cast_vote(ctx, r, b) if len(voters) >= self.relay else []
+                if len(voters) >= self.quorum:
+                    bits = self.certified.setdefault(r, set())
+                    if b not in bits:
+                        bits.add(b)
+                        return actions + self._progress(ctx)
+                return actions
+            if kind == "CAND":
+                return self._add_sender(ctx, self.cands, (r, b), src)
+        elif len(msg) == 2:
+            kind, b = msg
+            if kind == "DONE" and b in (0, 1):
+                return self._add_sender(ctx, self.dones, b, src)
         return []
 
     def _add_sender(self, ctx, table: dict, key, src: int) -> list:

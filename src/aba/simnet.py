@@ -10,9 +10,10 @@ identical message sequences evolve identically.
 Payloads are passed by reference: every destination of a send receives the
 sender's object. The trace stores each SEND and DELIVER as one flat record
 holding that object, and every reader works from those records; `events`
-is a read-only view of them. One memo per trace serializes each payload
-object once, on the first read that needs its text. Machines therefore
-never mutate a payload after sending or receiving it.
+is a read-only view of them. The trace serializes a payload on the first
+read that needs its text, once per object and, for plain values, about once
+per value (see `ExecutionTrace`). Machines therefore never mutate a payload
+after sending or receiving it.
 
 An exception raised by a corrupted node's machine, or by the engine applying
 that node's actions, crashes that node only: the trace gets one CRASH event
@@ -25,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import marshal
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
@@ -166,6 +168,15 @@ def _payload_detail(payload) -> str:
     return f"v{PAYLOAD_FORMAT}:" + _ENCODER.encode(_jsonable(payload))
 
 
+def _plain(value) -> bool:
+    """Whether `value` is an exact str, int or bool or None, or an exact tuple
+    or list of plain values: the payloads whose marshal bytes fix their text."""
+    kind = type(value)
+    if kind is tuple or kind is list:
+        return all(map(_plain, value))
+    return kind is str or kind is int or kind is bool or value is None
+
+
 # The JSONL line `_ENCODER` writes for an engine SEND or DELIVER event, keys in
 # sorted order; `%d` takes only exact ints, since it writes True as 1
 _SEND_LINE = (
@@ -187,6 +198,18 @@ def _scalar_json(value) -> Optional[str]:
     return "null" if value is None else None
 
 
+def _event_template(kind: str, keys: tuple) -> str:
+    """The JSONL line of a `kind` event whose detail has the exact-str `keys`
+    as a `%` template: one `%s` per detail value, then party, replica and t.
+    "" unless the keys are in sorted order, as every engine detail's are; such
+    an event is left to the generic encoder."""
+    if list(keys) != sorted(keys):
+        return ""
+    fields = ", ".join(_encode_str(key).replace("%", "%%") + ": %s" for key in keys)
+    return ('{"detail": {' + fields + '}, "kind": ' + _encode_str(kind).replace("%", "%%")
+            + ', "party": %d, "replica": %d, "t": %d}')
+
+
 class ExecutionTrace:
     """Append-only event log; JSONL serialization and SHA-256 hashing.
 
@@ -199,19 +222,28 @@ class ExecutionTrace:
     with a new detail dict, and write nothing back; `jsonl()`, `sha256()` and
     `node_transcript()` read the flat records as they are.
 
-    Every reader takes a payload's `v1:` JSON string from one memo per trace,
-    keyed by the payload object's id, so each distinct payload is serialized
-    at most once per trace, however many records share it and in whatever
-    order the readers run. The records hold every payload, so no id is
-    reused while the trace lives. This relies on the simulator's contract
-    that a payload is never mutated after it is sent (see `Machine`): the
-    string is the one an eager serialization at send time would have
-    produced.
+    Every reader takes a payload's `v1:` JSON string from two memos per
+    trace. The first is keyed by the payload object's id, so each payload
+    object is looked up once however many records share it and in whatever
+    order the readers run; the records hold every payload, so no id is
+    reused while the trace lives. On a miss, the second is keyed by the
+    payload's value, its `marshal.dumps` bytes, so the equal payloads that
+    honest nodes build separately are serialized about once per trace.
+    Marshal bytes tell 1, True, 1.0 and "1" apart, and tuples from lists;
+    they may differ between equal values (by reference flags), which only
+    costs a miss. Only a plain payload is entered there: exact str, int,
+    bool or None inside exact tuples and lists (`_plain`). So a hit is
+    always an identical plain value, and a subclass, a custom object (which
+    marshal rejects), a float, dict, set or bytes-like object is serialized
+    once per object. Both memos rely on the simulator's contract that a
+    payload is never mutated after it is sent (see `Machine`): the string
+    is the one an eager serialization at send time would have produced.
     """
 
     def __init__(self):
         self._events: list[tuple] = []
         self._texts: dict[int, str] = {}  # id(payload) -> its v1 string
+        self._value_texts: dict[bytes, str] = {}  # marshal bytes of a plain payload -> v1
 
     def append(self, t: int, kind: str, node: NodeKey, detail: dict):
         self._events.append((t, kind, node[0], node[1], detail))
@@ -219,7 +251,20 @@ class ExecutionTrace:
     def _text(self, payload) -> str:
         text = self._texts.get(id(payload))
         if text is None:
-            text = self._texts[id(payload)] = _payload_detail(payload)
+            text = self._texts[id(payload)] = self._value_text(payload)
+        return text
+
+    def _value_text(self, payload) -> str:
+        """`payload`'s v1 string from the value memo, serialized on a miss."""
+        try:
+            key = marshal.dumps(payload)
+        except ValueError:  # a subclass or a custom object: no value key
+            return _payload_detail(payload)
+        text = self._value_texts.get(key)
+        if text is None:
+            text = _payload_detail(payload)
+            if _plain(payload):
+                self._value_texts[key] = text
         return text
 
     def _view(self, records: Iterable[tuple]) -> list[tuple]:
@@ -250,10 +295,15 @@ class ExecutionTrace:
         """One JSON object per event, in `json.dumps(..., sort_keys=True)`
         form: ASCII escapes, `", "` and `": "` separators. A flat record whose
         fields are the engine's exact ints, strings and None fills its kind's
-        template directly; anything else is written by the generic encoder.
-        The bytes are the same on both paths."""
+        template directly. Any other event with exact-int t, party and replica
+        whose detail is a dict of exact-str keys in sorted order and exact-str
+        or exact-int values (TIMER, SIGN, COIN, CRASH, and a DECIDE on a str or
+        int) fills a template built once per call for its kind and detail keys
+        (`_event_template`). Anything else is written by the generic encoder.
+        The bytes are the same on every path."""
         text_of = self._text
         quoted: dict[int, str] = {}  # id(payload) -> its escaped text, for this call
+        templates: dict[tuple, str] = {}  # (kind, *detail keys) -> its template, for this call
         lines = []
         append = lines.append
         for event in self._events:
@@ -275,6 +325,27 @@ class ExecutionTrace:
                         append(_DELIVER_LINE % (text, peer, peer_replica, party, replica, t))
                         continue
                 event = self._view((event,))[0]  # the encoder sorts its detail's keys
+            else:
+                t, kind, party, replica, detail = event
+                if (type(t) is type(party) is type(replica) is int and type(kind) is str
+                        and type(detail) is dict):
+                    values = []
+                    for key, value in detail.items():
+                        if type(key) is not str:
+                            break
+                        if type(value) is str:
+                            value = _encode_str(value)
+                        elif type(value) is not int:
+                            break
+                        values.append(value)
+                    else:
+                        shape = (kind, *detail)
+                        line = templates.get(shape)
+                        if line is None:
+                            line = templates[shape] = _event_template(kind, shape[1:])
+                        if line:
+                            append(line % (*values, party, replica, t))
+                            continue
             t, kind, party, replica, detail = event
             append(_ENCODER.encode({"t": t, "kind": kind, "party": party, "replica": replica,
                                     "detail": _jsonable(detail)}))

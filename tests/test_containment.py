@@ -9,7 +9,9 @@ is a bug and still propagates out of the run.
 An honest ACS machine drops a message whose tag is malformed (not a 2-tuple,
 or with an unhashable index), and a certshare whose signers are not a tuple
 of party ids, instead of raising. So do the reliable broadcast and the chain
-relay for a message of the wrong shape, and neither changes its state.
+relay for a message of the wrong shape, and neither changes its state. So
+does a coin-voting instance for a VOTE, CAND or DONE of the wrong shape, and
+the certified-core merge for a claimed value it cannot key.
 """
 
 import copy
@@ -20,6 +22,7 @@ from aba.catalog import resolve
 from aba.core import InputConfiguration as IC, SystemParams, compute_similarity_certificate
 from aba.errors import ProtocolError
 from aba.protocols import AcsProtocol, ConstantProtocol, Machine, UniversalBa
+from aba.protocols.binary import CoinVotingInstance
 from aba.protocols.broadcast import ChainBroadcastStage, RbcInstance
 from aba.simnet import (
     CRASH,
@@ -404,3 +407,102 @@ def test_corrupted_junk_rbc_and_chains_do_not_abort_the_honest_run(setup):
     assert len(set(honest.values())) == 1  # agreement
     truth = IC.of((p, "1") for p in range(3))
     assert set(honest.values()) <= prop.evaluate(params, domain, truth)  # validity
+
+
+# malformed coin-voting messages: each made an honest instance raise (on
+# msg[0], on unpacking, or on comparing the round) before the shape check
+JUNK_VOTES = {
+    "not-a-tuple": 5,
+    "list-message": ["VOTE", 1, 0],
+    "empty": (),
+    "kind-only": ("VOTE",),
+    "short-vote": ("VOTE", 1),
+    "long-vote": ("VOTE", 1, 0, 0),
+    "short-cand": ("CAND", 1),
+    "long-done": ("DONE", 1, 1),
+    "str-round": ("VOTE", "1", 0),
+    "str-round-cand": ("CAND", "1", 1),
+    "list-round": ("VOTE", [1], 0),
+    "none-round": ("CAND", None, 0),
+    "bool-round": ("VOTE", True, 0),
+    "float-round": ("CAND", 1.0, 1),
+    "zero-round": ("VOTE", 0, 1),
+    "list-bit": ("VOTE", 1, [0]),
+    "list-done": ("DONE", [1]),
+    "dict-kind": ({}, 1, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JUNK_VOTES))
+def test_coin_voting_drops_a_malformed_message(name):
+    ctx = pki_ctx(0)
+    voting = CoinVotingInstance(PARAMS.n, PARAMS.t_s, coin_key=("acs", 0))
+    voting.start(ctx, 1)
+    assert voting.handle(ctx, 1, ("VOTE", 1, 1)) == [] and voting.votes[(1, 1)] == {0, 1}
+    before = copy.deepcopy(vars(voting))
+    assert voting.handle(ctx, 2, JUNK_VOTES[name]) == []
+    assert vars(voting) == before
+
+
+def test_coin_voting_takes_well_formed_messages():
+    ctx = pki_ctx(0)
+    voting = CoinVotingInstance(PARAMS.n, PARAMS.t_s, coin_key=("acs", 0))
+    voting.start(ctx, 1)
+    assert voting.handle(ctx, 1, ("VOTE", 2, 0)) == []
+    assert voting.handle(ctx, 2, ("VOTE", 2, 0)) == [Broadcast(("VOTE", 2, 0))]  # relayed
+    assert voting.handle(ctx, 1, ("CAND", 3, 1)) == [] and voting.cands == {(3, 1): {1}}
+    assert voting.handle(ctx, 1, ("DONE", 0)) == [] and voting.dones == {0: {1}}
+
+
+class JunkVoting(Garbling):
+    """Runs `inner`, and also broadcasts every junk coin-voting message to the
+    main instance and to every per-party instance when it starts."""
+
+    def __init__(self, inner):
+        super().__init__(inner, None)
+
+    def on_start(self, ctx, value):
+        tags = ["main"] + [("aba", j) for j in range(ctx.n)]
+        return self.inner.on_start(ctx, value) + [
+            Broadcast(("acs", (tag, junk))) for tag in tags for junk in JUNK_VOTES.values()]
+
+
+def test_corrupted_junk_votes_do_not_abort_the_honest_run():
+    prop, domain = resolve("strong", 2)
+    cert = compute_similarity_certificate(prop, PARAMS, domain).certificate
+
+    def factory(p):
+        machine = UniversalBa(PARAMS, DELTA, cert)
+        return JunkVoting(machine) if p == 3 else machine
+
+    inputs = IC.of([(0, "1"), (1, "1"), (2, "1"), (3, "0")])
+    script = AdversaryScript(corrupted={3: FollowWithInput("0")},
+                             delivery=SyncRandomDelay(DELTA))
+    net = NetworkConfig(mode=SYNCHRONOUS, delta=DELTA, horizon=8000)
+    result = run(factory, PARAMS, net, script, inputs, 3)
+    events = result.trace.events
+    junk_texts = {_payload_detail(("acs", (tag, junk)))
+                  for tag in ["main"] + [("aba", j) for j in range(PARAMS.n)]
+                  for junk in JUNK_VOTES.values()}
+    delivered = {e[4]["payload"] for e in events if e[1] == DELIVER and e[2] != 3}
+    assert junk_texts <= delivered
+    assert not any(e[1] == CRASH for e in events)
+    honest = result.honest_decisions(corrupted=[3])
+    assert sorted(honest) == [(0, 0), (1, 0), (2, 0)]
+    assert len(set(honest.values())) == 1  # agreement
+    truth = IC.of((p, "1") for p in range(3))
+    assert set(honest.values()) <= prop.evaluate(PARAMS, domain, truth)  # validity
+
+
+def test_merge_claims_drops_an_unhashable_claimed_value():
+    ctx = pki_ctx(0)
+    acs = AcsProtocol(PARAMS, DELTA)
+    acs.chains = ChainBroadcastStage(PARAMS.n, PARAMS.t_s, me=0)
+    for sender in (1, 2):
+        acs.chains.accepted[sender].append(((0, ["x"]),))
+    assert acs._merge_claims(ctx) == []
+    # only the pair is dropped: the same claim's later pair for party 0 counts
+    for sender in (1, 2, 3):
+        acs.chains.accepted[sender] = [((0, ["x"]), (0, "1"), (1, "0"), (2, "1"))]
+    encoding = IC.of([(0, "1"), (1, "0"), (2, "1")]).encode()
+    assert acs._merge_claims(ctx)[0] == Broadcast(("coresig", encoding))
