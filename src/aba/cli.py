@@ -300,6 +300,9 @@ class Scenario:
         )
         if any(p >= self.params.n for p in self.inputs.parties):
             raise ConfigError("inputs reference a party outside 0..n-1")
+        split = [v for _, v in self.inputs.assignments if ";" in v]
+        if split:
+            raise ConfigError(f"input labels may not contain ';': {split}")
         self.validity = None
         self.domain = None
         if self.validity_name:

@@ -14,9 +14,8 @@ canonical order, a party set at a time, from which certificates are built.
 `SimilarityCertificate.validate` is the independent check and shares no code
 with them: for an anonymous property it passes I when sigma(I) lies in the AND
 of V over the orbits of similar(I), enumerated directly once per orbit, and a
-pair scan over every (I, J), on integer configuration codes, decides the
-configurations of table properties and every I that fails that lookup; it
-plans a party set's pairs only once one of its configurations reaches it.
+pair scan over every J similar to I, built as (party, value) assignments,
+serves table properties and every I that fails that lookup.
 `similar()` and `neighbors()` keep the definitional, one-object-per-
 configuration form of the relations, which the tests check both against.
 """
@@ -429,25 +428,18 @@ class SimilarityCertificate:
         the failure it reports and any ConfigError are those of a scan over
         every pair.
 
-        The pair scan works on integer codes in which party p holds the bit
-        field d << (width * p): d = 0 for absent, d = i + 1 for input value
-        i. For a party set P the similar party sets S are listed once, when
-        the first I on P goes to the pair scan: every S of size >= n - t_a
-        and every S within P of size >= n - t_s, each with the bit mask of
-        the parties it keeps and the codes of its parties outside P in
-        `itertools.product` order; a party set whose every I passes its
-        orbit lookup is never planned. A pair then costs one add, one memo
-        lookup and one AND; an `InputConfiguration` is built only to
-        evaluate V or to describe a failure."""
+        The pair scan builds each J as its (party, value) assignments: for
+        each similar party set S in `similar()` order (every S of size >=
+        n - t_a and every S within I's parties of size >= n - t_s) it fills
+        S's parties outside I in `itertools.product` order. Every J takes its
+        pairs from one table, so the memo of V, keyed by J, compares them by
+        identity."""
         params, domain = self.params, self.domain
         budget = budget or Budget()
         budget.check_configs(count_input_configs(params, domain))
         evaluate = _output_masks(validity, params, domain)
-        n, values, outputs = params.n, domain.input_values, domain.output_values
-        width = len(values).bit_length()
-        digits = range(1, len(values) + 1)
-        field_mask = (1 << width) - 1
-        bit_of = {value: 1 << i for i, value in enumerate(outputs)}
+        n, values = params.n, domain.input_values
+        bit_of = {value: 1 << i for i, value in enumerate(domain.output_values)}
         orbit_mask = (_similar_orbit_masks(evaluate, params, domain) if validity.anonymous
                       else lambda orbit: 0)
         party_sets = [
@@ -455,44 +447,15 @@ class SimilarityCertificate:
             for size in range(params.min_config_size, n + 1)
             for parties in itertools.combinations(range(n), size)
         ]
-        keep = {
-            parties: sum(field_mask << width * p for p in parties) for parties in party_sets
-        }
+        pairs = [[(p, value) for value in values] for p in range(n)]
         row_masks: dict = {}  # size -> the orbit mask of each assignment in product order
-        digit_rows = functools.cache(  # size -> the digits of each assignment in product order
-            lambda size: list(itertools.product(digits, repeat=size)))
-        free_codes: dict = {}  # parties outside P -> their codes in product order
-        allowed: dict = {}  # code -> output mask
-
-        def decode(parties: tuple, code: int) -> InputConfiguration:
-            return InputConfiguration(
-                tuple((p, values[(code >> width * p & field_mask) - 1]) for p in parties)
-            )
-
-        def plan_of(own: tuple) -> list:
-            """(S, keep mask of S, codes of S's parties outside own) for every
-            party set S similar to own, in `similar()` order."""
-            inside = set(own)
-            plan = []
-            for parties in party_sets:
-                if len(parties) < n - params.t_a and not inside.issuperset(parties):
-                    continue
-                free = tuple(p for p in parties if p not in inside)
-                codes = free_codes.get(free)
-                if codes is None:
-                    codes = free_codes[free] = [
-                        sum(d << width * p for d, p in zip(ds, free))
-                        for ds in itertools.product(digits, repeat=len(free))
-                    ]
-                plan.append((parties, keep[parties], codes))
-            return plan
-
+        allowed: dict = {}  # J's assignments -> output mask
         for own in party_sets:
             if len(own) not in row_masks:
                 codes, orbits = _orbit_codes(n, len(values), len(own))
                 mask_of = {code: orbit_mask(orbit) for code, orbit in orbits.items()}
                 row_masks[len(own)] = list(map(mask_of.__getitem__, codes))
-            plan = None  # built when the first row on `own` fails the orbit lookup
+            rows = plan = None  # built when the first row on `own` fails its lookup
             encodings = list(_encodings(own, values))
             bits = map(bit_of.get, map(self.sigma.get, encodings), itertools.repeat(0))
             failing = map(operator.not_, map(operator.and_, row_masks[len(own)], bits))
@@ -502,20 +465,20 @@ class SimilarityCertificate:
                     return False, f"missing sigma entry for {encoded}"
                 chosen = self.sigma[encoded]
                 bit = bit_of.get(chosen, 0)
-                plan = plan or plan_of(own)
-                code = sum(d << width * p for d, p in zip(digit_rows(len(own))[row], own))
-                for parties, kept_mask, codes in plan:
-                    kept = code & kept_mask
-                    for offset in codes:
-                        other = kept + offset
+                rows = rows or list(itertools.product(*(pairs[p] for p in own)))
+                plan = plan or [parties for parties in party_sets  # the S similar to own
+                                if len(parties) >= n - params.t_a or set(parties) <= set(own)]
+                choices = pairs.copy()  # I's pair for its parties, every pair for the rest
+                for pair in rows[row]:
+                    choices[pair[0]] = (pair,)
+                for parties in plan:
+                    for other in itertools.product(*map(choices.__getitem__, parties)):
                         mask = allowed.get(other)
                         if mask is None:
-                            mask = allowed[other] = evaluate(decode(parties, other))
+                            mask = allowed[other] = evaluate(InputConfiguration(other))
                         if not mask & bit:
-                            return False, (
-                                f"sigma({encoded})={chosen} invalid under "
-                                f"{decode(parties, other).encode()}"
-                            )
+                            return False, (f"sigma({encoded})={chosen} invalid under "
+                                           f"{InputConfiguration(other).encode()}")
         return True, None
 
 

@@ -200,7 +200,8 @@ class AcsProtocol(Machine):
     def _merge_claims(self, ctx) -> list:
         """Deterministic merge of the synchronized claim vectors: keep (j, v)
         pairs claimed by at least t_s + 1 parties, per j the best-supported
-        value; sign the encoding when the core is large enough."""
+        value; sign the encoding when the core is large enough. A pair whose
+        value is unhashable or holds ';' is dropped, as an out-of-domain one is."""
         support: dict[tuple[int, Any], int] = {}
         for claim in self.chains.vector().values():
             if not isinstance(claim, tuple):
@@ -213,6 +214,8 @@ class AcsProtocol(Machine):
                 if not isinstance(j, int) or not (0 <= j < self.params.n) or j in seen:
                     continue
                 if self.valid_values is not None and v not in self.valid_values:
+                    continue
+                if ";" in str(v):  # the core encoding's party separator
                     continue
                 try:
                     count = support.get((j, v), 0)

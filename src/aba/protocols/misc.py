@@ -21,16 +21,20 @@ SCALE = 1 << 64
 
 def fixed_point_of(text) -> int:
     """Parses a decimal in [0, 1) or a 0x-prefixed raw value into the 64-bit
-    fixed-point grid (value = numerator / 2**64)."""
-    if isinstance(text, int):
-        value = text
-    elif isinstance(text, str) and text.startswith("0x"):
-        value = int(text, 16)
-    else:
-        frac = Fraction(str(text))
-        if not (0 <= frac < 1):
-            raise ConfigError(f"fixed-point input must lie in [0, 1), got {text!r}")
-        value = (frac.numerator * SCALE) // frac.denominator
+    fixed-point grid (value = numerator / 2**64); text it cannot parse
+    raises ConfigError."""
+    try:
+        if isinstance(text, int):
+            value = text
+        elif isinstance(text, str) and text.startswith("0x"):
+            value = int(text, 16)
+        else:
+            frac = Fraction(str(text))
+            if not (0 <= frac < 1):
+                raise ConfigError(f"fixed-point input must lie in [0, 1), got {text!r}")
+            value = (frac.numerator * SCALE) // frac.denominator
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"fixed-point input is not a number: {text!r}") from None
     if not (0 <= value < SCALE):
         raise ConfigError(f"fixed-point value out of range: {text!r}")
     return value

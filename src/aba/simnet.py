@@ -452,41 +452,35 @@ class DeliveryPolicy:
         return []
 
 
-class SyncExactDelay(DeliveryPolicy):
-    """Canonical synchronous schedule: every message takes exactly delta."""
-
-    def __init__(self, delta: int):
-        self.delta = delta
-
-    def schedule(self, env, rng):
-        return env.sent_at + self.delta
+def _delay(delay: int) -> int:
+    if not delay >= 1:
+        raise ConfigError(f"a delivery delay must be at least 1, got {delay!r}")
+    return delay
 
 
-class SyncRandomDelay(DeliveryPolicy):
-    """Adversarial synchronous schedule: per-message delays in [1, delta]."""
+class ExactDelay(DeliveryPolicy):
+    """Every message takes exactly `delay` units: delta for the canonical
+    synchronous schedule, one unit for immediate asynchronous delivery."""
 
-    def __init__(self, delta: int):
-        self.delta = delta
+    def __init__(self, delay: int = 1):
+        self.delay = _delay(delay)
 
     def schedule(self, env, rng):
-        return env.sent_at + rng.randrange(self.delta) + 1  # the draw of randint(1, delta)
+        return env.sent_at + self.delay
 
 
-class AsyncUniformDelay(DeliveryPolicy):
-    """Asynchronous immediate delivery: one unit, keeping causality strict."""
-
-    def schedule(self, env, rng):
-        return env.sent_at + 1
-
-
-class AsyncRandomDelay(DeliveryPolicy):
-    """Adversarial asynchronous schedule: delays in [1, max_delay]."""
+class RandomDelay(DeliveryPolicy):
+    """Adversarial schedule: per-message delays in [1, max_delay]."""
 
     def __init__(self, max_delay: int):
-        self.max_delay = max_delay
+        self.max_delay = _delay(max_delay)
 
     def schedule(self, env, rng):
         return env.sent_at + rng.randrange(self.max_delay) + 1  # the draw of randint(1, max_delay)
+
+
+SyncExactDelay = AsyncUniformDelay = ExactDelay
+SyncRandomDelay = AsyncRandomDelay = RandomDelay
 
 
 class PartitionPolicy(DeliveryPolicy):

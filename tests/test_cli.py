@@ -12,7 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from aba.cli import PROTOCOLS, Scenario, main
@@ -678,3 +678,113 @@ def test_missing_scenario_file_still_exits_two():
                         capture_output=True, text=True)
     assert out.returncode == 2
     assert out.stderr.startswith("configuration error:")
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"adversary": {"delivery": {"kind": "random", "max_delay": 0}}},
+     "delivery delay must be at least 1, got 0"),
+    ({"adversary": {"delivery": {"kind": "random", "max_delay": -1}}},
+     "delivery delay must be at least 1, got -1"),
+    ({"protocol": "ba-star", "inputs": {"0": "abc", "1": "0.5", "2": "0.25", "3": "0"}},
+     "fixed-point input is not a number: 'abc'"),
+    ({"protocol": "ba-star", "inputs": {"0": "1/0", "1": "0.5", "2": "0.25", "3": "0"}},
+     "fixed-point input is not a number: '1/0'"),
+    ({"protocol": "acs", "validity": None, "inputs": {"0": "x;y", "1": "1", "2": "0", "3": "1"}},
+     "input labels may not contain ';'"),
+])
+def test_run_bad_delay_fixed_point_or_label_exit_two(capsys, tmp_path, overrides, message):
+    code, out, err = invoke(capsys, "run", scenario_file(tmp_path, **overrides))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("configuration error:") and message in err
+
+
+# ---------------------------------------------------------------- scenario fuzz through the run
+
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 12), st.text(max_size=3),
+                  st.lists(st.integers(-1, 4), max_size=3))
+# labels with ';' (the party separator of encoded configurations), '=' and
+# fixed-point text that ba-star cannot parse, beside labels that work
+_LABELS = st.sampled_from(["0", "1", "2", "x;y", "a;p1=z", "a=b", "0.5", "0.125", "0x10",
+                           "abc", "", "nan", "0xzz", "1/0"])
+_BEHAVIORS_DRAWN = st.one_of(
+    st.fixed_dictionaries({"behavior": st.just("CRASH_AT"), "time": st.integers(-2, 40)}),
+    st.fixed_dictionaries({"behavior": st.just("FOLLOW_WITH_INPUT"), "value": _LABELS}),
+    st.fixed_dictionaries({"behavior": st.just("EQUIVOCATE"),
+                           "values": st.lists(_LABELS, min_size=2, max_size=2)}),
+    st.fixed_dictionaries({"behavior": st.just("SILENT_TO"),
+                           "parties": st.lists(st.integers(0, 4), max_size=3)}),
+)
+
+
+def _mostly(vocabulary):
+    """A value drawn from `vocabulary` four times in five, junk otherwise."""
+    return st.integers(0, 4).flatmap(lambda i: _JUNK if i == 0 else vocabulary)
+
+
+_RUN_EDITS = [
+    (("protocol",), st.sampled_from(ATTACK_NAMES)),
+    (("validity",), st.sampled_from([None, "strong", "weak", "clique:3", "interval:0:3"])),
+    (("certificate",), st.sampled_from([str(SCENARIOS / "strong-4-1-1.cert.json"),
+                                        "missing.cert.json"])),
+    (("params", "n"), st.integers(1, 5)),
+    (("params", "t_s"), st.integers(0, 2)),
+    (("params", "t_a"), st.integers(0, 2)),
+    (("params", "setup"), st.sampled_from(["PKI", "NONE"])),
+    (("network", "mode"), st.sampled_from(["SYNCHRONOUS", "ASYNCHRONOUS"])),
+    (("network", "delta"), st.integers(-1, 20)),
+    (("network", "horizon"), st.integers(0, 3000)),
+    (("adversary", "delivery", "kind"),
+     st.sampled_from(["exact", "sync-random", "uniform", "random", "partition"])),
+    (("adversary", "delivery", "max_delay"), st.integers(-2, 40)),
+    (("adversary", "delivery", "groups"), st.sampled_from([[[0, 1], [2, 3]], [[0], [1, 2, 3]]])),
+    (("adversary", "delivery", "release_time"), st.integers(-2, 200)),
+    (("adversary", "corrupted", "0"), _BEHAVIORS_DRAWN),
+    (("inputs", "0"), _LABELS),
+    (("inputs", "1"), _LABELS),
+    (("seed",), st.integers(0, 5)),
+]
+_RUN_EDIT = st.one_of([st.tuples(st.just(path), _mostly(values)) for path, values in _RUN_EDITS])
+
+
+@settings(max_examples=300, deadline=None)
+@example([(("adversary", "delivery"), {"kind": "random", "max_delay": 0})])
+@example([(("protocol",), "ba-star"), (("inputs", "0"), "1/0")])
+@example([(("protocol",), "acs"),
+          (("adversary", "corrupted", "0"), {"behavior": "FOLLOW_WITH_INPUT", "value": "a;p1=z"})])
+@given(st.lists(_RUN_EDIT, min_size=1, max_size=4))
+def test_drawn_scenarios_run_or_exit_two(edits):
+    data = {
+        "params": {"n": 4, "t_s": 1, "t_a": 1, "setup": "PKI"},
+        "protocol": "bin-ba",
+        "validity": "strong",
+        "network": {"mode": "SYNCHRONOUS", "delta": 10, "horizon": 3000},
+        "adversary": {"delivery": {"kind": "exact"}, "corrupted": {}},
+        "inputs": {"0": "1", "1": "0", "2": "1", "3": "1"},
+        "seed": 1,
+    }
+    for path, value in edits:
+        node = data
+        for key in path[:-1]:
+            node = node.get(key) if isinstance(node, dict) else None
+        if isinstance(node, dict):
+            node[path[-1]] = value
+    try:
+        Scenario(data)
+        event("loads")
+    except (ConfigError, KeyError):
+        event("stops at load")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["run", str(path)])
+    event(f"exit {code}")
+    assert code in (0, 1, 2), err.getvalue()
+    if out.getvalue():  # a run report: exit 1 is a property violation
+        assert code != 2 and "trace_hash" in json.loads(out.getvalue())
+    else:  # one line: a configuration error, or a protocol error (exit 1)
+        assert err.getvalue().count("\n") == 1
+        assert err.getvalue().startswith("configuration error:" if code == 2 else "protocol error:")

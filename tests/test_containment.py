@@ -506,3 +506,27 @@ def test_merge_claims_drops_an_unhashable_claimed_value():
         acs.chains.accepted[sender] = [((0, ["x"]), (0, "1"), (1, "0"), (2, "1"))]
     encoding = IC.of([(0, "1"), (1, "0"), (2, "1")]).encode()
     assert acs._merge_claims(ctx)[0] == Broadcast(("coresig", encoding))
+
+
+def test_merge_claims_drops_a_claimed_value_holding_the_party_separator():
+    ctx = pki_ctx(0)
+    acs = AcsProtocol(PARAMS, DELTA)
+    acs.chains = ChainBroadcastStage(PARAMS.n, PARAMS.t_s, me=0)
+    for sender in (1, 2, 3):
+        acs.chains.accepted[sender] = [((0, "a;p1=z"), (1, "0"), (2, "1"), (3, "1"))]
+    encoding = IC.of([(1, "0"), (2, "1"), (3, "1")]).encode()
+    assert acs._merge_claims(ctx)[0] == Broadcast(("coresig", encoding))
+
+
+@pytest.mark.parametrize("value", ["a;p1=z", "x;y"])
+def test_corrupted_separator_input_does_not_abort_the_honest_acs_run(value):
+    inputs = IC.of([(0, "0"), (1, "1"), (2, "0"), (3, "1")])
+    script = AdversaryScript(corrupted={0: FollowWithInput(value)})
+    net = NetworkConfig(mode=SYNCHRONOUS, delta=DELTA, horizon=8000)
+    result = run(lambda p: AcsProtocol(PARAMS, DELTA), PARAMS, net, script, inputs, 1)
+    honest = result.honest_decisions(corrupted=[0])
+    assert sorted(honest) == [(1, 0), (2, 0), (3, 0)]
+    assert len(set(honest.values())) == 1  # agreement
+    core = next(iter(honest.values()))
+    assert len(core) >= PARAMS.n - PARAMS.t_s
+    assert set(core.assignments) <= {(1, "1"), (2, "0"), (3, "1")}  # honest parties only

@@ -12,7 +12,7 @@ from aba.core import (
     compute_similarity_certificate,
     is_similar_to,
 )
-from aba.errors import ProtocolError
+from aba.errors import ConfigError, ProtocolError
 from aba.protocols import (
     AcsProtocol,
     BinaryBa,
@@ -424,3 +424,9 @@ def test_fixed_point_parsing():
     assert fixed_point_of(fixed_point_label(12345)) == 12345
     with pytest.raises(Exception):
         fixed_point_of("1.5")
+
+
+@pytest.mark.parametrize("text", ["abc", "", "nan", "inf", "0xzz", "0x", "1/0", None])
+def test_fixed_point_rejects_text_it_cannot_parse(text):
+    with pytest.raises(ConfigError, match="fixed-point input is not a number"):
+        fixed_point_of(text)

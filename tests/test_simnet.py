@@ -1,5 +1,7 @@
 """Simulator determinism, delivery invariants, and oracle semantics."""
 
+import random
+
 import pytest
 
 from aba.core import InputConfiguration as IC, SystemParams
@@ -9,6 +11,7 @@ from aba.simnet import (
     ASYNCHRONOUS,
     AdversaryScript,
     AsyncRandomDelay,
+    AsyncUniformDelay,
     Broadcast,
     CrashAt,
     Decide,
@@ -22,6 +25,8 @@ from aba.simnet import (
     SignatureOracle,
     SilentTo,
     Simulation,
+    SyncExactDelay,
+    SyncRandomDelay,
     SYNCHRONOUS,
     canonical_schedule,
     replicate,
@@ -330,3 +335,19 @@ def test_partition_sides_are_node_instances():
     assert policy.schedule(Envelope(src=(1, 0), dst=(0, 0), payload="x", sent_at=3), None) is None
     # nodes in no group are not partitioned
     assert policy.schedule(Envelope(src=(3, 0), dst=(0, 0), payload="x", sent_at=3), None) == 4
+
+
+def test_four_delay_names_are_two_rules():
+    assert SyncExactDelay is AsyncUniformDelay and SyncRandomDelay is AsyncRandomDelay
+    env = Envelope(src=(0, 0), dst=(1, 0), payload="x", sent_at=5)
+    assert AsyncUniformDelay().schedule(env, None) == 6
+    assert SyncExactDelay(10).schedule(env, None) == 15
+    rng = random.Random(3)
+    assert {AsyncRandomDelay(3).schedule(env, rng) for _ in range(40)} == {6, 7, 8}
+
+
+@pytest.mark.parametrize("delay", [0, -1])
+def test_delay_rules_reject_a_delay_below_one(delay):
+    for rule in (SyncExactDelay, SyncRandomDelay):
+        with pytest.raises(ConfigError, match="delay must be at least 1"):
+            rule(delay)
