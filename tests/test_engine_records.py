@@ -392,7 +392,9 @@ def test_cached_destinations_send_as_the_eager_path(name, monkeypatch):
     assert sum(dst is True for dst in routed) > len(sim._nodes)
 
 
-@pytest.mark.parametrize("policy", [SyncRandomDelay, AsyncRandomDelay])
+@pytest.mark.parametrize(
+    "policy", [SyncRandomDelay, AsyncRandomDelay], ids=["SyncRandomDelay", "AsyncRandomDelay"]
+)
 @pytest.mark.parametrize("delay", [1, 10, 40])
 def test_random_delays_are_the_draws_of_randint(policy, delay):
     """The random policies draw `randrange(delay) + 1`; this pins it to the
