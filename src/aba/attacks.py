@@ -1,6 +1,8 @@
 """Executable lower-bound constructions: run a protocol inside the partition
 and ring wirings that make agreement or validity break below the resilience
-thresholds.
+thresholds. Every execution is a `simnet.run` on a schedule from
+`canonical_schedule` or `partition_schedule`; the wirings pass their node
+instances, with replica tags and routes, as its node list.
 
 The strawman fixtures are intentionally NOT secure protocols; they decide
 from local views so the constructions have something to break.
@@ -9,24 +11,18 @@ from local views so the constructions have something to break.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 from .core import InputConfiguration, SimilarityCertificate, SystemParams, similarity_pass
 from .errors import ConfigError
 from .simnet import (
-    ASYNCHRONOUS,
-    SYNCHRONOUS,
-    AdversaryScript,
     Broadcast,
     Decide,
-    NetworkConfig,
     NodeInstance,
-    PartitionPolicy,
+    RunResult,
     SetTimer,
-    Simulation,
-    SyncExactDelay,
     canonical_schedule,
-    replicate,
+    partition_schedule,
     run,
 )
 from .protocols.base import Machine
@@ -106,6 +102,10 @@ def _decision_table(outcomes) -> dict:
     return {f"{party}/{tag}": value for (party, tag), value in sorted(outcomes.items())}
 
 
+def _execution(result: RunResult) -> dict:
+    return {"decisions": _decision_table(result.outcomes), "trace_hash": result.trace.sha256()}
+
+
 def _all_equal_decided(values) -> bool:
     return all(v is not None for v in values) and len(set(values)) == 1
 
@@ -183,8 +183,7 @@ def split_brain(
     run_b = canonical(set(left), inputs_two)
     keys_l = [(p, 0) for p in left]
     keys_r = [(p, 0) for p in right]
-    net_c = NetworkConfig(mode=ASYNCHRONOUS, delta=delta, horizon=horizon)
-    script_c = AdversaryScript(delivery=PartitionPolicy([keys_l, keys_r]))
+    net_c, script_c = partition_schedule([keys_l, keys_r], delta=delta, horizon=horizon)
     run_c = run(factory, params, net_c, script_c, mixed, seed)
     run_d = canonical(set(), inputs_one)
 
@@ -198,14 +197,10 @@ def split_brain(
         "params": params.to_dict(),
         "seed": seed,
         "executions": {
-            "a_right_crashed": {"decisions": _decision_table(run_a.outcomes),
-                                "trace_hash": run_a.trace.sha256()},
-            "b_left_crashed": {"decisions": _decision_table(run_b.outcomes),
-                               "trace_hash": run_b.trace.sha256()},
-            "c_partitioned": {"decisions": _decision_table(run_c.outcomes),
-                              "trace_hash": run_c.trace.sha256()},
-            "d_full_canonical": {"decisions": _decision_table(run_d.outcomes),
-                                 "trace_hash": run_d.trace.sha256()},
+            "a_right_crashed": _execution(run_a),
+            "b_left_crashed": _execution(run_b),
+            "c_partitioned": _execution(run_c),
+            "d_full_canonical": _execution(run_d),
         },
         "checks": {
             "left_in_c_matches_a": c_left == a_left and _all_equal_decided(c_left),
@@ -226,30 +221,18 @@ def _triple_nodes(layout: PartitionLayout, near: InputConfiguration,
     feeds the left group and middle copy 0, `far` the right group and middle
     copy 1."""
     left, middle, right = layout.left, layout.middle, layout.right
-    nodes = []
-
-    def middle_route(tag):
+    outer_route = {m: [(m, 0), (m, 1)] for m in middle}
+    nodes = [NodeInstance(party_id=p, input=near.value_of(p), route=dict(outer_route))
+             for p in left]
+    nodes += [NodeInstance(party_id=p, input=far.value_of(p), route=dict(outer_route))
+              for p in right]
+    for m in middle:
         # same-copy middle traffic plus the copy's own side; the far side is
         # discarded in transit
-        route: dict[int, Any] = {m: (m, tag) for m in middle}
-        if tag == 0:
-            route.update({r: None for r in right})
-        else:
-            route.update({l: None for l in left})
-        return route
-
-    outer_route = {m: [(m, 0), (m, 1)] for m in middle}
-    for p in left:
-        nodes.append(NodeInstance(party_id=p, input=near.value_of(p), route=dict(outer_route)))
-    for p in right:
-        nodes.append(NodeInstance(party_id=p, input=far.value_of(p), route=dict(outer_route)))
-    for m in middle:
-        copy_l, copy_r = replicate(m, 2)
-        copy_l.input = near.value_of(m)
-        copy_l.route = middle_route(0)
-        copy_r.input = far.value_of(m)
-        copy_r.route = middle_route(1)
-        nodes += [copy_l, copy_r]
+        for tag, (inputs, far_side) in enumerate(((near, right), (far, left))):
+            route = {**{q: (q, tag) for q in middle}, **dict.fromkeys(far_side)}
+            nodes.append(NodeInstance(party_id=m, replica_tag=tag, input=inputs.value_of(m),
+                                      route=route))
     return nodes
 
 
@@ -282,51 +265,43 @@ def triple_partition(
     side_l = [(p, 0) for p in left] + [(m, 0) for m in middle]
     side_r = [(p, 0) for p in right] + [(m, 1) for m in middle]
 
-    def build_and_run(control: bool):
-        net = NetworkConfig(
-            mode=SYNCHRONOUS if control else ASYNCHRONOUS, delta=delta, horizon=horizon
-        )
-        policy = SyncExactDelay(delta) if control else PartitionPolicy([side_l, side_r])
-        sim = Simulation(params, net, seed, policy=policy)
-        for node in _triple_nodes(layout, inputs_one, inputs_one if control else inputs_two):
-            sim.add_node(node, factory)
-        outcomes = sim.run()
-        return sim, outcomes
+    def execute(control: bool):
+        net, script = (canonical_schedule((), delta=delta, horizon=horizon) if control
+                       else partition_schedule([side_l, side_r], delta=delta, horizon=horizon))
+        nodes = _triple_nodes(layout, inputs_one, inputs_one if control else inputs_two)
+        return run(factory, params, net, script, None, seed, nodes=nodes)
 
-    control_sim, control_outcomes = build_and_run(control=True)
+    control = execute(control=True)
     replica_checks = {}
     for m in middle:
-        t0 = control_sim.trace.node_transcript((m, 0))
-        t1 = control_sim.trace.node_transcript((m, 1))
+        t0 = control.trace.node_transcript((m, 0))
+        t1 = control.trace.node_transcript((m, 1))
         replica_checks[str(m)] = (
-            control_sim.trace.transcript_hash(t0) == control_sim.trace.transcript_hash(t1)
+            control.trace.transcript_hash(t0) == control.trace.transcript_hash(t1)
         )
 
-    attack_sim, attack_outcomes = build_and_run(control=False)
+    attack = execute(control=False)
 
     return {
         "scenario": "triple-partition",
         "params": params.to_dict(),
         "seed": seed,
         "groups": {"left": list(left), "middle": list(middle), "right": list(right)},
-        "control": {
-            "decisions": _decision_table(control_outcomes),
-            "middle_replicas_identical": replica_checks,
-            "trace_hash": control_sim.trace.sha256(),
-        },
-        "attack": {
-            "decisions": _decision_table(attack_outcomes),
-            "trace_hash": attack_sim.trace.sha256(),
-        },
+        "control": {**_execution(control), "middle_replicas_identical": replica_checks},
+        "attack": _execution(attack),
         "checks": {
             "replicas_identical": all(replica_checks.values()),
-            **_side_checks([attack_outcomes[key] for key in side_l],
-                           [attack_outcomes[key] for key in side_r]),
+            **_side_checks([attack.outcomes[key] for key in side_l],
+                           [attack.outcomes[key] for key in side_r]),
         },
     }
 
 
 # ---------------------------------------------------------------- ring
+
+# The ring runs a three-party protocol tolerating one synchronous fault, with
+# no asynchronous faults and no signatures: it copies parties, which PKI forbids
+RING_PARAMS = SystemParams(n=3, t_s=1, t_a=0, setup="NONE")
 
 
 @dataclass(frozen=True)
@@ -411,29 +386,22 @@ def ring_attack(
     Requires a protocol that uses no signatures (the construction is invalid
     under PKI); both fixture strawmen and constant protocols qualify.
     """
-    params3 = SystemParams(n=3, t_s=1, t_a=0, setup="NONE")
     layout = RingLayout(r)
-    horizon = horizon_rounds * delta
-    net = NetworkConfig(mode=SYNCHRONOUS, delta=delta, horizon=horizon)
-
-    sim = Simulation(params3, net, seed, policy=SyncExactDelay(delta))
     routes = layout.routes()
-    for k, i, j in layout.node_ids():
-        key = layout.key(k, i, j)
-        source = inputs_one if k == 1 else inputs_two
-        sim.add_node(
-            NodeInstance(party_id=i, replica_tag=key[1], input=source.value_of(i),
-                         route=routes[key]),
-            factory,
-        )
-    outcomes = sim.run()
+    nodes = [
+        NodeInstance(party_id=i, replica_tag=layout.tag(k, j), route=routes[layout.key(k, i, j)],
+                     input=(inputs_one if k == 1 else inputs_two).value_of(i))
+        for k, i, j in layout.node_ids()
+    ]
 
-    # canonical three-party executions with the same randomness
-    def canonical(inputs):
-        net_c, script = canonical_schedule((), delta=delta, horizon=horizon)
-        return run(factory, params3, net_c, script, inputs, seed)
+    # the ring and the canonical three-party executions, with the same randomness
+    def execute(inputs=None, nodes=None):
+        net, script = canonical_schedule((), delta=delta, horizon=horizon_rounds * delta)
+        return run(factory, RING_PARAMS, net, script, inputs, seed, nodes=nodes)
 
-    canon = {1: canonical(inputs_one), 2: canonical(inputs_two)}
+    ring = execute(nodes=nodes)
+    outcomes = ring.outcomes
+    canon = {1: execute(inputs_one), 2: execute(inputs_two)}
 
     through = r * delta
     fidelity = {}
@@ -441,10 +409,10 @@ def ring_attack(
     for k in (1, 2):
         for i in range(3):
             key = layout.key(k, i, r)
-            ring_t = sim.trace.node_transcript(key, through=through)
+            ring_t = ring.trace.node_transcript(key, through=through)
             canon_t = canon[k].trace.node_transcript((i, 0), through=through)
             fidelity[f"k{k}/i{i}"] = (
-                sim.trace.transcript_hash(ring_t) == sim.trace.transcript_hash(canon_t)
+                ring.trace.transcript_hash(ring_t) == ring.trace.transcript_hash(canon_t)
             )
             decisions_match[f"k{k}/i{i}"] = outcomes[key] == canon[k].outcomes[(i, 0)]
 
@@ -469,6 +437,6 @@ def ring_attack(
         "checks": {
             "all_middle_fidelity": all(fidelity.values()),
             "any_adjacent_disagreement": any(not e["equal"] for e in adjacency),
-            "trace_hash": sim.trace.sha256(),
+            "trace_hash": ring.trace.sha256(),
         },
     }

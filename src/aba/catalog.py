@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import Domain, InputConfiguration, SystemParams, ValidityProperty
+from .core import Domain, InputConfiguration, SystemParams, ValidityProperty, read_labels
 from .errors import ConfigError, DomainMismatchError
 
 BOT = "⊥"
@@ -152,12 +152,6 @@ def table_property(name: str, table: dict[str, list], default: list) -> Validity
     return ValidityProperty(name=name, evaluate=evaluate)
 
 
-def _labels(value, where: str) -> list:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ConfigError(f"{where} must be a list of strings, got {value!r}")
-    return value
-
-
 def load_table_property(path: str, params: SystemParams) -> tuple[ValidityProperty, Domain]:
     """Loads {name?, domain, default, table} from a JSON file: `domain` holds
     the input_values and output_values label lists, `default` and each table
@@ -179,7 +173,7 @@ def load_table_property(path: str, params: SystemParams) -> tuple[ValidityProper
         if not isinstance(value, dict):
             raise ConfigError(f"custom validity {key} must be a JSON object, got {value!r}")
     domain = Domain(*(
-        tuple(_labels(domain.get(side), f"domain {side}"))
+        tuple(read_labels(domain.get(side), f"domain {side}"))
         for side in ("input_values", "output_values")
     ))
     n, least = params.n, params.n - params.t_s
@@ -195,8 +189,8 @@ def load_table_property(path: str, params: SystemParams) -> tuple[ValidityProper
                 raise ConfigError(f"table key {key!r} holds {value!r}, outside the input domain")
         if config.encode() in canonical:
             raise ConfigError(f"table key {key!r} names a configuration another key names")
-        canonical[config.encode()] = _labels(values, f"table entry {key!r}")
-    default = _labels(data["default"], "default")
+        canonical[config.encode()] = read_labels(values, f"table entry {key!r}")
+    default = read_labels(data["default"], "default")
     return table_property(name, canonical, default), domain
 
 

@@ -2,7 +2,8 @@
 scenario execution, fuzzing, and attack demonstrations.
 
 Exit codes are a contract: 0 clean/solvable, 1 property violation,
-2 configuration error, 3 unsolvable verdict, 4 budget exceeded. All outputs
+2 configuration error (a protocol built below its resilience bound
+included), 3 unsolvable verdict, 4 budget exceeded. All outputs
 are pure functions of the provided files, flags, and seeds; the ABA_BUDGET
 environment variable overrides the enumeration cap.
 """
@@ -438,7 +439,7 @@ def cmd_fuzz(args) -> int:
 
 def cmd_attack(args) -> int:
     if args.scenario_kind == "ring":
-        params = SystemParams(3, 1, 0, "NONE")
+        params = attacks.RING_PARAMS
     else:
         params = SystemParams(args.n, args.ts, args.ta, args.setup.upper())
     if "=" in args.i1:

@@ -53,6 +53,13 @@ def read_integer(value, where: str) -> int:
     return int(value)
 
 
+def read_labels(value, where: str) -> list:
+    """A label list read from a file: a list of strings, else ConfigError."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{where} must be a list of strings, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Party count and per-network-mode corruption bounds."""
@@ -398,11 +405,7 @@ class SimilarityCertificate:
                 )
         domain, sigma = data["domain"], data["sigma"]
         for side in ("input_values", "output_values"):
-            labels = domain.get(side)
-            if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
-                raise ConfigError(
-                    f"certificate domain {side} must be a list of strings, got {labels!r}"
-                )
+            read_labels(domain.get(side), f"certificate domain {side}")
         if not all(map(isinstance, sigma.values(), itertools.repeat(str))):
             raise ConfigError("certificate sigma values must be output labels (strings)")
         return cls(

@@ -35,3 +35,8 @@ class MissingSigmaEntryError(ProtocolError):
     Must be impossible when the certificate was computed for the same
     parameters and domain; treated as a fatal consistency bug.
     """
+
+
+class ResilienceBoundError(ConfigError, ProtocolError):
+    """A protocol was built at parameters that violate its resilience bound:
+    a configuration error, raised where callers catch either type."""

@@ -259,7 +259,7 @@ class AcsProtocol(Machine):
             return []
         if not isinstance(encoding, str) or len(set(signers)) < self.quorum:
             return []
-        if not all(ctx.verify(p, ("coresig", encoding)) for p in signers):
+        if not ctx.verify_all(signers, ("coresig", encoding)):
             return []
         self.cert = encoding
         return self._on_cert_found(ctx)

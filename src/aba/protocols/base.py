@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..errors import ProtocolError
+from ..errors import ProtocolError, ResilienceBoundError
 from ..simnet import Broadcast, Decide, Send, SetTimer
 
 
@@ -61,7 +61,7 @@ def check_param_bounds(params, enforce: bool = True) -> None:
     if not enforce:
         return
     if not params.n_bound_holds():
-        raise ProtocolError(
+        raise ResilienceBoundError(
             f"parameters violate the resilience bound: n={params.n} t_s={params.t_s} "
             f"t_a={params.t_a} setup={params.setup}"
         )

@@ -10,6 +10,7 @@ honest parties hold.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from ..errors import ConfigError
@@ -19,17 +20,27 @@ from .base import Machine
 SCALE = 1 << 64
 
 
+# the decimal exponent of a Fraction literal, "1e-5" or "2.5E+1_0"
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def fixed_point_of(text) -> int:
     """Parses a decimal in [0, 1) or a 0x-prefixed raw value into the 64-bit
     fixed-point grid (value = numerator / 2**64); text it cannot parse
-    raises ConfigError."""
+    raises ConfigError. So does a decimal exponent larger in magnitude than
+    the text's length plus 20, read before `Fraction` would expand it: such
+    a text is 0, at least 1, or below 10**-20 < 2**-64, the grid's step."""
     try:
         if isinstance(text, int):
             value = text
         elif isinstance(text, str) and text.startswith("0x"):
             value = int(text, 16)
         else:
-            frac = Fraction(str(text))
+            literal = str(text)
+            exponent = _EXPONENT.search(literal)
+            if exponent and abs(int(exponent.group(1))) > len(literal) + 20:
+                raise ConfigError(f"fixed-point input exponent is out of range: {text!r}")
+            frac = Fraction(literal)
             if not (0 <= frac < 1):
                 raise ConfigError(f"fixed-point input must lie in [0, 1), got {text!r}")
             value = (frac.numerator * SCALE) // frac.denominator

@@ -547,6 +547,17 @@ def canonical_schedule(
     return net, script
 
 
+def partition_schedule(
+    groups: Iterable[Iterable[NodeKey]],
+    delta: int = DEFAULT_DELTA,
+    horizon: int = 10_000,
+) -> tuple[NetworkConfig, AdversaryScript]:
+    """Partitioned executions: asynchronous, nothing corrupted, messages
+    between node groups held until their sender decides (`PartitionPolicy`)."""
+    net = NetworkConfig(mode=ASYNCHRONOUS, delta=delta, horizon=horizon)
+    return net, AdversaryScript(delivery=PartitionPolicy(groups))
+
+
 def replicate(party_id: int, count: int) -> list[NodeInstance]:
     """Replica instances sharing the party's identity."""
     return [NodeInstance(party_id=party_id, replica_tag=tag) for tag in range(count)]
@@ -926,37 +937,41 @@ def run(
     params: SystemParams,
     net: NetworkConfig,
     adversary: AdversaryScript,
-    inputs: InputConfiguration,
+    inputs: Optional[InputConfiguration],
     seed: int,
+    nodes: Optional[Iterable[NodeInstance]] = None,
 ) -> RunResult:
-    """Runs one protocol execution and returns its trace and per-node outcome.
+    """Runs one protocol execution and returns its trace and per-node outcome;
+    the one place that builds and runs a `Simulation`.
 
-    Every honest party must appear in `inputs`. A corrupted party takes its
-    input from its scripted behavior when that names one (`Equivocate`,
-    `FollowWithInput`, `SilentTo` with a value) and from `inputs` otherwise;
-    only a party that crashes at time 0, and so never starts, may have none.
+    Given `inputs`, the run has one tag-0 node per party. Every honest party
+    must appear in `inputs`. A corrupted party takes its input from its
+    scripted behavior when that names one (`Equivocate`, `FollowWithInput`,
+    `SilentTo` with a value) and from `inputs` otherwise; only a party that
+    crashes at time 0, and so never starts, may have none. Given `nodes` (and
+    None for `inputs`), the run has those instances in that order, each with
+    its own replica tag, route, input and `corrupted` flag and its party's
+    scripted behavior.
     """
     adversary.validate(params, net.mode)
-    given = inputs.as_dict()
-    for party in range(params.n):
-        behavior = adversary.corrupted.get(party)
-        if party in given or behavior == CrashAt(0) or isinstance(behavior, Equivocate):
-            continue
-        if isinstance(behavior, (FollowWithInput, SilentTo)) and behavior.value is not None:
-            continue
-        if behavior is None:
-            raise ConfigError(f"honest party {party} missing from inputs")
-        raise ConfigError(
-            f"corrupted party {party} ({type(behavior).__name__}) would start "
-            "with no input; list it in inputs or give its behavior a value"
-        )
+    if nodes is None:
+        given = inputs.as_dict()
+        for party in range(params.n):
+            behavior = adversary.corrupted.get(party)
+            if party in given or behavior == CrashAt(0) or isinstance(behavior, Equivocate):
+                continue
+            if isinstance(behavior, (FollowWithInput, SilentTo)) and behavior.value is not None:
+                continue
+            if behavior is None:
+                raise ConfigError(f"honest party {party} missing from inputs")
+            raise ConfigError(
+                f"corrupted party {party} ({type(behavior).__name__}) would start "
+                "with no input; list it in inputs or give its behavior a value"
+            )
+        nodes = [NodeInstance(party_id=party, input=given.get(party),
+                              corrupted=adversary.corrupted.get(party) is not None)
+                 for party in range(params.n)]
     sim = Simulation(params, net, seed, policy=adversary.delivery)
-    for party in range(params.n):
-        behavior = adversary.corrupted.get(party)
-        node = NodeInstance(
-            party_id=party,
-            corrupted=behavior is not None,
-            input=given.get(party),
-        )
-        sim.add_node(node, machine_factory, behavior)
+    for node in nodes:
+        sim.add_node(node, machine_factory, adversary.corrupted.get(node.party_id))
     return RunResult(trace=sim.trace, outcomes=sim.run())

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -697,6 +698,30 @@ def test_run_bad_delay_fixed_point_or_label_exit_two(capsys, tmp_path, overrides
     assert code == 2 and out == ""
     assert err.count("\n") == 1
     assert err.startswith("configuration error:") and message in err
+
+
+@pytest.mark.parametrize("value", ["1e-999999999", "0e999999999", "1E+999999999"])
+def test_run_ba_star_huge_exponent_exit_two_fast(capsys, tmp_path, value):
+    # the exponent is rejected before Fraction would expand 10**exponent
+    path = scenario_file(tmp_path, protocol="ba-star", validity=None,
+                         params={"n": 3, "t_s": 1, "t_a": 1, "setup": "PKI"},
+                         inputs={"0": value, "1": "0.25", "2": "0.625"})
+    started = time.perf_counter()
+    code, out, err = invoke(capsys, "run", path)
+    assert time.perf_counter() - started < 1
+    assert code == 2 and out == ""
+    assert err == f"configuration error: fixed-point input exponent is out of range: {value!r}\n"
+
+
+@pytest.mark.parametrize("command", [["run"], ["fuzz", "--seeds", "2"]])
+def test_resilience_bound_breach_exit_two(capsys, tmp_path, command):
+    # bin-ba at PKI (4,2,1) breaks n > 2*t_s + t_a: a configuration error,
+    # not the property violation that exit 1 reports
+    path = scenario_file(tmp_path, params={"n": 4, "t_s": 2, "t_a": 1, "setup": "PKI"})
+    code, out, err = invoke(capsys, *command, path)
+    assert code == 2 and out == ""
+    assert err == ("configuration error: parameters violate the resilience bound: "
+                   "n=4 t_s=2 t_a=1 setup=PKI\n")
 
 
 # ---------------------------------------------------------------- scenario fuzz through the run

@@ -19,6 +19,7 @@ from aba.simnet import (
     Equivocate,
     FollowWithInput,
     NetworkConfig,
+    NodeInstance,
     PartitionPolicy,
     RandomTape,
     SetTimer,
@@ -261,8 +262,6 @@ def test_replicas_with_identical_messages_decide_identically():
     net = NetworkConfig(mode=SYNCHRONOUS, delta=10, horizon=300)
     sim = Simulation(params, net, seed=5)
     factory = lambda p: EchoOnce()
-    from aba.simnet import NodeInstance
-
     for tag in (0, 1):
         sim.add_node(
             NodeInstance(party_id=0, replica_tag=tag, input="a", route={0: (0, tag)}),
@@ -273,6 +272,36 @@ def test_replicas_with_identical_messages_decide_identically():
     sim.add_node(NodeInstance(party_id=2, input="b", route={0: (0, 1)}), factory)
     outcomes = sim.run()
     assert outcomes[(0, 0)] == outcomes[(0, 1)]
+
+
+def replica_wiring() -> list:
+    """Two replicas of party 0; party 1 talks to the first, party 2 to the second."""
+    return [NodeInstance(party_id=0, replica_tag=tag, input="a", route={0: (0, tag)})
+            for tag in (0, 1)] + [NodeInstance(party_id=1, input="b", route={0: (0, 0)}),
+                                  NodeInstance(party_id=2, input="b", route={0: (0, 1)})]
+
+
+def test_run_with_nodes_matches_a_hand_built_simulation():
+    params = SystemParams(n=3, t_s=1, t_a=0, setup="NONE")
+    net, script = canonical_schedule((), delta=10, horizon=300)
+    sim = Simulation(params, net, seed=5, policy=script.delivery)
+    for node in replica_wiring():
+        sim.add_node(node, lambda p: EchoOnce())
+    outcomes = sim.run()
+    result = run(lambda p: EchoOnce(), params, net, script, None, 5, nodes=replica_wiring())
+    assert result.outcomes == outcomes
+    assert result.trace.sha256() == sim.trace.sha256()
+
+
+def test_run_with_one_node_per_party_matches_run_with_inputs():
+    inputs = cfg((0, "0"), (1, "1"), (2, "0"), (3, "1"))
+    script = AdversaryScript(corrupted={3: CrashAt(5)})
+    nodes = [NodeInstance(party_id=p, corrupted=p == 3, input=v) for p, v in inputs.assignments]
+    net = NetworkConfig(mode=SYNCHRONOUS, delta=10, horizon=300)
+    by_inputs = run(lambda p: EchoOnce(), PARAMS4, net, script, inputs, 2)
+    by_nodes = run(lambda p: EchoOnce(), PARAMS4, net, script, None, 2, nodes=nodes)
+    assert by_nodes.outcomes == by_inputs.outcomes
+    assert by_nodes.trace.sha256() == by_inputs.trace.sha256()
 
 
 # ---------------------------------------------------------------- partitions
