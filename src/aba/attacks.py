@@ -29,6 +29,9 @@ from .protocols.base import Machine
 
 MachineFactory = Callable[[int], Machine]
 
+PARTITION_HORIZON = 4000  # the triple-partition runs' time bound; split_brain's default
+RING_HORIZON_ROUNDS = 40  # the ring runs' time bound, in rounds of delta
+
 
 # ---------------------------------------------------------------- strawmen
 
@@ -155,7 +158,7 @@ def split_brain(
     inputs_two: InputConfiguration,
     seed: int,
     delta: int = 10,
-    horizon: int = 4000,
+    horizon: int = PARTITION_HORIZON,
 ) -> dict:
     """Two-group indistinguishability demonstration at n = 2*t_s.
 
@@ -243,7 +246,6 @@ def triple_partition(
     inputs_two: InputConfiguration,
     seed: int,
     delta: int = 10,
-    horizon: int = 4000,
 ) -> dict:
     """Duplicated-middle partition at n = 2*t_s + t_a.
 
@@ -256,7 +258,7 @@ def triple_partition(
     layout = PartitionLayout(params)
     left, middle, right = layout.left, layout.middle, layout.right
     if not middle:
-        report = split_brain(factory, params, inputs_one, inputs_two, seed, delta, horizon)
+        report = split_brain(factory, params, inputs_one, inputs_two, seed, delta)
         report["scenario"] = "triple-partition"
         report["degenerate_no_middle"] = True
         return report
@@ -266,8 +268,8 @@ def triple_partition(
     side_r = [(p, 0) for p in right] + [(m, 1) for m in middle]
 
     def execute(control: bool):
-        net, script = (canonical_schedule((), delta=delta, horizon=horizon) if control
-                       else partition_schedule([side_l, side_r], delta=delta, horizon=horizon))
+        net, script = (canonical_schedule((), delta, PARTITION_HORIZON) if control
+                       else partition_schedule([side_l, side_r], delta, PARTITION_HORIZON))
         nodes = _triple_nodes(layout, inputs_one, inputs_one if control else inputs_two)
         return run(factory, params, net, script, None, seed, nodes=nodes)
 
@@ -377,7 +379,6 @@ def ring_attack(
     r: int,
     seed: int,
     delta: int = 10,
-    horizon_rounds: int = 40,
 ) -> dict:
     """Runs a 3-party protocol around the ring of copies, synchronously with
     exact-delta delivery, and checks the copies at column r of each row
@@ -396,7 +397,7 @@ def ring_attack(
 
     # the ring and the canonical three-party executions, with the same randomness
     def execute(inputs=None, nodes=None):
-        net, script = canonical_schedule((), delta=delta, horizon=horizon_rounds * delta)
+        net, script = canonical_schedule((), delta=delta, horizon=RING_HORIZON_ROUNDS * delta)
         return run(factory, RING_PARAMS, net, script, inputs, seed, nodes=nodes)
 
     ring = execute(nodes=nodes)

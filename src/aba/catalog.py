@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import Domain, InputConfiguration, SystemParams, ValidityProperty, read_labels
+from .core import Domain, InputConfiguration, SystemParams, ValidityProperty
+from .core import read_labels, read_object, read_string
 from .errors import ConfigError, DomainMismatchError
 
 BOT = "⊥"
@@ -160,22 +161,11 @@ def load_table_property(path: str, params: SystemParams) -> tuple[ValidityProper
     holding an input value) and that no other key names. Anything else raises
     ConfigError."""
     with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ConfigError(f"custom validity file must be a JSON object, got {data!r}")
-    for key in ("domain", "default", "table"):
-        if key not in data:
-            raise ConfigError(f"custom validity file missing {key!r}")
-    name, domain, table = data.get("name", "custom"), data["domain"], data["table"]
-    if not isinstance(name, str):
-        raise ConfigError(f"custom validity name must be a string, got {name!r}")
-    for key, value in (("domain", domain), ("table", table)):
-        if not isinstance(value, dict):
-            raise ConfigError(f"custom validity {key} must be a JSON object, got {value!r}")
-    domain = Domain(*(
-        tuple(read_labels(domain.get(side), f"domain {side}"))
-        for side in ("input_values", "output_values")
-    ))
+        data = read_object(json.load(fh), "custom validity file", "domain", "default", "table")
+    name = read_string(data.get("name", "custom"), "custom validity name")
+    where = "custom validity domain"
+    domain = Domain.from_dict(read_object(data["domain"], where), where)
+    table = read_object(data["table"], "custom validity table")
     n, least = params.n, params.n - params.t_s
     canonical: dict[str, list] = {}
     for key, values in table.items():

@@ -3,9 +3,13 @@ scenario execution, fuzzing, and attack demonstrations.
 
 Exit codes are a contract: 0 clean/solvable, 1 property violation,
 2 configuration error (a protocol built below its resilience bound
-included), 3 unsolvable verdict, 4 budget exceeded. All outputs
-are pure functions of the provided files, flags, and seeds; the ABA_BUDGET
-environment variable overrides the enumeration cap.
+included), 3 unsolvable verdict, 4 budget exceeded. Scenario, certificate
+and validity-table files are read field by field through `core`'s readers
+(`read_object`, `read_string`, `read_integer`, `read_labels`), so a missing
+or mistyped field is a ConfigError that names it. `main` maps no KeyError to
+exit 2: one that reaches it is a bug and propagates. All outputs are pure
+functions of the provided files, flags, and seeds; the ABA_BUDGET environment
+variable overrides the enumeration cap.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from .core import (
     is_similar_to,
     is_solvable,
     read_integer,
+    read_object,
+    read_string,
 )
 from .errors import BudgetExceededError, ConfigError, ProtocolError
 from .protocols import (
@@ -141,23 +147,11 @@ def cmd_certificate(args) -> int:
 # ---------------------------------------------------------------- scenarios
 
 
-def _mapping(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
-    return value
-
-
 def _integer(value, where: str) -> int:
     try:
         return read_integer(value, where)
     except (TypeError, ValueError):
         raise ConfigError(f"{where} must be an integer, got {value!r}") from None
-
-
-def _string(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{where} must be a string, got {value!r}")
-    return value
 
 
 def _parties(value, where: str) -> frozenset:
@@ -167,7 +161,7 @@ def _parties(value, where: str) -> frozenset:
 
 
 def _equivocate(spec: dict) -> Equivocate:
-    values = spec["values"]
+    values = read_object(spec, "EQUIVOCATE", "values")["values"]
     if not isinstance(values, list) or len(values) != 2:
         raise ConfigError(f"EQUIVOCATE values must be a list of two values, got {values!r}")
     split = _parties(spec["split"], "EQUIVOCATE split") if "split" in spec else None
@@ -176,10 +170,13 @@ def _equivocate(spec: dict) -> Equivocate:
 
 _BEHAVIORS = {
     "CRASH_AT": lambda spec: CrashAt(_integer(spec.get("time", 0), "CRASH_AT time")),
-    "FOLLOW_WITH_INPUT": lambda spec: FollowWithInput(spec["value"]),
+    "FOLLOW_WITH_INPUT": lambda spec: FollowWithInput(
+        read_object(spec, "FOLLOW_WITH_INPUT", "value")["value"]
+    ),
     "EQUIVOCATE": _equivocate,
     "SILENT_TO": lambda spec: SilentTo(
-        _parties(spec["parties"], "SILENT_TO parties"), spec.get("value")
+        _parties(read_object(spec, "SILENT_TO", "parties")["parties"], "SILENT_TO parties"),
+        spec.get("value"),
     ),
 }
 
@@ -187,7 +184,7 @@ _BEHAVIORS = {
 def _delivery_policy(spec, net: NetworkConfig):
     if spec is None:
         return None
-    kind = _mapping(spec, "adversary delivery").get("kind")
+    kind = read_object(spec, "adversary delivery").get("kind")
     if kind == "exact":
         return SyncExactDelay(net.delta)
     if kind == "sync-random":
@@ -197,7 +194,7 @@ def _delivery_policy(spec, net: NetworkConfig):
     if kind == "random":
         return AsyncRandomDelay(_integer(spec.get("max_delay", 3 * net.delta), "max_delay"))
     if kind == "partition":
-        groups = spec["groups"]
+        groups = read_object(spec, "partition delivery", "groups")["groups"]
         if not isinstance(groups, list):
             raise ConfigError(f"partition groups must be a list, got {groups!r}")
         release = spec.get("release_time")
@@ -261,33 +258,30 @@ class Scenario:
     inputs, and seed."""
 
     def __init__(self, data: dict, base_dir: str = "."):
-        _mapping(data, "scenario")
-        for key in ("params", "protocol", "network", "inputs", "seed"):
-            if key not in data:
-                raise ConfigError(f"scenario missing {key!r}")
-        self.params = SystemParams.from_dict(_mapping(data["params"], "params"))
-        net = _mapping(data["network"], "network")
-        mode = _string(net.get("mode", "SYNCHRONOUS"), "network mode").upper()
+        read_object(data, "scenario", "params", "protocol", "network", "inputs", "seed")
+        self.params = SystemParams.from_dict(data["params"])
+        net = read_object(data["network"], "network")
+        mode = read_string(net.get("mode", "SYNCHRONOUS"), "network mode").upper()
         self.net = NetworkConfig(
             mode=mode,
             delta=_integer(net.get("delta", 10), "network delta"),
             horizon=_integer(net.get("horizon", 8000), "network horizon"),
         )
-        self.protocol = _string(data["protocol"], "protocol")
+        self.protocol = read_string(data["protocol"], "protocol")
         self.seed = _integer(data["seed"], "seed")
         self.validity_name = data.get("validity")
         if self.validity_name is not None:
-            _string(self.validity_name, "validity")
+            read_string(self.validity_name, "validity")
         self.values = _integer(data.get("values", 2), "values")
         self.certificate_path = data.get("certificate")
         if self.certificate_path is not None:
-            _string(self.certificate_path, "certificate")
+            read_string(self.certificate_path, "certificate")
         if self.certificate_path and not os.path.isabs(self.certificate_path):
             self.certificate_path = os.path.join(base_dir, self.certificate_path)
-        adversary = _mapping(data.get("adversary", {}), "adversary")
+        adversary = read_object(data.get("adversary", {}), "adversary")
         corrupted = {}
-        for party, spec in _mapping(adversary.get("corrupted", {}), "corrupted").items():
-            kind = _mapping(spec, f"corrupted party {party}").get("behavior")
+        for party, spec in read_object(adversary.get("corrupted", {}), "corrupted").items():
+            kind = read_object(spec, f"corrupted party {party}").get("behavior")
             if not isinstance(kind, str) or kind not in _BEHAVIORS:
                 raise ConfigError(f"unknown behavior {kind!r}")
             corrupted[_integer(party, "corrupted party id")] = _BEHAVIORS[kind](spec)
@@ -297,7 +291,7 @@ class Scenario:
         )
         self.inputs = InputConfiguration.of(
             (_integer(p, "input party id"), str(v))
-            for p, v in _mapping(data["inputs"], "inputs").items()
+            for p, v in read_object(data["inputs"], "inputs").items()
         )
         if any(p >= self.params.n for p in self.inputs.parties):
             raise ConfigError("inputs reference a party outside 0..n-1")
@@ -353,7 +347,7 @@ def _check_run_properties(scenario: Scenario, result, machines: dict) -> dict:
     if scenario.protocol == "acs" and decisions:
         core = next(iter(values))
         honest = [p for p in range(scenario.params.n) if p not in corrupted]
-        truth_map = truth.as_dict()
+        truth_map = truth.as_dict()  # `run` has checked every honest party is in it
         if any(
             value != truth_map[party]
             for party, value in core.assignments
@@ -558,7 +552,7 @@ def main(argv: Optional[list] = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ProtocolError as exc:

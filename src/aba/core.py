@@ -60,6 +60,25 @@ def read_labels(value, where: str) -> list:
     return value
 
 
+def read_object(value, where: str, *required: str) -> dict:
+    """A JSON object read from a file, holding every key in `required`.
+    Anything else raises ConfigError: "{where} must be a JSON object, got
+    {type}", or "{where} missing {key!r}" for the first absent key."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{where} missing {key!r}")
+    return value
+
+
+def read_string(value, where: str) -> str:
+    """A string read from a file, else ConfigError naming `where`."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Party count and per-network-mode corruption bounds."""
@@ -93,17 +112,17 @@ class SystemParams:
         return {"n": self.n, "t_s": self.t_s, "t_a": self.t_a, "setup": self.setup}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SystemParams":
-        """Reads `to_dict` output. Each count goes through `read_integer`,
-        and anything it rejects raises ConfigError."""
+    def from_dict(cls, d) -> "SystemParams":
+        """Reads `to_dict` output: an object holding n, t_s and t_a, each read
+        by `read_integer`, and an optional setup string. Anything else raises
+        ConfigError."""
+        read_object(d, "params", "n", "t_s", "t_a")
         try:
             n, t_s, t_a = (read_integer(d[key], f"params field {key}")
                            for key in ("n", "t_s", "t_a"))
-            return cls(n, t_s, t_a, str(d.get("setup", SETUP_PKI)))
-        except KeyError as e:
-            raise ConfigError(f"params missing field {e}") from e
         except (TypeError, ValueError) as e:
             raise ConfigError(f"params fields must be integers: {e}") from e
+        return cls(n, t_s, t_a, read_string(d.get("setup", SETUP_PKI), "params field setup"))
 
 
 @dataclass(frozen=True)
@@ -140,8 +159,11 @@ class Domain:
         return {"input_values": list(self.input_values), "output_values": list(self.output_values)}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Domain":
-        return cls(tuple(d["input_values"]), tuple(d["output_values"]))
+    def from_dict(cls, d: dict, where: str) -> "Domain":
+        """Reads `to_dict` output: each side goes through `read_labels`, whose
+        errors name it as `{where} {side}`."""
+        return cls(*(tuple(read_labels(d.get(side), f"{where} {side}"))
+                     for side in ("input_values", "output_values")))
 
 
 @dataclass(frozen=True)
@@ -393,26 +415,13 @@ class SimilarityCertificate:
         """Parses `to_json` output. Anything but an object holding `params`,
         a `domain` of two label lists and a `sigma` object of labels raises
         ConfigError."""
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ConfigError(f"certificate must be a JSON object, got {type(data).__name__}")
-        for key in ("params", "domain", "sigma"):
-            if key not in data:
-                raise ConfigError(f"certificate missing {key!r}")
-            if not isinstance(data[key], dict):
-                raise ConfigError(
-                    f"certificate {key} must be a JSON object, got {type(data[key]).__name__}"
-                )
-        domain, sigma = data["domain"], data["sigma"]
-        for side in ("input_values", "output_values"):
-            read_labels(domain.get(side), f"certificate domain {side}")
+        data = read_object(json.loads(text), "certificate", "params", "domain", "sigma")
+        params, domain, sigma = (read_object(data[key], f"certificate {key}")
+                                 for key in ("params", "domain", "sigma"))
         if not all(map(isinstance, sigma.values(), itertools.repeat(str))):
             raise ConfigError("certificate sigma values must be output labels (strings)")
-        return cls(
-            params=SystemParams.from_dict(data["params"]),
-            domain=Domain.from_dict(domain),
-            sigma=sigma,
-        )
+        return cls(params=SystemParams.from_dict(params),
+                   domain=Domain.from_dict(domain, "certificate domain"), sigma=sigma)
 
     def validate(
         self, validity: ValidityProperty, budget: Optional[Budget] = None

@@ -177,16 +177,6 @@ def _plain(value) -> bool:
     return kind is str or kind is int or kind is bool or value is None
 
 
-# The JSONL line `_ENCODER` writes for an engine SEND or DELIVER event, keys in
-# sorted order; `%d` takes only exact ints, since it writes True as 1
-_SEND_LINE = (
-    '{"detail": {"deliver_at": %s, "dst": %d, "dst_replica": %s, "payload": %s}, '
-    '"kind": "SEND", "party": %d, "replica": %d, "t": %d}'
-)
-_DELIVER_LINE = (
-    '{"detail": {"payload": %s, "src": %d, "src_replica": %d}, '
-    '"kind": "DELIVER", "party": %d, "replica": %d, "t": %d}'
-)
 _encode_str = json.encoder.encode_basestring_ascii  # the escaping `_ENCODER` uses
 
 
@@ -208,6 +198,12 @@ def _event_template(kind: str, keys: tuple) -> str:
     fields = ", ".join(_encode_str(key).replace("%", "%%") + ": %s" for key in keys)
     return ('{"detail": {' + fields + '}, "kind": ' + _encode_str(kind).replace("%", "%%")
             + ', "party": %d, "replica": %d, "t": %d}')
+
+
+# The JSONL lines of an engine SEND and DELIVER; `jsonl()` fills them with
+# exact ints and escaped strings only, since `%d` writes True as 1
+_SEND_LINE = _event_template(SEND, ("deliver_at", "dst", "dst_replica", "payload"))
+_DELIVER_LINE = _event_template(DELIVER, ("payload", "src", "src_replica"))
 
 
 class ExecutionTrace:
@@ -556,11 +552,6 @@ def partition_schedule(
     between node groups held until their sender decides (`PartitionPolicy`)."""
     net = NetworkConfig(mode=ASYNCHRONOUS, delta=delta, horizon=horizon)
     return net, AdversaryScript(delivery=PartitionPolicy(groups))
-
-
-def replicate(party_id: int, count: int) -> list[NodeInstance]:
-    """Replica instances sharing the party's identity."""
-    return [NodeInstance(party_id=party_id, replica_tag=tag) for tag in range(count)]
 
 
 # ---------------------------------------------------------------- actions

@@ -184,6 +184,8 @@ def check_table(data, *extra):
     # a label holding the separator would make encoded configurations ambiguous
     ("domain", {"input_values": ["0", "1;p2=1"], "output_values": ["0", "1"]},
      "may not contain ';'"),
+    ("domain", {"input_values": ["0", "1"], "output_values": "01"},
+     "custom validity domain output_values must be a list of strings"),
 ])
 def test_malformed_validity_table_exit_two(field, value, message):
     code, out, err = check_table(dict(_TABLE, **{field: value}))
@@ -353,6 +355,17 @@ def test_run_missing_file_exit_two(capsys):
     ({"seed": True}, "seed must be an integer, got True"),
     ({"adversary": {"corrupted": {"3": {"behavior": "CRASH_AT", "time": 2.5}}}},
      "CRASH_AT time must be an integer, got 2.5"),
+    # a behavior or delivery spec without the field it needs
+    ({"adversary": {"corrupted": {"3": {"behavior": "EQUIVOCATE"}}}},
+     "EQUIVOCATE missing 'values'"),
+    ({"adversary": {"corrupted": {"3": {"behavior": "FOLLOW_WITH_INPUT"}}}},
+     "FOLLOW_WITH_INPUT missing 'value'"),
+    ({"adversary": {"corrupted": {"3": {"behavior": "SILENT_TO", "value": "1"}}}},
+     "SILENT_TO missing 'parties'"),
+    ({"adversary": {"delivery": {"kind": "partition"}}}, "partition delivery missing 'groups'"),
+    # an honest party with no input: acs would take it into the core as None
+    ({"protocol": "acs", "validity": None, "inputs": {"0": "0", "1": "1", "2": "0"}},
+     "honest party 3 missing from inputs"),
 ])
 def test_run_malformed_scenario_exit_two(capsys, tmp_path, overrides, message):
     code, out, err = invoke(capsys, "run", scenario_file(tmp_path, **overrides))
@@ -360,6 +373,17 @@ def test_run_malformed_scenario_exit_two(capsys, tmp_path, overrides, message):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("configuration error:") and message in err
+
+
+def test_key_error_in_a_command_propagates(monkeypatch):
+    # exit 2 is for bad input; a KeyError inside `cmd_check` (here from the
+    # checker it calls) is a bug and must not read as one
+    def broken(*args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr("aba.cli.is_solvable", broken)
+    with pytest.raises(KeyError, match="bug"):
+        main(["check", "--n", "4", "--ts", "1", "--ta", "1"])
 
 
 _json_values = st.recursive(
@@ -384,6 +408,10 @@ _FIELDS = [
 
 
 @settings(max_examples=300, deadline=None)
+@example([(("adversary", "corrupted", "3"), {"behavior": "EQUIVOCATE"})])
+@example([(("adversary", "corrupted", "3"), {"behavior": "FOLLOW_WITH_INPUT"})])
+@example([(("adversary", "corrupted", "3"), {"behavior": "SILENT_TO"})])
+@example([(("adversary", "delivery"), {"kind": "partition"})])
 @given(st.lists(st.tuples(st.sampled_from(_FIELDS), _json_values), min_size=1, max_size=3))
 def test_scenario_loader_fails_only_with_configuration_errors(edits):
     data = {
@@ -404,7 +432,7 @@ def test_scenario_loader_fails_only_with_configuration_errors(edits):
             node[path[-1]] = value
     try:
         Scenario(data)
-    except (ConfigError, KeyError):  # what `main` reports with exit code 2
+    except ConfigError:  # what `main` reports with exit code 2
         pass
 
 
@@ -572,6 +600,8 @@ def _with(path, value):
     (_with(("params",), 4), "certificate params must be a JSON object, got int"),
     ({"params": GOLDEN_CERT["params"], "domain": GOLDEN_CERT["domain"]},
      "certificate missing 'sigma'"),
+    (_with(("domain", "input_values"), ["0", 1]),
+     "certificate domain input_values must be a list of strings"),
 ])
 def test_run_universal_malformed_certificate_exit_two(capsys, tmp_path, certificate, message):
     cert_path = tmp_path / "cert.json"
@@ -778,6 +808,11 @@ _RUN_EDIT = st.one_of([st.tuples(st.just(path), _mostly(values)) for path, value
 @example([(("protocol",), "ba-star"), (("inputs", "0"), "1/0")])
 @example([(("protocol",), "acs"),
           (("adversary", "corrupted", "0"), {"behavior": "FOLLOW_WITH_INPUT", "value": "a;p1=z"})])
+@example([(("adversary", "corrupted", "0"), {"behavior": "EQUIVOCATE"})])
+@example([(("adversary", "corrupted", "0"), {"behavior": "FOLLOW_WITH_INPUT"})])
+@example([(("adversary", "corrupted", "0"), {"behavior": "SILENT_TO"})])
+@example([(("adversary", "delivery"), {"kind": "partition"})])
+@example([(("protocol",), "acs"), (("validity",), None), (("params", "n"), 5)])
 @given(st.lists(_RUN_EDIT, min_size=1, max_size=4))
 def test_drawn_scenarios_run_or_exit_two(edits):
     data = {
@@ -798,7 +833,7 @@ def test_drawn_scenarios_run_or_exit_two(edits):
     try:
         Scenario(data)
         event("loads")
-    except (ConfigError, KeyError):
+    except ConfigError:
         event("stops at load")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"

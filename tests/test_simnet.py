@@ -30,7 +30,6 @@ from aba.simnet import (
     SyncRandomDelay,
     SYNCHRONOUS,
     canonical_schedule,
-    replicate,
     run,
 )
 
@@ -249,11 +248,6 @@ def test_signatures_unavailable_without_pki():
 
 
 # ---------------------------------------------------------------- replication
-
-
-def test_replicate_creates_tagged_instances():
-    nodes = replicate(2, 8)
-    assert [node.key for node in nodes] == [(2, tag) for tag in range(8)]
 
 
 def test_replicas_with_identical_messages_decide_identically():
