@@ -15,11 +15,7 @@ from .core import (
     SystemParams,
     ValidityProperty,
     compute_similarity_certificate,
-    enumerate_input_configs,
     is_solvable,
-    is_trivial,
-    neighbors,
-    similar,
 )
 
 __version__ = "0.1.0"

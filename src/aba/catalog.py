@@ -94,7 +94,12 @@ def interval_hull(spec: IntervalDomainSpec) -> ValidityProperty:
     def evaluate(params: SystemParams, domain: Domain, config: InputConfiguration) -> frozenset:
         if domain != expected:
             raise DomainMismatchError(f"interval domain must be [{spec.lo}..{spec.hi}]")
-        present = [int(v) for _, v in config.assignments]
+        try:
+            present = [int(v) for _, v in config.assignments]
+        except ValueError:
+            raise DomainMismatchError(
+                f"interval validity cannot read an input of {config.encode()} "
+                f"as an integer in [{spec.lo}..{spec.hi}]") from None
         lo, hi = min(present), max(present)
         return frozenset(str(i) for i in range(lo, hi + 1))
 

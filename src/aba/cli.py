@@ -7,9 +7,12 @@ included), 3 unsolvable verdict, 4 budget exceeded. Scenario, certificate
 and validity-table files are read field by field through `core`'s readers
 (`read_object`, `read_string`, `read_integer`, `read_labels`), so a missing
 or mistyped field is a ConfigError that names it. `main` maps no KeyError to
-exit 2: one that reaches it is a bug and propagates. All outputs are pure
-functions of the provided files, flags, and seeds; the ABA_BUDGET environment
-variable overrides the enumeration cap.
+exit 2: one that reaches it is a bug and propagates. `aba run` and `aba fuzz`
+check each run against the honest configuration, the listed inputs of the
+parties the adversary does not corrupt, and read the agreed cores from the
+run's own machines. All outputs are pure functions of the provided files,
+flags, and seeds; the ABA_BUDGET environment variable overrides the
+enumeration cap.
 """
 
 from __future__ import annotations
@@ -313,65 +316,56 @@ class Scenario:
             data = json.load(fh)
         return cls(data, base_dir=os.path.dirname(os.path.abspath(path)))
 
-    def machine_factory(self, store: Optional[dict] = None):
-        certificate = None
-        if self.protocol == "universal" and self.certificate_path:
-            with open(self.certificate_path) as fh:
-                certificate = SimilarityCertificate.from_json(fh.read())
-            if certificate.params != self.params:
-                raise ConfigError("certificate parameters do not match the scenario")
-        build = protocol_factory(self.protocol, self.params, self.net.delta, self.domain,
-                                 certificate)
-        if store is None:
-            return build
+    @functools.cached_property
+    def certificate(self) -> Optional[SimilarityCertificate]:
+        """The universal protocol's certificate file, read at the first run and
+        kept for every later one; None for other protocols."""
+        if self.protocol != "universal" or not self.certificate_path:
+            return None
+        with open(self.certificate_path) as fh:
+            certificate = SimilarityCertificate.from_json(fh.read())
+        if certificate.params != self.params:
+            raise ConfigError("certificate parameters do not match the scenario")
+        return certificate
 
-        def factory(p):
-            machine = build(p)
-            store.setdefault(p, []).append(machine)
-            return machine
-
-        return factory
+    def machine_factory(self):
+        return protocol_factory(self.protocol, self.params, self.net.delta, self.domain,
+                                self.certificate)
 
 
-def _check_run_properties(scenario: Scenario, result, machines: dict) -> dict:
+def _check_run_properties(scenario: Scenario, result) -> dict:
     """Agreement; for acs the core-set contract, otherwise validity of every
-    decided value against the ground-truth honest configuration whenever the
-    scenario declares a validity property, and core coherence for universal."""
-    corrupted = set(scenario.script.corrupted)
+    decided value whenever the scenario declares a validity property, and
+    core coherence for universal. Every check reads the honest configuration:
+    the listed inputs of the parties the adversary does not corrupt (`run`
+    has checked that every honest party is listed)."""
+    params, corrupted = scenario.params, scenario.script.corrupted
+    honest = InputConfiguration.of((p, v) for p, v in scenario.inputs.assignments
+                                   if p not in corrupted)
     decisions = result.honest_decisions(corrupted)
     violations = []
     values = set(decisions.values())
     if len(values) > 1:
         violations.append("agreement")
-    truth = scenario.inputs
     if scenario.protocol == "acs" and decisions:
         core = next(iter(values))
-        honest = [p for p in range(scenario.params.n) if p not in corrupted]
-        truth_map = truth.as_dict()  # `run` has checked every honest party is in it
-        if any(
-            value != truth_map[party]
-            for party, value in core.assignments
-            if party in honest
-        ):
+        if not core.agrees_with(honest):
             violations.append("acs-integrity")
-        if scenario.net.mode == SYNCHRONOUS and not set(honest) <= set(core.parties):
+        if scenario.net.mode == SYNCHRONOUS and not set(honest.parties) <= set(core.parties):
             violations.append("acs-honest-core")
-        if len(core) < scenario.params.n - scenario.params.t_s:
+        if len(core) < params.n - params.t_s:
             violations.append("acs-core-size")
     elif scenario.protocol != "acs" and scenario.validity and decisions:
-        allowed = scenario.validity.evaluate(scenario.params, scenario.domain, truth)
+        allowed = scenario.validity.evaluate(params, scenario.domain, honest)
         if any(value not in allowed for value in values):
             violations.append("validity")
-        if scenario.protocol == "universal":
-            # coherence: the true honest configuration is similar to every
-            # core an honest party agreed on
-            for party, machine_list in machines.items():
-                if party in corrupted:
-                    continue
-                for machine in machine_list:
-                    core = getattr(machine, "core", None)
-                    if core is not None and not is_similar_to(core, truth, scenario.params):
-                        violations.append("core-coherence")
+        # coherence: the honest configuration is similar to every core an
+        # honest party agreed on
+        cores = {machine.core for (party, _), machines in result.machines.items()
+                 if party not in corrupted for machine in machines
+                 if getattr(machine, "core", None) is not None}
+        if any(not is_similar_to(core, honest, params) for core in cores):
+            violations.append("core-coherence")
     return {
         "decisions": {f"{p}/{t}": v for (p, t), v in sorted(decisions.items())},
         "undecided": [f"{p}/{t}" for p, t in result.undecided_honest(corrupted)],
@@ -381,10 +375,9 @@ def _check_run_properties(scenario: Scenario, result, machines: dict) -> dict:
 
 def _run_checked(scenario: Scenario, seed: int) -> tuple:
     """Runs the scenario with `seed`; returns the run and its property summary."""
-    machines: dict = {}
-    result = run(scenario.machine_factory(machines), scenario.params, scenario.net,
+    result = run(scenario.machine_factory(), scenario.params, scenario.net,
                  scenario.script, scenario.inputs, seed)
-    return result, _check_run_properties(scenario, result, machines)
+    return result, _check_run_properties(scenario, result)
 
 
 def cmd_run(args) -> int:

@@ -50,7 +50,7 @@ class RbcInstance:
     The instance is quiet once it has sent READY and delivered: later ECHOes
     and READYs are dropped without verifying their signatures. ECHOes are
     dropped as soon as READY is sent. A malformed message is dropped (see
-    `_well_formed`).
+    `handle`).
     """
 
     def __init__(self, n: int, t_s: int, pki: bool, sender: int):
@@ -78,35 +78,25 @@ class RbcInstance:
             ctx.sign(self._prop_stmt(value))
         return [Broadcast(("PROPOSE", value))]
 
-    def _well_formed(self, msg) -> bool:
-        """The message shapes: ("PROPOSE", v), ("ECHO", v) and
-        ("READY", v, cert). ECHO and READY values key `echoes` and `readies`,
+    def handle(self, ctx, src: int, msg) -> list:
+        """Takes ("PROPOSE", v), ("ECHO", v) and ("READY", v, cert) and drops
+        any other message. ECHO and READY values key `echoes` and `readies`,
         so they must be hashable; with PKI a READY's cert must be a list or
         tuple of party ids."""
         if not isinstance(msg, tuple) or not msg:
-            return False
-        kind = msg[0]
-        if kind == "PROPOSE":
-            return len(msg) == 2
-        if kind == "ECHO":
-            return len(msg) == 2 and _hashable(msg[1])
-        if kind == "READY":
-            if len(msg) != 3 or not _hashable(msg[1]):
-                return False
-            cert = msg[2]
-            return not self.pki or (isinstance(cert, (list, tuple))
-                                    and all(type(p) is int for p in cert))
-        return False
-
-    def handle(self, ctx, src: int, msg) -> list:
-        if not self._well_formed(msg):
             return []
         kind = msg[0]
         if kind == "PROPOSE":
-            return self._on_propose(ctx, src, msg[1])
+            return self._on_propose(ctx, src, msg[1]) if len(msg) == 2 else []
         if kind == "ECHO":
-            return self._on_echo(ctx, src, msg[1])
-        return self._on_ready(ctx, src, msg[1], msg[2])
+            return self._on_echo(ctx, src, msg[1]) if len(msg) == 2 and _hashable(msg[1]) else []
+        if kind != "READY" or len(msg) != 3 or not _hashable(msg[1]):
+            return []
+        cert = msg[2]
+        if self.pki and not (isinstance(cert, (list, tuple))
+                             and all(type(p) is int for p in cert)):
+            return []
+        return self._on_ready(ctx, src, msg[1], cert)
 
     def _on_propose(self, ctx, src, value) -> list:
         if src != self.sender or self.echoed:

@@ -905,10 +905,13 @@ class RunResult:
 
     `outcomes` maps every node instance `(party, replica)` to the value it
     decided, or to None while it is undecided; a corrupted node never decides.
+    `machines` maps every node instance to its protocol copies as the run
+    left them: two for an equivocating node, one for any other.
     """
 
     trace: ExecutionTrace
     outcomes: dict[NodeKey, Any]
+    machines: dict[NodeKey, list]
 
     def honest_decisions(self, corrupted: Iterable[int] = ()) -> dict[NodeKey, Any]:
         bad = set(corrupted)
@@ -965,4 +968,7 @@ def run(
     sim = Simulation(params, net, seed, policy=adversary.delivery)
     for node in nodes:
         sim.add_node(node, machine_factory, adversary.corrupted.get(node.party_id))
-    return RunResult(trace=sim.trace, outcomes=sim.run())
+    outcomes = sim.run()
+    machines = {key: [machine for _, machine, _, _ in state.machines]
+                for key, state in sim._nodes.items()}
+    return RunResult(trace=sim.trace, outcomes=outcomes, machines=machines)

@@ -17,7 +17,9 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from aba.cli import PROTOCOLS, Scenario, main
+from aba.core import InputConfiguration, SimilarityCertificate
 from aba.errors import ConfigError
+from aba.protocols import ConstantProtocol
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -335,6 +337,90 @@ def test_run_reports_a_stalled_run(capsys, tmp_path):
     assert payload["horizon_exceeded"] is True
     assert payload["undecided"] == ["1/0", "2/0", "3/0"]
     assert payload["decisions"] == {} and payload["violations"] == []
+
+
+# ---------------------------------------------------------------- run checks read the honest inputs
+
+
+@pytest.mark.parametrize("listed", ["0", "1"])
+def test_run_validity_ignores_a_listed_corrupted_input(capsys, tmp_path, listed):
+    # the honest inputs are all "0", so strong validity allows only "0";
+    # the value listed for party 3 is only its own starting input
+    path = scenario_file(tmp_path, protocol="constant:1",
+                         inputs={"0": "0", "1": "0", "2": "0", "3": listed},
+                         adversary={"corrupted": {"3": {"behavior": "CRASH_AT", "time": 5}},
+                                    "delivery": {"kind": "exact"}})
+    code, out, _ = invoke(capsys, "run", path)
+    assert code == 1
+    assert json.loads(out)["violations"] == ["validity"]
+
+
+def test_run_coherence_ignores_a_listed_corrupted_input(capsys, tmp_path):
+    # party 3 follows the protocol with "1", so the agreed core holds p3=1;
+    # the "0" listed for it is not an honest input and must not clash
+    adversary = {"corrupted": {"3": {"behavior": "FOLLOW_WITH_INPUT", "value": "1"}},
+                 "delivery": {"kind": "exact"}}
+    reports = []
+    for inputs in ({"0": "0", "1": "0", "2": "0", "3": "0"}, {"0": "0", "1": "0", "2": "0"}):
+        path = scenario_file(tmp_path, protocol="universal", adversary=adversary,
+                             certificate=str(SCENARIOS / "strong-4-1-1.cert.json"),
+                             inputs=inputs)
+        code, out, _ = invoke(capsys, "run", path)
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0] == reports[1]
+    assert reports[0]["violations"] == []
+    assert set(reports[0]["decisions"].values()) == {"0"}
+
+
+def test_run_interval_validity_skips_an_unreadable_corrupted_input(capsys, tmp_path):
+    # party 0 never starts, so its "a" is in no configuration a check reads;
+    # ba-star then breaks interval validity, which is what exit 1 reports
+    path = scenario_file(tmp_path, protocol="ba-star", validity="interval:0:3",
+                         params={"n": 3, "t_s": 1, "t_a": 0, "setup": "PKI"},
+                         adversary={"corrupted": {"0": {"behavior": "CRASH_AT", "time": 0}},
+                                    "delivery": {"kind": "exact"}},
+                         inputs={"0": "a", "1": "0", "2": "0"})
+    code, out, _ = invoke(capsys, "run", path)
+    assert code == 1
+    assert json.loads(out)["violations"] == ["validity"]
+
+
+@pytest.mark.parametrize("mode, core, violation", [
+    ("SYNCHRONOUS", "p0=1;p1=1;p2=0;p3=1", "acs-integrity"),  # p0 holds "0"
+    ("SYNCHRONOUS", "p0=0;p1=1;p2=0", "acs-honest-core"),  # honest p3 left out
+    ("ASYNCHRONOUS", "p0=0;p1=1", "acs-core-size"),  # below n - t_s = 3
+])
+def test_run_reports_each_acs_check_once(capsys, tmp_path, monkeypatch, mode, core,
+                                          violation):
+    decided = InputConfiguration.decode(core)
+    monkeypatch.setitem(PROTOCOLS, "acs", lambda **_: lambda p: ConstantProtocol(decided))
+    path = scenario_file(tmp_path, protocol="acs", validity=None,
+                         network={"mode": mode, "delta": 10, "horizon": 600},
+                         adversary={"delivery": {"kind": "exact" if mode == "SYNCHRONOUS"
+                                                 else "uniform"}},
+                         inputs={"0": "0", "1": "1", "2": "0", "3": "1"})
+    code, out, _ = invoke(capsys, "run", path)
+    assert code == 1
+    payload = json.loads(out)
+    assert set(payload["decisions"].values()) == {core}
+    assert payload["violations"] == [violation]
+
+
+def test_fuzz_reads_the_certificate_once(capsys, monkeypatch):
+    reads = []
+    from_json = SimilarityCertificate.from_json
+
+    def counted(text):
+        reads.append(len(text))
+        return from_json(text)
+
+    monkeypatch.setattr(SimilarityCertificate, "from_json", counted)
+    code, out, _ = invoke(capsys, "fuzz", str(SCENARIOS / "universal-strong-canonical.json"),
+                          "--seeds", "5")
+    assert code == 0
+    assert json.loads(out)["runs"] == 5
+    assert len(reads) == 1
 
 
 def test_run_missing_file_exit_two(capsys):
@@ -722,6 +808,10 @@ def test_missing_scenario_file_still_exits_two():
      "fixed-point input is not a number: '1/0'"),
     ({"protocol": "acs", "validity": None, "inputs": {"0": "x;y", "1": "1", "2": "0", "3": "1"}},
      "input labels may not contain ';'"),
+    # an honest ba-star input that interval validity cannot read
+    ({"protocol": "ba-star", "validity": "interval:0:3",
+      "inputs": {"0": "0.5", "1": "0", "2": "0.25", "3": "0"}},
+     "interval validity cannot read an input of p0=0.5;p1=0;p2=0.25;p3=0 as an integer"),
 ])
 def test_run_bad_delay_fixed_point_or_label_exit_two(capsys, tmp_path, overrides, message):
     code, out, err = invoke(capsys, "run", scenario_file(tmp_path, **overrides))

@@ -173,6 +173,22 @@ def test_corrupted_party_input_from_behavior(behavior):
     assert not result.undecided_honest(corrupted=[3])
 
 
+def test_run_result_holds_each_nodes_machines_as_the_run_left_them():
+    built = {}
+
+    def factory(party):
+        machine = EchoOnce()
+        built.setdefault(party, []).append(machine)
+        return machine
+
+    script = AdversaryScript(corrupted={3: Equivocate("0", "1")})
+    net = NetworkConfig(mode=SYNCHRONOUS, delta=10, horizon=200)
+    result = run(factory, PARAMS4, net, script, cfg((0, "0"), (1, "0"), (2, "0")), seed=1)
+    assert result.machines == {(p, 0): built[p] for p in range(4)}
+    assert [len(result.machines[(p, 0)]) for p in range(4)] == [1, 1, 1, 2]
+    assert all(machine.seen for machine in result.machines[(0, 0)])
+
+
 def test_follow_with_input_substitutes_value():
     net, _ = canonical_schedule(crashed=(), horizon=200)
     script = AdversaryScript(corrupted={3: FollowWithInput("9")},
