@@ -296,8 +296,6 @@ class Scenario:
             (_integer(p, "input party id"), str(v))
             for p, v in read_object(data["inputs"], "inputs").items()
         )
-        if any(p >= self.params.n for p in self.inputs.parties):
-            raise ConfigError("inputs reference a party outside 0..n-1")
         split = [v for _, v in self.inputs.assignments if ";" in v]
         if split:
             raise ConfigError(f"input labels may not contain ';': {split}")
@@ -355,7 +353,7 @@ def _check_run_properties(scenario: Scenario, result) -> dict:
             violations.append("acs-honest-core")
         if len(core) < params.n - params.t_s:
             violations.append("acs-core-size")
-    elif scenario.protocol != "acs" and scenario.validity and decisions:
+    elif scenario.validity and decisions:
         allowed = scenario.validity.evaluate(params, scenario.domain, honest)
         if any(value not in allowed for value in values):
             violations.append("validity")

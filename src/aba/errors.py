@@ -40,3 +40,9 @@ class MissingSigmaEntryError(ProtocolError):
 class ResilienceBoundError(ConfigError, ProtocolError):
     """A protocol was built at parameters that violate its resilience bound:
     a configuration error, raised where callers catch either type."""
+
+
+class InputDomainError(ConfigError, ProtocolError):
+    """A protocol copy was started from an input outside its domain: a
+    configuration error for an honest party, and for a corrupted one a
+    contract violation that crashes only that party."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..core import InputConfiguration
-from ..errors import MissingSigmaEntryError, ProtocolError
+from ..errors import InputDomainError, MissingSigmaEntryError, ProtocolError
 from ..simnet import Broadcast, Decide, SetTimer
 from .base import Machine, check_param_bounds, wrap_actions
 from .binary import ROUND_SLACK, CoinVotingInstance
@@ -79,7 +79,7 @@ class AcsProtocol(Machine):
 
     def on_start(self, ctx, value):
         if self.valid_values is not None and value not in self.valid_values:
-            raise ProtocolError(f"input {value!r} outside the declared domain")
+            raise InputDomainError(f"input {value!r} outside the declared domain")
         actions = self._from_rbc(ctx, ctx.party_id, self.rbcs[ctx.party_id].start(ctx, value))
         actions.append(SetTimer("t-core", self.t_core))
         return actions

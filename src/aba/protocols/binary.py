@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..errors import ProtocolError
+from ..errors import InputDomainError, ProtocolError
 from ..simnet import Broadcast, Decide, SetTimer
 from .base import Machine, check_param_bounds, wrap_actions
 from .broadcast import ChainBroadcastStage
@@ -203,7 +203,7 @@ class BinaryBa(Machine):
 
     def on_start(self, ctx, value):
         if value not in self.labels:
-            raise ProtocolError(f"input {value!r} not in binary domain {self.labels}")
+            raise InputDomainError(f"input {value!r} not in binary domain {self.labels}")
         bit = self.labels.index(value)
         self.input_bit = bit
         if not self.pki:

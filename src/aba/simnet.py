@@ -938,36 +938,37 @@ def run(
     """Runs one protocol execution and returns its trace and per-node outcome;
     the one place that builds and runs a `Simulation`.
 
-    Given `inputs`, the run has one tag-0 node per party. Every honest party
-    must appear in `inputs`. A corrupted party takes its input from its
-    scripted behavior when that names one (`Equivocate`, `FollowWithInput`,
-    `SilentTo` with a value) and from `inputs` otherwise; only a party that
-    crashes at time 0, and so never starts, may have none. Given `nodes` (and
-    None for `inputs`), the run has those instances in that order, each with
-    its own replica tag, route, input and `corrupted` flag and its party's
-    scripted behavior.
+    Given `inputs`, which may list parties 0..n-1 only, the run has one tag-0
+    node per party; given `nodes` (and None for `inputs`), those instances in
+    order. Each node runs its party's behavior, and every protocol copy that
+    `add_node` builds for a node that starts (any but a `CrashAt(0)` one) must
+    have an input that is not None, else ConfigError before any event runs.
     """
     adversary.validate(params, net.mode)
     if nodes is None:
+        if any(p >= params.n for p in inputs.parties):
+            raise ConfigError("inputs reference a party outside 0..n-1")
         given = inputs.as_dict()
-        for party in range(params.n):
-            behavior = adversary.corrupted.get(party)
-            if party in given or behavior == CrashAt(0) or isinstance(behavior, Equivocate):
-                continue
-            if isinstance(behavior, (FollowWithInput, SilentTo)) and behavior.value is not None:
-                continue
-            if behavior is None:
-                raise ConfigError(f"honest party {party} missing from inputs")
-            raise ConfigError(
-                f"corrupted party {party} ({type(behavior).__name__}) would start "
-                "with no input; list it in inputs or give its behavior a value"
-            )
         nodes = [NodeInstance(party_id=party, input=given.get(party),
                               corrupted=adversary.corrupted.get(party) is not None)
                  for party in range(params.n)]
     sim = Simulation(params, net, seed, policy=adversary.delivery)
     for node in nodes:
         sim.add_node(node, machine_factory, adversary.corrupted.get(node.party_id))
+    for (party, _), state in sim._nodes.items():
+        behavior = adversary.corrupted.get(party)
+        for sub_id, _, value, _ in state.machines:
+            if value is not None or state.crashed_at == 0:
+                continue
+            if behavior is None:
+                raise ConfigError(f"honest party {party} missing from inputs")
+            if sub_id is not None:
+                raise ConfigError(f"corrupted party {party} ({type(behavior).__name__}) would "
+                                  f"start copy {sub_id} with no input; give both its values")
+            raise ConfigError(
+                f"corrupted party {party} ({type(behavior).__name__}) would start "
+                "with no input; list it in inputs or give its behavior a value"
+            )
     outcomes = sim.run()
     machines = {key: [machine for _, machine, _, _ in state.machines]
                 for key, state in sim._nodes.items()}

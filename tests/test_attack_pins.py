@@ -1,6 +1,6 @@
 """Report pins for the attack library calls at layouts the CLI pins in
-`test_trace_golden.py` do not reach, and a check that only `simnet.run`
-builds a `Simulation`.
+`test_trace_golden.py` do not reach, and checks that only `simnet.run`
+builds a `Simulation` and only `Simulation.add_node` tells behaviors apart.
 
 Each pin is the sha256 of `json.dumps(report, sort_keys=True)` for one
 attack called directly (not through `aba attack`), at seed 1, with inputs
@@ -75,15 +75,21 @@ def test_attack_library_reports_are_pinned(layout, protocol):
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[(layout, protocol)]
 
 
-def simulation_builders() -> set:
-    """(module, enclosing function or class) of every `Simulation(...)` call
-    in src/aba."""
+BEHAVIORS = {"CrashAt", "FollowWithInput", "Equivocate", "SilentTo"}
+
+
+def _name(node) -> str:
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def calling_scopes(matches) -> set:
+    """(module, enclosing function or class) of every call in src/aba that
+    `matches`."""
     found = set()
 
     def visit(node, module: str, scope: str):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and "Simulation" in (
-                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+            if isinstance(child, ast.Call) and matches(child):
                 found.add((module, scope))
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, module, f"{scope}.{child.name}".lstrip("."))
@@ -98,4 +104,17 @@ def simulation_builders() -> set:
 
 def test_only_simnet_run_builds_a_simulation():
     # every execution, attacks included, goes through the one path
-    assert simulation_builders() == {("simnet", "run")}
+    assert calling_scopes(lambda call: _name(call.func) == "Simulation") == {("simnet", "run")}
+
+
+def test_only_add_node_tells_behaviors_apart():
+    # add_node alone turns a behavior into protocol copies and their inputs;
+    # run's input rule reads those copies rather than the behavior types
+    def tests_a_behavior_type(call) -> bool:
+        if _name(call.func) != "isinstance" or len(call.args) != 2:
+            return False
+        types = call.args[1]
+        return any(_name(t) in BEHAVIORS
+                   for t in (types.elts if isinstance(types, ast.Tuple) else [types]))
+
+    assert calling_scopes(tests_a_behavior_type) == {("simnet", "Simulation.add_node")}

@@ -452,6 +452,14 @@ def test_run_missing_file_exit_two(capsys):
     # an honest party with no input: acs would take it into the core as None
     ({"protocol": "acs", "validity": None, "inputs": {"0": "0", "1": "1", "2": "0"}},
      "honest party 3 missing from inputs"),
+    # an honest input outside the protocol's own domain, with no validity to
+    # catch it at load
+    ({"validity": None, "inputs": {"0": "0", "1": "2", "2": "0", "3": "1"}},
+     "input '2' not in binary domain"),
+    ({"protocol": "universal", "validity": None,
+      "certificate": str(SCENARIOS / "strong-4-1-1.cert.json"),
+      "inputs": {"0": "0", "1": "7", "2": "0", "3": "1"}},
+     "input '7' outside the declared domain"),
 ])
 def test_run_malformed_scenario_exit_two(capsys, tmp_path, overrides, message):
     code, out, err = invoke(capsys, "run", scenario_file(tmp_path, **overrides))
@@ -626,6 +634,23 @@ def test_attack_every_registry_name_reports_or_exits_two(capsys, kind, n, t_a, n
         assert out == "" and err.startswith("configuration error:")
 
 
+@pytest.mark.parametrize("argv, message", [
+    # the right group and the middle copies would start from None
+    (["triple-partition", "--protocol", "local-min", "--n", "5", "--ts", "2", "--ta", "1",
+      "--i1", "p0=0;p1=0", "--i2", "p0=1"], "honest party 3 missing from inputs"),
+    (["split-brain", "--protocol", "local-min", "--n", "4", "--ts", "2", "--ta", "0",
+      "--i1", "p0=0;p1=0;p2=0;p3=0;p9=1", "--i2", "p0=1;p1=1;p2=1;p3=1"],
+     "inputs reference a party outside 0..n-1"),
+    (["split-brain", "--protocol", "bin-ba", "--i1", "garbage"],
+     "input 'garbage' not in binary domain"),
+])
+def test_attack_bad_inputs_exit_two(capsys, argv, message):
+    code, out, err = invoke(capsys, "attack", *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("configuration error:") and message in err
+
+
 def test_attack_unknown_protocol_exit_two(capsys):
     code, out, err = invoke(capsys, "attack", "split-brain", "--protocol", "nope")
     assert code == 2 and out == ""
@@ -755,6 +780,7 @@ def test_run_every_registry_name_without_traceback(capsys, tmp_path, name):
 @pytest.mark.parametrize("behavior", [
     {"behavior": "CRASH_AT", "time": 15},
     {"behavior": "SILENT_TO", "parties": [0, 1]},
+    {"behavior": "EQUIVOCATE", "values": ["0", None]},
 ])
 def test_run_corrupted_party_without_input_exit_two(capsys, tmp_path, behavior):
     path = scenario_file(tmp_path, protocol="acs",

@@ -162,6 +162,18 @@ def test_corrupted_party_that_would_start_without_input_rejected(behavior):
     run(lambda p: EchoOnce(), PARAMS4, net, script, INPUTS4, seed=1)
 
 
+def test_inputs_must_name_parties_of_the_run():
+    with pytest.raises(ConfigError, match=r"inputs reference a party outside 0\.\.n-1"):
+        run_echo(inputs=cfg(*INPUTS4.assignments, (4, "0")))
+
+
+def test_equivocating_copy_without_input_rejected():
+    net = NetworkConfig(mode=SYNCHRONOUS, delta=10, horizon=200)
+    script = AdversaryScript(corrupted={3: Equivocate("0", None)})
+    with pytest.raises(ConfigError, match=r"corrupted party 3 \(Equivocate\) would start copy b"):
+        run(lambda p: EchoOnce(), PARAMS4, net, script, INPUTS4, seed=1)
+
+
 @pytest.mark.parametrize("behavior", [
     CrashAt(0), Equivocate("0", "1"), FollowWithInput("1"), SilentTo(frozenset({1}), "1"),
 ])
@@ -301,6 +313,18 @@ def test_run_with_nodes_matches_a_hand_built_simulation():
     result = run(lambda p: EchoOnce(), params, net, script, None, 5, nodes=replica_wiring())
     assert result.outcomes == outcomes
     assert result.trace.sha256() == sim.trace.sha256()
+
+
+def test_run_with_nodes_checks_inputs_like_run_with_inputs():
+    params = SystemParams(n=3, t_s=1, t_a=0, setup="NONE")
+    nodes = replica_wiring()
+    nodes[1] = NodeInstance(party_id=0, replica_tag=1, route={0: (0, 1)})
+    net, script = canonical_schedule((), delta=10, horizon=300)
+    with pytest.raises(ConfigError, match="honest party 0 missing from inputs"):
+        run(lambda p: EchoOnce(), params, net, script, None, 5, nodes=nodes)
+    # a node that crashes at time 0 never starts, so it needs no input
+    net, script = canonical_schedule({0}, delta=10, horizon=300)
+    run(lambda p: EchoOnce(), params, net, script, None, 5, nodes=nodes)
 
 
 def test_run_with_one_node_per_party_matches_run_with_inputs():
