@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .core import Domain, InputConfiguration, SystemParams, ValidityProperty
-from .core import read_labels, read_object, read_string
+from .core import read_integer, read_labels, read_object, read_string
 from .errors import ConfigError, DomainMismatchError
 
 BOT = "⊥"
@@ -189,13 +189,6 @@ def load_table_property(path: str, params: SystemParams) -> tuple[ValidityProper
     return table_property(name, canonical, default), domain
 
 
-def _name_int(text: str, name: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"expected an integer in {name!r}, got {text!r}") from None
-
-
 def resolve(name: str, values: int = 2) -> tuple[ValidityProperty, Domain]:
     """Maps a catalog name to (property, its default domain).
 
@@ -213,12 +206,13 @@ def resolve(name: str, values: int = 2) -> tuple[ValidityProperty, Domain]:
         parts = name.split(":")
         if len(parts) != 3:
             raise ConfigError(f"expected interval:<lo>:<hi>, got {name!r}")
-        spec = IntervalDomainSpec(_name_int(parts[1], name), _name_int(parts[2], name))
+        spec = IntervalDomainSpec(read_integer(parts[1], f"lower bound in {name!r}"),
+                                  read_integer(parts[2], f"upper bound in {name!r}"))
         return interval_hull(spec), spec.domain()
     if name.startswith("clique:"):
         parts = name.split(":")
         if len(parts) != 2:
             raise ConfigError(f"expected clique:<omega>, got {name!r}")
-        spec = CliqueHullSpec(_name_int(parts[1], name))
+        spec = CliqueHullSpec(read_integer(parts[1], f"clique size in {name!r}"))
         return clique_hull(spec), spec.domain()
     raise ConfigError(f"unknown validity name {name!r}")

@@ -5,14 +5,16 @@ Exit codes are a contract: 0 clean/solvable, 1 property violation,
 2 configuration error (a protocol built below its resilience bound
 included), 3 unsolvable verdict, 4 budget exceeded. Scenario, certificate
 and validity-table files are read field by field through `core`'s readers
-(`read_object`, `read_string`, `read_integer`, `read_labels`), so a missing
-or mistyped field is a ConfigError that names it. `main` maps no KeyError to
-exit 2: one that reaches it is a bug and propagates. `aba run` and `aba fuzz`
-check each run against the honest configuration, the listed inputs of the
-parties the adversary does not corrupt, and read the agreed cores from the
-run's own machines. All outputs are pure functions of the provided files,
-flags, and seeds; the ABA_BUDGET environment variable overrides the
-enumeration cap.
+(`read_object`, `read_string`, `read_integer`, `read_labels`), each of which
+raises its own ConfigError naming the field, so a missing or mistyped field
+needs no wrapper here; scenario input values are read as strings. `main`
+maps no KeyError to exit 2: one that reaches it is a bug and propagates.
+`aba run` and `aba fuzz` check each run against the honest configuration,
+the listed inputs of the parties the adversary does not corrupt, and read
+the agreed cores from the run's own machines. `aba attack` checks that its
+encoded inputs name parties 0..n-1 only. All outputs are pure functions of
+the provided files, flags, and seeds; the ABA_BUDGET environment variable
+overrides the enumeration cap.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .simnet import (
     SilentTo,
     SyncExactDelay,
     SyncRandomDelay,
+    check_input_parties,
     run,
 )
 
@@ -150,17 +153,10 @@ def cmd_certificate(args) -> int:
 # ---------------------------------------------------------------- scenarios
 
 
-def _integer(value, where: str) -> int:
-    try:
-        return read_integer(value, where)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be an integer, got {value!r}") from None
-
-
 def _parties(value, where: str) -> frozenset:
     if not isinstance(value, list):
         raise ConfigError(f"{where} must be a list of party ids, got {value!r}")
-    return frozenset(_integer(p, where) for p in value)
+    return frozenset(read_integer(p, where) for p in value)
 
 
 def _equivocate(spec: dict) -> Equivocate:
@@ -172,7 +168,7 @@ def _equivocate(spec: dict) -> Equivocate:
 
 
 _BEHAVIORS = {
-    "CRASH_AT": lambda spec: CrashAt(_integer(spec.get("time", 0), "CRASH_AT time")),
+    "CRASH_AT": lambda spec: CrashAt(read_integer(spec.get("time", 0), "CRASH_AT time")),
     "FOLLOW_WITH_INPUT": lambda spec: FollowWithInput(
         read_object(spec, "FOLLOW_WITH_INPUT", "value")["value"]
     ),
@@ -195,7 +191,7 @@ def _delivery_policy(spec, net: NetworkConfig):
     if kind == "uniform":
         return AsyncUniformDelay()
     if kind == "random":
-        return AsyncRandomDelay(_integer(spec.get("max_delay", 3 * net.delta), "max_delay"))
+        return AsyncRandomDelay(read_integer(spec.get("max_delay", 3 * net.delta), "max_delay"))
     if kind == "partition":
         groups = read_object(spec, "partition delivery", "groups")["groups"]
         if not isinstance(groups, list):
@@ -203,7 +199,7 @@ def _delivery_policy(spec, net: NetworkConfig):
         release = spec.get("release_time")
         return PartitionPolicy(
             [{(p, 0) for p in _parties(g, "partition group")} for g in groups],
-            None if release is None else _integer(release, "release_time"),
+            None if release is None else read_integer(release, "release_time"),
         )
     raise ConfigError(f"unknown delivery policy {kind!r}")
 
@@ -267,15 +263,15 @@ class Scenario:
         mode = read_string(net.get("mode", "SYNCHRONOUS"), "network mode").upper()
         self.net = NetworkConfig(
             mode=mode,
-            delta=_integer(net.get("delta", 10), "network delta"),
-            horizon=_integer(net.get("horizon", 8000), "network horizon"),
+            delta=read_integer(net.get("delta", 10), "network delta"),
+            horizon=read_integer(net.get("horizon", 8000), "network horizon"),
         )
         self.protocol = read_string(data["protocol"], "protocol")
-        self.seed = _integer(data["seed"], "seed")
+        self.seed = read_integer(data["seed"], "seed")
         self.validity_name = data.get("validity")
         if self.validity_name is not None:
             read_string(self.validity_name, "validity")
-        self.values = _integer(data.get("values", 2), "values")
+        self.values = read_integer(data.get("values", 2), "values")
         self.certificate_path = data.get("certificate")
         if self.certificate_path is not None:
             read_string(self.certificate_path, "certificate")
@@ -287,13 +283,13 @@ class Scenario:
             kind = read_object(spec, f"corrupted party {party}").get("behavior")
             if not isinstance(kind, str) or kind not in _BEHAVIORS:
                 raise ConfigError(f"unknown behavior {kind!r}")
-            corrupted[_integer(party, "corrupted party id")] = _BEHAVIORS[kind](spec)
+            corrupted[read_integer(party, "corrupted party id")] = _BEHAVIORS[kind](spec)
         self.script = AdversaryScript(
             corrupted=corrupted,
             delivery=_delivery_policy(adversary.get("delivery"), self.net),
         )
         self.inputs = InputConfiguration.of(
-            (_integer(p, "input party id"), str(v))
+            (read_integer(p, "input party id"), read_string(v, f"input of party {p}"))
             for p, v in read_object(data["inputs"], "inputs").items()
         )
         split = [v for _, v in self.inputs.assignments if ";" in v]
@@ -428,8 +424,8 @@ def cmd_attack(args) -> int:
     else:
         params = SystemParams(args.n, args.ts, args.ta, args.setup.upper())
     if "=" in args.i1:
-        inputs_one = InputConfiguration.decode(args.i1)
-        inputs_two = InputConfiguration.decode(args.i2)
+        inputs_one = check_input_parties(InputConfiguration.decode(args.i1), params)
+        inputs_two = check_input_parties(InputConfiguration.decode(args.i2), params)
     else:
         inputs_one = InputConfiguration.of((p, args.i1) for p in range(params.n))
         inputs_two = InputConfiguration.of((p, args.i2) for p in range(params.n))

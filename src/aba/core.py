@@ -44,13 +44,16 @@ SIMILARITY_FAILS = "SIMILARITY_FAILS"
 
 
 def read_integer(value, where: str) -> int:
-    """A count read from a file: an int, an integral float or an integer
-    string. A boolean or a fractional or non-finite number raises
-    ConfigError naming `where`; any other value raises int()'s TypeError or
-    ValueError, which callers word in their own terms."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return int(value)
+    """A count read from a file or a validity name: an int, an integral float
+    or an integer string. Anything else, a boolean or a fractional or non-finite
+    number included, raises ConfigError: "{where} must be an integer, got
+    {value!r}"."""
+    if not isinstance(value, bool) and not (isinstance(value, float) and not value.is_integer()):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{where} must be an integer, got {value!r}")
 
 
 def read_labels(value, where: str) -> list:
@@ -117,11 +120,7 @@ class SystemParams:
         by `read_integer`, and an optional setup string. Anything else raises
         ConfigError."""
         read_object(d, "params", "n", "t_s", "t_a")
-        try:
-            n, t_s, t_a = (read_integer(d[key], f"params field {key}")
-                           for key in ("n", "t_s", "t_a"))
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"params fields must be integers: {e}") from e
+        n, t_s, t_a = (read_integer(d[key], f"params field {key}") for key in ("n", "t_s", "t_a"))
         return cls(n, t_s, t_a, read_string(d.get("setup", SETUP_PKI), "params field setup"))
 
 

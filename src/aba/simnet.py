@@ -926,6 +926,13 @@ class RunResult:
         return [key for key, value in self.outcomes.items() if value is None and key[0] not in bad]
 
 
+def check_input_parties(inputs: InputConfiguration, params: SystemParams) -> InputConfiguration:
+    """`inputs` if it lists parties 0..n-1 only, else ConfigError."""
+    if any(p >= params.n for p in inputs.parties):
+        raise ConfigError("inputs reference a party outside 0..n-1")
+    return inputs
+
+
 def run(
     machine_factory: Callable[[int], Any],
     params: SystemParams,
@@ -946,9 +953,7 @@ def run(
     """
     adversary.validate(params, net.mode)
     if nodes is None:
-        if any(p >= params.n for p in inputs.parties):
-            raise ConfigError("inputs reference a party outside 0..n-1")
-        given = inputs.as_dict()
+        given = check_input_parties(inputs, params).as_dict()
         nodes = [NodeInstance(party_id=party, input=given.get(party),
                               corrupted=adversary.corrupted.get(party) is not None)
                  for party in range(params.n)]

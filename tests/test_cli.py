@@ -17,7 +17,14 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from aba.cli import PROTOCOLS, Scenario, main
-from aba.core import InputConfiguration, SimilarityCertificate
+from aba.core import (
+    InputConfiguration,
+    SimilarityCertificate,
+    read_integer,
+    read_labels,
+    read_object,
+    read_string,
+)
 from aba.errors import ConfigError
 from aba.protocols import ConstantProtocol
 
@@ -407,6 +414,40 @@ def test_run_reports_each_acs_check_once(capsys, tmp_path, monkeypatch, mode, co
     assert payload["violations"] == [violation]
 
 
+def test_run_reports_partition_disagreement(capsys, tmp_path):
+    # local-min below the bound n > 2*t_s + t_a: each side of the partition
+    # decides the minimum of its own inputs
+    path = scenario_file(tmp_path, protocol="local-min",
+                         params={"n": 4, "t_s": 2, "t_a": 0, "setup": "PKI"},
+                         network={"mode": "ASYNCHRONOUS", "delta": 10, "horizon": 6000},
+                         adversary={"delivery": {"kind": "partition",
+                                                 "groups": [[0, 1], [2, 3]]}},
+                         inputs={"0": "0", "1": "0", "2": "1", "3": "1"})
+    code, out, _ = invoke(capsys, "run", path)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["decisions"] == {"0/0": "0", "1/0": "0", "2/0": "1", "3/0": "1"}
+    assert payload["violations"] == ["agreement"]
+
+
+@pytest.mark.parametrize("core, violations", [
+    ("p0=1;p1=1;p2=1", []),
+    ("p0=0;p1=1;p2=1", ["core-coherence"]),  # p0 holds "1"
+])
+def test_run_checks_core_coherence(capsys, tmp_path, monkeypatch, core, violations):
+    def machine(party):
+        decider = ConstantProtocol("1")
+        decider.core = InputConfiguration.decode(core)
+        return decider
+
+    monkeypatch.setitem(PROTOCOLS, "bin-ba", lambda **_: machine)
+    code, out, _ = invoke(capsys, "run", scenario_file(tmp_path))
+    assert code == (1 if violations else 0)
+    payload = json.loads(out)
+    assert set(payload["decisions"].values()) == {"1"}
+    assert payload["violations"] == violations
+
+
 def test_fuzz_reads_the_certificate_once(capsys, monkeypatch):
     reads = []
     from_json = SimilarityCertificate.from_json
@@ -434,8 +475,8 @@ def test_run_missing_file_exit_two(capsys):
     ({"adversary": {"corrupted": {"3": {"behavior": "SILENT_TO", "parties": "12"}}},
       "inputs": {"0": "1", "1": "1", "2": "1"}},
      "SILENT_TO parties must be a list of party ids"),
-    ({"params": {"n": "four", "t_s": 1, "t_a": 1}}, "params fields must be integers"),
-    ({"validity": "clique:x"}, "expected an integer in 'clique:x'"),
+    ({"params": {"n": "four", "t_s": 1, "t_a": 1}}, "params field n must be an integer, got 'four'"),
+    ({"validity": "clique:x"}, "clique size in 'clique:x' must be an integer, got 'x'"),
     ({"network": {"delta": 10.9}}, "network delta must be an integer, got 10.9"),
     ({"network": {"delta": float("inf")}}, "network delta must be an integer, got inf"),
     ({"seed": True}, "seed must be an integer, got True"),
@@ -460,6 +501,14 @@ def test_run_missing_file_exit_two(capsys):
       "certificate": str(SCENARIOS / "strong-4-1-1.cert.json"),
       "inputs": {"0": "0", "1": "7", "2": "0", "3": "1"}},
      "input '7' outside the declared domain"),
+    # input values are labels: strings, never null, numbers or lists
+    ({"inputs": {"0": None, "1": "1", "2": "1", "3": "1"}},
+     "input of party 0 must be a string, got None"),
+    ({"inputs": {"0": "1", "1": 0, "2": "1", "3": "1"}},
+     "input of party 1 must be a string, got 0"),
+    ({"inputs": {"0": "1", "1": "1", "2": ["1"], "3": "1"}},
+     "input of party 2 must be a string, got ['1']"),
+    ({"adversary": {"corrupted": {"9": {"behavior": "CRASH_AT"}}}}, "corrupted party 9 out of range"),
 ])
 def test_run_malformed_scenario_exit_two(capsys, tmp_path, overrides, message):
     code, out, err = invoke(capsys, "run", scenario_file(tmp_path, **overrides))
@@ -528,6 +577,36 @@ def test_scenario_loader_fails_only_with_configuration_errors(edits):
         Scenario(data)
     except ConfigError:  # what `main` reports with exit code 2
         pass
+
+
+_any_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+              st.sampled_from(["7", "-3", " 12 ", "1.5", "1e3", "inf", "0x1"])),
+    lambda kids: st.one_of(st.lists(kids, max_size=3),
+                           st.dictionaries(st.text(max_size=2), kids, max_size=3)),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(None)
+@example(float("inf"))
+@example(float("nan"))
+@example(2.0)
+@given(_any_json)
+def test_readers_return_or_raise_configuration_errors(value):
+    # each reader is total: a value it cannot read raises a ConfigError that
+    # names the field, never int()'s TypeError, ValueError or OverflowError
+    for reader in (read_integer, read_string, read_labels, read_object):
+        try:
+            result = reader(value, "field")
+        except ConfigError as exc:
+            assert str(exc).startswith("field ")
+            continue
+        if reader is read_integer:
+            assert type(result) is int
+        else:
+            assert result is value
 
 
 _TABLE_FIELDS = [
@@ -643,6 +722,13 @@ def test_attack_every_registry_name_reports_or_exits_two(capsys, kind, n, t_a, n
      "inputs reference a party outside 0..n-1"),
     (["split-brain", "--protocol", "bin-ba", "--i1", "garbage"],
      "input 'garbage' not in binary domain"),
+    # the triple partition reads its inputs through its groups, which would
+    # never reach p9
+    (["triple-partition", "--protocol", "local-min", "--n", "5", "--ts", "2", "--ta", "1",
+      "--i1", "p0=0;p1=0;p2=0;p3=0;p4=0;p9=1", "--i2", "p0=1;p1=1;p2=1;p3=1;p4=1"],
+     "inputs reference a party outside 0..n-1"),
+    (["split-brain", "--ta", "1"], "split_brain runs the warm-up case t_a = 0"),
+    (["ring", "--r", "-1"], "round bound r must be non-negative"),
 ])
 def test_attack_bad_inputs_exit_two(capsys, argv, message):
     code, out, err = invoke(capsys, "attack", *argv)
