@@ -11,10 +11,10 @@ needs no wrapper here; scenario input values are read as strings. `main`
 maps no KeyError to exit 2: one that reaches it is a bug and propagates.
 `aba run` and `aba fuzz` check each run against the honest configuration,
 the listed inputs of the parties the adversary does not corrupt, and read
-the agreed cores from the run's own machines. `aba attack` checks that its
-encoded inputs name parties 0..n-1 only. All outputs are pure functions of
-the provided files, flags, and seeds; the ABA_BUDGET environment variable
-overrides the enumeration cap.
+the agreed cores from the run's own machines. `aba attack` takes two bare
+input values or two encoded configurations, which name parties 0..n-1 only.
+All outputs are pure functions of the provided files, flags, and seeds; the
+ABA_BUDGET environment variable overrides the enumeration cap.
 """
 
 from __future__ import annotations
@@ -418,17 +418,30 @@ def cmd_fuzz(args) -> int:
 # ---------------------------------------------------------------- attack
 
 
+def _attack_inputs(i1: str, i2: str, params: SystemParams) -> tuple:
+    """`--i1` and `--i2` as two input configurations. Both are encoded
+    configurations, which may name parties 0..n-1 only, or both are bare
+    values that every party holds; a mixed pair, or a bare value holding the
+    encoding's ";", raises ConfigError."""
+    if ("=" in i1) != ("=" in i2):
+        raise ConfigError(f"--i1 {i1!r} and --i2 {i2!r} must both be values "
+                          "or both be encoded configurations")
+    if "=" in i1:
+        return tuple(check_input_parties(InputConfiguration.decode(text), params)
+                     for text in (i1, i2))
+    for text in (i1, i2):
+        if ";" in text:
+            raise ConfigError(f"input value {text!r} holds ';', which only an "
+                              "encoded configuration may")
+    return tuple(InputConfiguration.of((p, text) for p in range(params.n)) for text in (i1, i2))
+
+
 def cmd_attack(args) -> int:
     if args.scenario_kind == "ring":
         params = attacks.RING_PARAMS
     else:
         params = SystemParams(args.n, args.ts, args.ta, args.setup.upper())
-    if "=" in args.i1:
-        inputs_one = check_input_parties(InputConfiguration.decode(args.i1), params)
-        inputs_two = check_input_parties(InputConfiguration.decode(args.i2), params)
-    else:
-        inputs_one = InputConfiguration.of((p, args.i1) for p in range(params.n))
-        inputs_two = InputConfiguration.of((p, args.i2) for p in range(params.n))
+    inputs_one, inputs_two = _attack_inputs(args.i1, args.i2, params)
     name, certificate = args.protocol, None
     if name.startswith("universal:"):
         # the real stack at possibly-illegal parameters, with a best-effort

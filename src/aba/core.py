@@ -43,12 +43,27 @@ N_TOO_SMALL = "N_TOO_SMALL"
 SIMILARITY_FAILS = "SIMILARITY_FAILS"
 
 
+def _integer_text(text: str) -> Optional[int]:
+    """The int that `text` writes in canonical decimal, `str(int(text))`, or
+    None for any other text: no sign but a leading "-", no leading zero, no
+    "_" and no surrounding space."""
+    try:
+        number = int(text)
+    except ValueError:
+        return None
+    return number if str(number) == text else None
+
+
 def read_integer(value, where: str) -> int:
     """A count read from a file or a validity name: an int, an integral float
-    or an integer string. Anything else, a boolean or a fractional or non-finite
-    number included, raises ConfigError: "{where} must be an integer, got
-    {value!r}"."""
-    if not isinstance(value, bool) and not (isinstance(value, float) and not value.is_integer()):
+    or an integer string in canonical decimal (`_integer_text`). Anything else,
+    a boolean or a fractional or non-finite number included, raises
+    ConfigError: "{where} must be an integer, got {value!r}"."""
+    if isinstance(value, str):
+        number = _integer_text(value)
+        if number is not None:
+            return number
+    elif not isinstance(value, bool) and not (isinstance(value, float) and not value.is_integer()):
         try:
             return int(value)
         except (TypeError, ValueError):
@@ -218,10 +233,10 @@ class InputConfiguration:
             if not part.startswith("p") or "=" not in part:
                 raise ConfigError(f"bad configuration encoding: {text!r}")
             head, value = part.split("=", 1)
-            try:
-                pairs.append((int(head[1:]), value))
-            except ValueError:
-                raise ConfigError(f"bad party id in configuration encoding: {text!r}") from None
+            party = _integer_text(head[1:])
+            if party is None:
+                raise ConfigError(f"bad party id in configuration encoding: {text!r}")
+            pairs.append((party, value))
         return cls.of(pairs)
 
 

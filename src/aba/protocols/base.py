@@ -12,7 +12,12 @@ class Machine:
 
     A payload is never mutated once it has been sent, by its sender or by
     any receiver: every destination gets the same object, and the trace
-    serializes it only when the trace is first read."""
+    serializes it only when the trace is first read.
+
+    A machine never keeps a reference to itself: no table of its own bound
+    methods, no closure over `self`. A run then holds no reference cycle and
+    is freed as soon as its result is dropped; `tests/test_run_memory.py`
+    checks that for every protocol."""
 
     def on_start(self, ctx, value) -> list:
         return []

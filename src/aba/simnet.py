@@ -19,6 +19,11 @@ An exception raised by a corrupted node's machine, or by the engine applying
 that node's actions, crashes that node only: the trace gets one CRASH event
 naming the exception type, and the node takes no further events. An honest
 node's exception propagates out of the run.
+
+A run holds no reference cycle: a node's `NodeCtx` keeps the run's tape,
+trace and signature oracle but not the `Simulation`, and a machine never
+keeps a reference to itself (see `Machine`). So dropping a `RunResult` frees
+the run by reference counting; `tests/test_run_memory.py` checks it.
 """
 
 from __future__ import annotations
@@ -585,10 +590,16 @@ class SetTimer:
 class NodeCtx:
     """Per-node view handed to protocol handlers: the party id, n, delta, the
     clock, the common coin, shared public values and the signature oracle.
-    Handlers never see the network mode or their replica tag."""
+    Handlers never see the network mode or their replica tag.
+
+    It keeps the simulation's tape, trace and signature oracle, not the
+    simulation itself: the simulation holds every node's context, so a
+    reference back would make each run a reference cycle."""
 
     def __init__(self, sim: "Simulation", node: NodeInstance):
-        self._sim = sim
+        self._tape = sim.tape
+        self._trace = sim.trace
+        self._signatures = sim.signatures
         self._key = node.key
         self.party_id = node.party_id
         self.n = sim.params.n
@@ -596,24 +607,24 @@ class NodeCtx:
         self.now = 0
 
     def coin(self, key: Any) -> int:
-        value = self._sim.tape.coin(key)
-        self._sim.trace.append(self.now, COIN, self._key, {"key": repr(key), "value": value})
+        value = self._tape.coin(key)
+        self._trace.append(self.now, COIN, self._key, {"key": repr(key), "value": value})
         return value
 
     def sign(self, payload: Any) -> tuple:
-        token = self._sim.signatures.sign(self.party_id, payload)
-        self._sim.trace.append(self.now, SIGN, self._key, {"payload": repr(payload)})
+        token = self._signatures.sign(self.party_id, payload)
+        self._trace.append(self.now, SIGN, self._key, {"payload": repr(payload)})
         return token
 
     def verify(self, party_id: int, payload: Any, token: Any = None) -> bool:
-        return self._sim.signatures.verify(party_id, payload, token)
+        return self._signatures.verify(party_id, payload, token)
 
     def verify_all(self, parties: Iterable[int], payload: Any) -> bool:
         """Whether every one of `parties` signed `payload`."""
-        return self._sim.signatures.verify_all(parties, payload)
+        return self._signatures.verify_all(parties, payload)
 
     def shared_uniform64(self, tag: str) -> int:
-        return self._sim.tape.shared_uniform64(tag)
+        return self._tape.shared_uniform64(tag)
 
 
 # ---------------------------------------------------------------- engine

@@ -69,6 +69,16 @@ def test_check_bad_params_exit_two(capsys):
     assert "configuration error" in err
 
 
+@pytest.mark.parametrize("validity", ["clique:0_3", "clique: 3", "clique:03", "interval:0:+3"])
+def test_check_non_canonical_integer_exit_two(capsys, validity):
+    # int() would read each as 3
+    code, out, err = invoke(capsys, "check", "--validity", validity,
+                            "--n", "4", "--ts", "1", "--ta", "1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("configuration error:") and "must be an integer" in err
+
+
 def test_check_budget_exit_four(capsys, monkeypatch):
     monkeypatch.setenv("ABA_BUDGET", "5")
     code, _, err = invoke(capsys, "check", "--validity", "strong",
@@ -729,6 +739,13 @@ def test_attack_every_registry_name_reports_or_exits_two(capsys, kind, n, t_a, n
      "inputs reference a party outside 0..n-1"),
     (["split-brain", "--ta", "1"], "split_brain runs the warm-up case t_a = 0"),
     (["ring", "--r", "-1"], "round bound r must be non-negative"),
+    # both flags are values or both are encoded configurations
+    (["split-brain", "--protocol", "local-min", "--n", "4", "--ts", "2", "--ta", "0",
+      "--i1", "0", "--i2", "p0=1;p1=1;p2=1;p3=1"], "must both be values"),
+    (["split-brain", "--protocol", "local-min", "--n", "4", "--ts", "2", "--ta", "0",
+      "--i1", "p0=0;p1=0;p2=0;p3=0", "--i2", "1"], "must both be values"),
+    (["split-brain", "--protocol", "local-min", "--i1", "0;1", "--i2", "1"],
+     "input value '0;1' holds ';'"),
 ])
 def test_attack_bad_inputs_exit_two(capsys, argv, message):
     code, out, err = invoke(capsys, "attack", *argv)

@@ -327,12 +327,12 @@ def junk_rbcs(setup):
 
 def pki_ctx(party, params=PARAMS):
     sim = Simulation(params, NetworkConfig(mode=SYNCHRONOUS, delta=DELTA), seed=1)
-    return NodeCtx(sim, NodeInstance(party_id=party))
+    return sim, NodeCtx(sim, NodeInstance(party_id=party))
 
 
 @pytest.mark.parametrize("name", sorted(JUNK_CHAINS))
 def test_chain_stage_drops_a_malformed_chain(name):
-    ctx = pki_ctx(0)
+    _, ctx = pki_ctx(0)
     ctx.sign(("chain", 1, "0"))  # party 1 would have signed it, as a key for True too
     stage = ChainBroadcastStage(PARAMS.n, PARAMS.t_s, me=0)
     stage.start(ctx, "mine")
@@ -346,9 +346,8 @@ def test_chain_stage_drops_a_malformed_chain(name):
 def test_rbc_drops_a_malformed_message(setup, name):
     params = SystemParams(4, 1, 1, setup)
     pki = setup == "PKI"
-    ctx = pki_ctx(3, params)
+    sim, ctx = pki_ctx(3, params)
     if pki:  # every statement a junk value could name is signed
-        sim = ctx._sim
         for party in range(params.n):
             for value in ("0", ["x"]):
                 sim.signatures.sign(party, ("rbc-prop", 0, value))
@@ -435,7 +434,7 @@ JUNK_VOTES = {
 
 @pytest.mark.parametrize("name", sorted(JUNK_VOTES))
 def test_coin_voting_drops_a_malformed_message(name):
-    ctx = pki_ctx(0)
+    _, ctx = pki_ctx(0)
     voting = CoinVotingInstance(PARAMS.n, PARAMS.t_s, coin_key=("acs", 0))
     voting.start(ctx, 1)
     assert voting.handle(ctx, 1, ("VOTE", 1, 1)) == [] and voting.votes[(1, 1)] == {0, 1}
@@ -445,7 +444,7 @@ def test_coin_voting_drops_a_malformed_message(name):
 
 
 def test_coin_voting_takes_well_formed_messages():
-    ctx = pki_ctx(0)
+    _, ctx = pki_ctx(0)
     voting = CoinVotingInstance(PARAMS.n, PARAMS.t_s, coin_key=("acs", 0))
     voting.start(ctx, 1)
     assert voting.handle(ctx, 1, ("VOTE", 2, 0)) == []
@@ -495,7 +494,7 @@ def test_corrupted_junk_votes_do_not_abort_the_honest_run():
 
 
 def test_merge_claims_drops_an_unhashable_claimed_value():
-    ctx = pki_ctx(0)
+    _, ctx = pki_ctx(0)
     acs = AcsProtocol(PARAMS, DELTA)
     acs.chains = ChainBroadcastStage(PARAMS.n, PARAMS.t_s, me=0)
     for sender in (1, 2):
@@ -509,7 +508,7 @@ def test_merge_claims_drops_an_unhashable_claimed_value():
 
 
 def test_merge_claims_drops_a_claimed_value_holding_the_party_separator():
-    ctx = pki_ctx(0)
+    _, ctx = pki_ctx(0)
     acs = AcsProtocol(PARAMS, DELTA)
     acs.chains = ChainBroadcastStage(PARAMS.n, PARAMS.t_s, me=0)
     for sender in (1, 2, 3):

@@ -30,7 +30,7 @@ from aba.core import (
     neighbors,
     similar,
 )
-from aba.errors import BudgetExceededError
+from aba.errors import BudgetExceededError, ConfigError
 
 
 BINARY = Domain.binary()
@@ -482,6 +482,14 @@ def test_encode_decode_roundtrip():
     config = cfg((0, "0"), (2, "1"))
     assert config.encode() == "p0=0;p2=1"
     assert InputConfiguration.decode(config.encode()) == config
+
+
+@pytest.mark.parametrize("text", ["p0_1=0;p 2=1;p3=0", "p0=0;p01=1", "p0=0;p+1=1", "p0=0;p1 =1",
+                                  "p=0", "p٣=0"])
+def test_decode_reads_party_ids_in_canonical_decimal_only(text):
+    # int() would read each party id it rejects
+    with pytest.raises(ConfigError, match="bad party id"):
+        InputConfiguration.decode(text)
 
 
 def test_table_property_lookup():
