@@ -1,14 +1,16 @@
 """Named validity properties over finite domains.
 
-Catalog entries are addressable by CLI name: `strong`, `weak`, `it-strong`,
-`interval:<lo>:<hi>`, `clique:<omega>`. Custom properties load from a JSON
-table keyed by encoded configuration, with an explicit default.
+`VALIDITIES` is the one registry of catalog names, keyed by usage string:
+`strong`, `weak`, `it-strong`, `interval:<lo>:<hi>`, `clique:<omega>`;
+`resolve` reads a name against it and the CLI's `--validity` help prints its
+keys. Every builder returns (property, domain). Custom properties load from a
+JSON table keyed by encoded configuration, with an explicit default.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import Callable
 
 from .core import Domain, InputConfiguration, SystemParams, ValidityProperty
 from .core import read_integer, read_labels, read_object, read_string
@@ -70,76 +72,48 @@ def intrusion_tolerant_strong() -> ValidityProperty:
     return ValidityProperty(name="it-strong", evaluate=evaluate, anonymous=True)
 
 
-@dataclass(frozen=True)
-class IntervalDomainSpec:
-    """Totally ordered integer domain [lo, hi]."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ConfigError(f"interval bounds reversed: [{self.lo}, {self.hi}]")
-
-    def domain(self) -> Domain:
-        vals = tuple(str(i) for i in range(self.lo, self.hi + 1))
-        return Domain(vals, vals)
-
-
-def interval_hull(spec: IntervalDomainSpec) -> ValidityProperty:
-    """Decide within the range spanned by the honest inputs."""
-
-    expected = spec.domain()
+def interval_hull(lo: int, hi: int) -> tuple[ValidityProperty, Domain]:
+    """Decide within the range spanned by the honest inputs, over the totally
+    ordered integer domain [lo, hi]."""
+    if lo > hi:
+        raise ConfigError(f"interval bounds reversed: [{lo}, {hi}]")
+    vals = tuple(str(i) for i in range(lo, hi + 1))
+    expected = Domain(vals, vals)
 
     def evaluate(params: SystemParams, domain: Domain, config: InputConfiguration) -> frozenset:
         if domain != expected:
-            raise DomainMismatchError(f"interval domain must be [{spec.lo}..{spec.hi}]")
+            raise DomainMismatchError(f"interval domain must be [{lo}..{hi}]")
         try:
             present = [int(v) for _, v in config.assignments]
         except ValueError:
             raise DomainMismatchError(
                 f"interval validity cannot read an input of {config.encode()} "
-                f"as an integer in [{spec.lo}..{spec.hi}]") from None
-        lo, hi = min(present), max(present)
-        return frozenset(str(i) for i in range(lo, hi + 1))
+                f"as an integer in [{lo}..{hi}]") from None
+        return frozenset(str(i) for i in range(min(present), max(present) + 1))
 
-    return ValidityProperty(
-        name=f"interval:{spec.lo}:{spec.hi}", evaluate=evaluate, anonymous=True
-    )
+    return ValidityProperty(name=f"interval:{lo}:{hi}", evaluate=evaluate, anonymous=True), expected
 
 
-@dataclass(frozen=True)
-class CliqueHullSpec:
-    """Vertices of the complete graph K_omega as both input and output domain."""
-
-    omega: int
-
-    def __post_init__(self):
-        if self.omega < 2:
-            raise ConfigError(f"clique size must be >= 2, got {self.omega}")
-        if self.omega > len(CLIQUE_VERTEX_LABELS):
-            raise ConfigError(f"clique size {self.omega} too large")
-
-    def domain(self) -> Domain:
-        vals = tuple(CLIQUE_VERTEX_LABELS[: self.omega])
-        return Domain(vals, vals)
-
-
-def clique_hull(spec: CliqueHullSpec) -> ValidityProperty:
-    """Monophonic hull of the honest inputs in a complete graph.
+def clique_hull(omega: int) -> tuple[ValidityProperty, Domain]:
+    """Monophonic hull of the honest inputs in a complete graph, over the
+    vertices of K_omega.
 
     Every induced path in K_omega is a single edge, so the hull of a vertex
     set is the set itself.
     """
-
-    expected = spec.domain()
+    if omega < 2:
+        raise ConfigError(f"clique size must be >= 2, got {omega}")
+    if omega > len(CLIQUE_VERTEX_LABELS):
+        raise ConfigError(f"clique size {omega} too large")
+    vals = tuple(CLIQUE_VERTEX_LABELS[:omega])
+    expected = Domain(vals, vals)
 
     def evaluate(params: SystemParams, domain: Domain, config: InputConfiguration) -> frozenset:
         if domain != expected:
-            raise DomainMismatchError(f"clique domain must be K_{spec.omega} vertices")
+            raise DomainMismatchError(f"clique domain must be K_{omega} vertices")
         return frozenset(v for _, v in config.assignments)
 
-    return ValidityProperty(name=f"clique:{spec.omega}", evaluate=evaluate, anonymous=True)
+    return ValidityProperty(name=f"clique:{omega}", evaluate=evaluate, anonymous=True), expected
 
 
 def table_property(name: str, table: dict[str, list], default: list) -> ValidityProperty:
@@ -189,30 +163,35 @@ def load_table_property(path: str, params: SystemParams) -> tuple[ValidityProper
     return table_property(name, canonical, default), domain
 
 
-def resolve(name: str, values: int = 2) -> tuple[ValidityProperty, Domain]:
-    """Maps a catalog name to (property, its default domain).
+def _it_strong(values: int) -> tuple[ValidityProperty, Domain]:
+    inputs = tuple(str(i) for i in range(values))
+    return intrusion_tolerant_strong(), Domain(inputs, inputs + (BOT,))
 
-    `values` sizes the domain for strong/weak/it-strong; interval and clique
-    carry their own domains.
-    """
-    if name == "strong":
-        return strong_validity(), Domain.labels(values)
-    if name == "weak":
-        return weak_validity(), Domain.labels(values)
-    if name == "it-strong":
-        inputs = tuple(str(i) for i in range(values))
-        return intrusion_tolerant_strong(), Domain(inputs, inputs + (BOT,))
-    if name.startswith("interval:"):
-        parts = name.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"expected interval:<lo>:<hi>, got {name!r}")
-        spec = IntervalDomainSpec(read_integer(parts[1], f"lower bound in {name!r}"),
-                                  read_integer(parts[2], f"upper bound in {name!r}"))
-        return interval_hull(spec), spec.domain()
-    if name.startswith("clique:"):
-        parts = name.split(":")
-        if len(parts) != 2:
-            raise ConfigError(f"expected clique:<omega>, got {name!r}")
-        spec = CliqueHullSpec(read_integer(parts[1], f"clique size in {name!r}"))
-        return clique_hull(spec), spec.domain()
+
+# The validity names, keyed by their usage strings. Each builder takes
+# `values` (the domain size of strong/weak/it-strong) and the integers of
+# the key's <slots>, and returns (property, its domain).
+VALIDITIES: dict[str, Callable[..., tuple[ValidityProperty, Domain]]] = {
+    "strong": lambda values: (strong_validity(), Domain.labels(values)),
+    "weak": lambda values: (weak_validity(), Domain.labels(values)),
+    "it-strong": _it_strong,
+    "interval:<lo>:<hi>": lambda values, lo, hi: interval_hull(lo, hi),
+    "clique:<omega>": lambda values, omega: clique_hull(omega),
+}
+_SLOTS = {"<lo>": "lower bound", "<hi>": "upper bound", "<omega>": "clique size"}
+
+
+def resolve(name: str, values: int = 2) -> tuple[ValidityProperty, Domain]:
+    """Maps a name to (property, its domain) through `VALIDITIES`. A key
+    without slots matches only itself; a key with slots matches every name
+    with its head (`clique`, `clique:x`), which must then hold one integer
+    per slot. Anything else raises ConfigError."""
+    head, *fields = name.split(":")
+    for key, build in VALIDITIES.items():
+        key_head, *slots = key.split(":")
+        if key_head == head and (slots or not fields):
+            if len(fields) != len(slots):
+                raise ConfigError(f"expected {key}, got {name!r}")
+            return build(values, *(read_integer(field, f"{_SLOTS[slot]} in {name!r}")
+                                   for field, slot in zip(fields, slots)))
     raise ConfigError(f"unknown validity name {name!r}")

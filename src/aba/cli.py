@@ -9,10 +9,11 @@ and validity-table files are read field by field through `core`'s readers
 raises its own ConfigError naming the field, so a missing or mistyped field
 needs no wrapper here; scenario input values are read as strings. `main`
 maps no KeyError to exit 2: one that reaches it is a bug and propagates.
-`aba run` and `aba fuzz` check each run against the honest configuration,
-the listed inputs of the parties the adversary does not corrupt, and read
-the agreed cores from the run's own machines. `aba attack` takes two bare
-input values or two encoded configurations, which name parties 0..n-1 only.
+A scenario's load checks, and the checks of each `aba run` and `aba fuzz`
+run, read the honest configuration (`Scenario.honest`), the listed inputs
+of the parties the adversary does not corrupt; runs read the agreed cores
+from their own machines. `aba attack` takes two bare input values or two
+encoded configurations, which name parties 0..n-1 only.
 All outputs are pure functions of the provided files, flags, and seeds; the
 ABA_BUDGET environment variable overrides the enumeration cap.
 """
@@ -191,16 +192,24 @@ def _delivery_policy(spec, net: NetworkConfig):
     if kind == "uniform":
         return AsyncUniformDelay()
     if kind == "random":
-        return AsyncRandomDelay(read_integer(spec.get("max_delay", 3 * net.delta), "max_delay"))
+        policy = AsyncRandomDelay(read_integer(spec.get("max_delay", 3 * net.delta), "max_delay"))
+        if net.mode == SYNCHRONOUS and policy.max_delay > net.delta:
+            raise ConfigError(f"random max_delay {policy.max_delay} exceeds delta "
+                              f"{net.delta}, which SYNCHRONOUS delivery may not")
+        return policy
     if kind == "partition":
         groups = read_object(spec, "partition delivery", "groups")["groups"]
         if not isinstance(groups, list):
             raise ConfigError(f"partition groups must be a list, got {groups!r}")
         release = spec.get("release_time")
-        return PartitionPolicy(
+        policy = PartitionPolicy(
             [{(p, 0) for p in _parties(g, "partition group")} for g in groups],
             None if release is None else read_integer(release, "release_time"),
         )
+        if net.mode == SYNCHRONOUS:
+            raise ConfigError("partition delivery holds messages past delta, "
+                              "so it needs ASYNCHRONOUS mode")
+        return policy
     raise ConfigError(f"unknown delivery policy {kind!r}")
 
 
@@ -292,14 +301,17 @@ class Scenario:
             (read_integer(p, "input party id"), read_string(v, f"input of party {p}"))
             for p, v in read_object(data["inputs"], "inputs").items()
         )
-        split = [v for _, v in self.inputs.assignments if ";" in v]
+        # the honest configuration: what the load checks and every run check read
+        self.honest = InputConfiguration.of((p, v) for p, v in self.inputs.assignments
+                                            if p not in corrupted)
+        split = [v for _, v in self.honest.assignments if ";" in v]
         if split:
             raise ConfigError(f"input labels may not contain ';': {split}")
         self.validity = None
         self.domain = None
-        if self.validity_name:
+        if self.validity_name is not None:
             self.validity, self.domain = catalog.resolve(self.validity_name, self.values)
-            bad = [v for _, v in self.inputs.assignments
+            bad = [v for _, v in self.honest.assignments
                    if v not in self.domain.input_values and self.protocol != "ba-star"]
             if bad:
                 raise ConfigError(f"inputs outside the domain: {bad}")
@@ -330,12 +342,10 @@ class Scenario:
 def _check_run_properties(scenario: Scenario, result) -> dict:
     """Agreement; for acs the core-set contract, otherwise validity of every
     decided value whenever the scenario declares a validity property, and
-    core coherence for universal. Every check reads the honest configuration:
-    the listed inputs of the parties the adversary does not corrupt (`run`
-    has checked that every honest party is listed)."""
-    params, corrupted = scenario.params, scenario.script.corrupted
-    honest = InputConfiguration.of((p, v) for p, v in scenario.inputs.assignments
-                                   if p not in corrupted)
+    core coherence for universal. Every check reads `scenario.honest`, the
+    listed inputs of the parties the adversary does not corrupt (`run` has
+    checked that every honest party is listed)."""
+    params, corrupted, honest = scenario.params, scenario.script.corrupted, scenario.honest
     decisions = result.honest_decisions(corrupted)
     violations = []
     values = set(decisions.values())
@@ -486,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_validity(p):
         p.add_argument("--validity", default="strong",
-                       help="strong | weak | it-strong | interval:<lo>:<hi> | clique:<omega>")
+                       help=" | ".join(catalog.VALIDITIES))
         p.add_argument("--values", type=int, default=2,
                        help="domain size for strong/weak/it-strong")
         p.add_argument("--validity-table", help="JSON file with a custom validity table")

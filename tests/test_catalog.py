@@ -6,8 +6,7 @@ import pytest
 
 from aba.catalog import (
     BOT,
-    CliqueHullSpec,
-    IntervalDomainSpec,
+    VALIDITIES,
     clique_hull,
     intrusion_tolerant_strong,
     interval_hull,
@@ -71,39 +70,38 @@ def test_intrusion_tolerant_strong_cases():
 
 
 def test_interval_hull_cases():
-    spec = IntervalDomainSpec(0, 9)
-    prop, domain = interval_hull(spec), spec.domain()
+    prop, domain = interval_hull(0, 9)
     params = SystemParams(n=2, t_s=1, t_a=0)
     assert prop.evaluate(params, domain, cfg((0, "2"), (1, "5"))) == {"2", "3", "4", "5"}
     assert prop.evaluate(params, domain, cfg((0, "7"), (1, "7"))) == {"7"}
     assert prop.evaluate(params, domain, cfg((0, "0"), (1, "9"))) == set(domain.output_values)
     with pytest.raises(ConfigError):
-        IntervalDomainSpec(5, 2)
+        interval_hull(5, 2)
 
 
 def test_clique_hull_cases():
-    spec = CliqueHullSpec(3)
-    prop, domain = clique_hull(spec), spec.domain()
+    prop, domain = clique_hull(3)
     params = SystemParams(n=3, t_s=1, t_a=0)
     assert prop.evaluate(params, domain, cfg((0, "a"), (1, "b"))) == {"a", "b"}
     assert prop.evaluate(params, domain, cfg((0, "a"), (1, "a"))) == {"a"}
     assert prop.evaluate(params, domain, cfg((0, "a"), (1, "b"), (2, "c"))) == {"a", "b", "c"}
     with pytest.raises(ConfigError):
-        CliqueHullSpec(1)
+        clique_hull(1)
+
+
+# sample integers for the <slots> of the VALIDITIES keys
+SAMPLES = {"<lo>": 0, "<hi>": 3, "<omega>": 3}
+
+
+def sample_name(key):
+    head, *slots = key.split(":")
+    return ":".join([head] + [str(SAMPLES[slot]) for slot in slots])
 
 
 def test_catalog_properties_never_empty():
-    entries = [
-        ("strong", 2),
-        ("weak", 2),
-        ("it-strong", 2),
-        ("interval:0:3", 2),
-        ("clique:2", 2),
-        ("clique:3", 2),
-    ]
     grid = [SystemParams(3, 1, 0), SystemParams(3, 1, 1), SystemParams(4, 2, 1)]
-    for name, values in entries:
-        prop, domain = resolve(name, values)
+    for name in [sample_name(key) for key in VALIDITIES] + ["clique:2"]:
+        prop, domain = resolve(name, 2)
         for params in grid:
             for config in enumerate_input_configs(params, domain, Budget()):
                 assert prop.evaluate(params, domain, config), (name, params, config)
@@ -139,12 +137,55 @@ def test_resolve_rejects_unknown():
         resolve("unknown")
 
 
+RESOLVED = [
+    ("strong", 3, ("0", "1", "2"), ("0", "1", "2")),
+    ("weak", 2, ("0", "1"), ("0", "1")),
+    ("it-strong", 2, ("0", "1"), ("0", "1", BOT)),
+    ("interval:-1:2", 2, ("-1", "0", "1", "2"), ("-1", "0", "1", "2")),
+    ("clique:4", 5, ("a", "b", "c", "d"), ("a", "b", "c", "d")),
+]
+
+
+def test_resolved_cases_cover_the_registry():
+    assert [key.split(":")[0] for key in VALIDITIES] == [name.split(":")[0] for name, *_ in RESOLVED]
+
+
+@pytest.mark.parametrize("name, values, inputs, outputs", RESOLVED)
+def test_resolve_builds_each_registry_entry(name, values, inputs, outputs):
+    prop, domain = resolve(name, values)
+    assert prop.name == name
+    assert domain == Domain(inputs, outputs)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("unknown", "unknown validity name 'unknown'"),
+    ("", "unknown validity name ''"),
+    ("strong:3", "unknown validity name 'strong:3'"),
+    ("interval:1", "expected interval:<lo>:<hi>, got 'interval:1'"),
+    ("interval:0:1:2", "expected interval:<lo>:<hi>, got 'interval:0:1:2'"),
+    ("clique:3:4", "expected clique:<omega>, got 'clique:3:4'"),
+    ("interval:a:3", "lower bound in 'interval:a:3' must be an integer, got 'a'"),
+    ("interval:0:b", "upper bound in 'interval:0:b' must be an integer, got 'b'"),
+    ("interval:x:y", "lower bound in 'interval:x:y' must be an integer, got 'x'"),
+    ("clique:", "clique size in 'clique:' must be an integer, got ''"),
+    ("interval:5:2", "interval bounds reversed: [5, 2]"),
+    ("clique:1", "clique size must be >= 2, got 1"),
+    ("clique:27", "clique size 27 too large"),
+    # a bare head names the usage it lacks
+    ("interval", "expected interval:<lo>:<hi>, got 'interval'"),
+    ("clique", "expected clique:<omega>, got 'clique'"),
+])
+def test_resolve_error_messages(name, message):
+    with pytest.raises(ConfigError) as raised:
+        resolve(name)
+    assert str(raised.value) == message
+
+
 def test_clique_feasibility_matches_closed_form_small_grid():
     # spot-check the closed form n > max(w*t_s, w*t_a + t_s, 2*t_s + t_a)
     # (full grid is covered by the acceptance suite)
     for omega in (2, 3):
-        spec = CliqueHullSpec(omega)
-        prop, domain = clique_hull(spec), spec.domain()
+        prop, domain = clique_hull(omega)
         for n in range(3, 7):
             for t_s in (1, 2):
                 if t_s > n - 1:

@@ -1,5 +1,6 @@
 """CLI exit-code contract and end-to-end command flows."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -16,7 +17,8 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from aba.cli import PROTOCOLS, Scenario, main
+from aba import catalog
+from aba.cli import PROTOCOLS, Scenario, build_parser, main
 from aba.core import (
     InputConfiguration,
     SimilarityCertificate,
@@ -941,12 +943,62 @@ def test_missing_scenario_file_still_exits_two():
     ({"protocol": "ba-star", "validity": "interval:0:3",
       "inputs": {"0": "0.5", "1": "0", "2": "0.25", "3": "0"}},
      "interval validity cannot read an input of p0=0.5;p1=0;p2=0.25;p3=0 as an integer"),
+    # the domain check names honest inputs only, not party 3's
+    ({"adversary": {"corrupted": {"3": {"behavior": "CRASH_AT", "time": 5}}},
+      "inputs": {"0": "1", "1": "7", "2": "1", "3": "7"}},
+     "configuration error: inputs outside the domain: ['7']\n"),
+    # a SYNCHRONOUS scenario whose delivery can take longer than delta
+    ({"adversary": {"delivery": {"kind": "random", "max_delay": 30}}},
+     "random max_delay 30 exceeds delta 10, which SYNCHRONOUS delivery may not"),
+    ({"adversary": {"delivery": {"kind": "random"}}},
+     "random max_delay 30 exceeds delta 10, which SYNCHRONOUS delivery may not"),
+    ({"adversary": {"delivery": {"kind": "partition", "groups": [[0, 1], [2, 3]]}}},
+     "partition delivery holds messages past delta, so it needs ASYNCHRONOUS mode"),
+    # "" is a validity name like any other, not a way to turn the checks off
+    ({"protocol": "constant:7", "validity": "", "inputs": {"0": "0", "1": "1", "2": "1", "3": "1"}},
+     "configuration error: unknown validity name ''\n"),
 ])
 def test_run_bad_delay_fixed_point_or_label_exit_two(capsys, tmp_path, overrides, message):
     code, out, err = invoke(capsys, "run", scenario_file(tmp_path, **overrides))
     assert code == 2 and out == ""
     assert err.count("\n") == 1
     assert err.startswith("configuration error:") and message in err
+
+
+def test_validity_help_prints_the_registry():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("check", "certificate"):
+        option = next(a for a in sub.choices[command]._actions if "--validity" in a.option_strings)
+        assert option.help == " | ".join(catalog.VALIDITIES)
+        assert option.help == "strong | weak | it-strong | interval:<lo>:<hi> | clique:<omega>"
+
+
+@pytest.mark.parametrize("protocol, validity, corrupted, inputs", [
+    # a listed input of a corrupted party is only its starting input, as a
+    # value given through its behavior is: the load checks read neither
+    ("bin-ba", "strong", {"behavior": "CRASH_AT", "time": 5},
+     {"0": "1", "1": "1", "2": "1", "3": "7"}),
+    ("bin-ba", "strong", {"behavior": "FOLLOW_WITH_INPUT", "value": "7"},
+     {"0": "1", "1": "1", "2": "1"}),
+    ("local-min", None, {"behavior": "CRASH_AT", "time": 5},
+     {"0": "1", "1": "1", "2": "1", "3": "x;y"}),
+    ("local-min", None, {"behavior": "FOLLOW_WITH_INPUT", "value": "x;y"},
+     {"0": "1", "1": "1", "2": "1"}),
+])
+def test_run_load_checks_skip_a_corrupted_input(capsys, tmp_path, protocol, validity, corrupted,
+                                                inputs):
+    path = scenario_file(tmp_path, protocol=protocol, validity=validity, inputs=inputs,
+                         adversary={"corrupted": {"3": corrupted}, "delivery": {"kind": "exact"}})
+    code, out, _ = invoke(capsys, "run", path)
+    assert code == 0
+    assert json.loads(out)["violations"] == []
+
+
+def test_run_synchronous_random_delivery_within_delta_runs(capsys, tmp_path):
+    path = scenario_file(tmp_path, adversary={"delivery": {"kind": "random", "max_delay": 10}})
+    code, out, _ = invoke(capsys, "run", path)
+    assert code == 0
+    assert json.loads(out)["violations"] == []
 
 
 @pytest.mark.parametrize("value", ["1e-999999999", "0e999999999", "1E+999999999"])

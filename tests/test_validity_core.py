@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aba.catalog import clique_hull, CliqueHullSpec, strong_validity, table_property, weak_validity
+from aba.catalog import clique_hull, strong_validity, table_property, weak_validity
 from aba.core import (
     Budget,
     Domain,
@@ -353,8 +353,7 @@ def test_certificate_strong_forces_unanimous_value():
 
 
 def test_certificate_clique_k3_n6_infeasible():
-    spec = CliqueHullSpec(3)
-    prop, domain = clique_hull(spec), spec.domain()
+    prop, domain = clique_hull(3)
     params = SystemParams(n=6, t_s=2, t_a=0)
     outcome = compute_similarity_certificate(prop, params, domain)
     assert not outcome.feasible
@@ -368,8 +367,7 @@ def test_certificate_clique_k3_n6_infeasible():
 
 
 def test_certificate_clique_k3_n7_feasible_and_sound():
-    spec = CliqueHullSpec(3)
-    prop, domain = clique_hull(spec), spec.domain()
+    prop, domain = clique_hull(3)
     params = SystemParams(n=7, t_s=2, t_a=0)
     outcome = compute_similarity_certificate(prop, params, domain)
     assert outcome.feasible
@@ -403,14 +401,14 @@ def test_certificate_feasibility_under_closure():
     # closure(V) <= V pointwise, so closure feasibility implies direct
     # feasibility; the converse holds when t_a == t_s (then every
     # sub-configuration of a similar configuration is itself similar).
-    spec = CliqueHullSpec(3)
+    clique, k3 = clique_hull(3)
     cases = [
         (strong_validity(), BINARY, SystemParams(n=4, t_s=1, t_a=1)),
         (weak_validity(), BINARY, SystemParams(n=4, t_s=1, t_a=0)),
         (strong_validity(), BINARY, SystemParams(n=3, t_s=1, t_a=1)),
         (strong_validity(), BINARY, SystemParams(n=4, t_s=2, t_a=2)),
-        (clique_hull(spec), spec.domain(), SystemParams(n=6, t_s=2, t_a=0)),
-        (clique_hull(spec), spec.domain(), SystemParams(n=7, t_s=2, t_a=2)),
+        (clique, k3, SystemParams(n=6, t_s=2, t_a=0)),
+        (clique, k3, SystemParams(n=7, t_s=2, t_a=2)),
     ]
     for prop, domain, params in cases:
         direct = compute_similarity_certificate(prop, params, domain).feasible
@@ -471,8 +469,8 @@ def test_trivial_solvable_at_any_params():
 
 
 def test_clique_k3_n6_similarity_fails():
-    spec = CliqueHullSpec(3)
-    verdict = is_solvable(clique_hull(spec), SystemParams(6, 2, 0, "PKI"), spec.domain())
+    prop, domain = clique_hull(3)
+    verdict = is_solvable(prop, SystemParams(6, 2, 0, "PKI"), domain)
     assert not verdict.solvable
     assert verdict.reason == SIMILARITY_FAILS
     assert verdict.witness is not None
