@@ -7,6 +7,11 @@ from the seed via SHA-256, and signatures are an ideal registry-backed oracle.
 Machines have no private randomness, so replicated node instances fed
 identical message sequences evolve identically.
 
+Party ids, replica tags, times and delays are exact ints (not bools): where
+each enters, `NetworkConfig`, the delay rules and `Simulation.add_node` raise
+ConfigError, and at run time a `Send` destination, `SetTimer` delay or policy
+time of another type is a ProtocolError.
+
 Payloads are passed by reference: every destination of a send receives the
 sender's object. The trace stores each SEND and DELIVER as one flat record
 holding that object, and every reader works from those records; `events`
@@ -63,12 +68,16 @@ class NetworkConfig:
     def __post_init__(self):
         if self.mode not in (SYNCHRONOUS, ASYNCHRONOUS):
             raise ConfigError(f"unknown network mode {self.mode!r}")
+        if type(self.delta) is not int or type(self.horizon) is not int:
+            raise ConfigError(f"delta and horizon must be ints: {self.delta!r}, {self.horizon!r}")
         if self.delta <= 0 or self.horizon <= 0:
             raise ConfigError("delta and horizon must be positive")
 
 
 @dataclass
 class NodeInstance:
+    """Party `party_id`'s copy `replica_tag`: exact ints, else `add_node` raises ConfigError."""
+
     party_id: int
     replica_tag: int = 0
     corrupted: bool = False
@@ -185,14 +194,6 @@ def _plain(value) -> bool:
 _encode_str = json.encoder.encode_basestring_ascii  # the escaping `_ENCODER` uses
 
 
-def _scalar_json(value) -> Optional[str]:
-    """The JSON of a SEND's deliver_at or dst_replica that is not an int: a
-    str ("held", "discarded") escaped, None as null; None for any other type."""
-    if type(value) is str:
-        return _encode_str(value)
-    return "null" if value is None else None
-
-
 def _event_template(kind: str, keys: tuple) -> str:
     """The JSONL line of a `kind` event whose detail has the exact-str `keys`
     as a `%` template: one `%s` per detail value, then party, replica and t.
@@ -205,8 +206,7 @@ def _event_template(kind: str, keys: tuple) -> str:
             + ', "party": %d, "replica": %d, "t": %d}')
 
 
-# The JSONL lines of an engine SEND and DELIVER; `jsonl()` fills them with
-# exact ints and escaped strings only, since `%d` writes True as 1
+# The JSONL lines of an engine SEND and DELIVER, which `jsonl()` fills
 _SEND_LINE = _event_template(SEND, ("deliver_at", "dst", "dst_replica", "payload"))
 _DELIVER_LINE = _event_template(DELIVER, ("payload", "src", "src_replica"))
 
@@ -217,8 +217,10 @@ class ExecutionTrace:
     Events read as `(t, kind, party, replica, detail)` tuples. The engine
     stores each SEND and DELIVER as a flat record instead,
     `(t, kind, party, replica, peer, peer_replica, payload, deliver_at)`: the
-    peer is a SEND's destination and a DELIVER's source, and a DELIVER's
-    deliver_at is None. Records keep that shape for the trace's whole life.
+    peer is a SEND's destination and a DELIVER's source. The other fields are
+    exact ints, but a discarded SEND's peer_replica is None, a SEND's
+    deliver_at may be "held" or "discarded", and a DELIVER's is None.
+    Records keep that shape for the trace's whole life.
     `events` and `of_kind()` return a new list of five-field tuples, each
     with a new detail dict, and write nothing back; `jsonl()`, `sha256()` and
     `node_transcript()` read the flat records as they are.
@@ -294,14 +296,13 @@ class ExecutionTrace:
 
     def jsonl(self) -> str:
         """One JSON object per event, in `json.dumps(..., sort_keys=True)`
-        form: ASCII escapes, `", "` and `": "` separators. A flat record whose
-        fields are the engine's exact ints, strings and None fills its kind's
-        template directly. Any other event with exact-int t, party and replica
-        whose detail is a dict of exact-str keys in sorted order and exact-str
-        or exact-int values (TIMER, SIGN, COIN, CRASH, and a DECIDE on a str or
-        int) fills a template built once per call for its kind and detail keys
-        (`_event_template`). Anything else is written by the generic encoder.
-        The bytes are the same on every path."""
+        form: ASCII escapes, `", "` and `": "` separators. A flat record fills
+        its kind's template. Any other event with exact-int t, party and
+        replica whose detail is a dict of exact-str keys in sorted order and
+        exact-str or exact-int values (TIMER, SIGN, COIN, CRASH, and a DECIDE
+        on a str or int) fills a template built once per call for its kind and
+        detail keys (`_event_template`). Anything else is written by the
+        generic encoder. The bytes are the same on every path."""
         text_of = self._text
         quoted: dict[int, str] = {}  # id(payload) -> its escaped text, for this call
         templates: dict[tuple, str] = {}  # (kind, *detail keys) -> its template, for this call
@@ -313,41 +314,34 @@ class ExecutionTrace:
                 text = quoted.get(id(payload))
                 if text is None:
                     text = quoted[id(payload)] = _encode_str(text_of(payload))
-                if type(t) is type(party) is type(replica) is type(peer) is int:
-                    if kind == SEND:
-                        # `%s` writes an exact int as `%d` does
-                        at = deliver_at if type(deliver_at) is int else _scalar_json(deliver_at)
-                        dst_replica = (peer_replica if type(peer_replica) is int
-                                       else _scalar_json(peer_replica))
-                        if at is not None and dst_replica is not None:
-                            append(_SEND_LINE % (at, peer, dst_replica, text, party, replica, t))
-                            continue
-                    elif type(peer_replica) is int:
-                        append(_DELIVER_LINE % (text, peer, peer_replica, party, replica, t))
-                        continue
-                event = self._view((event,))[0]  # the encoder sorts its detail's keys
-            else:
-                t, kind, party, replica, detail = event
-                if (type(t) is type(party) is type(replica) is int and type(kind) is str
-                        and type(detail) is dict):
-                    values = []
-                    for key, value in detail.items():
-                        if type(key) is not str:
-                            break
-                        if type(value) is str:
-                            value = _encode_str(value)
-                        elif type(value) is not int:
-                            break
-                        values.append(value)
-                    else:
-                        shape = (kind, *detail)
-                        line = templates.get(shape)
-                        if line is None:
-                            line = templates[shape] = _event_template(kind, shape[1:])
-                        if line:
-                            append(line % (*values, party, replica, t))
-                            continue
+                if kind == SEND:
+                    # `%s` writes an int as `%d` does
+                    at = deliver_at if type(deliver_at) is int else f'"{deliver_at}"'
+                    dst_replica = "null" if peer_replica is None else peer_replica
+                    append(_SEND_LINE % (at, peer, dst_replica, text, party, replica, t))
+                else:
+                    append(_DELIVER_LINE % (text, peer, peer_replica, party, replica, t))
+                continue
             t, kind, party, replica, detail = event
+            if (type(t) is type(party) is type(replica) is int and type(kind) is str
+                    and type(detail) is dict):
+                values = []
+                for key, value in detail.items():
+                    if type(key) is not str:
+                        break
+                    if type(value) is str:
+                        value = _encode_str(value)
+                    elif type(value) is not int:
+                        break
+                    values.append(value)
+                else:
+                    shape = (kind, *detail)
+                    line = templates.get(shape)
+                    if line is None:
+                        line = templates[shape] = _event_template(kind, shape[1:])
+                    if line:
+                        append(line % (*values, party, replica, t))
+                        continue
             append(_ENCODER.encode({"t": t, "kind": kind, "party": party, "replica": replica,
                                     "detail": _jsonable(detail)}))
         return "\n".join(lines) + "\n"
@@ -454,7 +448,7 @@ class DeliveryPolicy:
 
 
 def _delay(delay: int) -> int:
-    if not delay >= 1:
+    if type(delay) is not int or delay < 1:
         raise ConfigError(f"a delivery delay must be at least 1, got {delay!r}")
     return delay
 
@@ -648,16 +642,16 @@ class _NodeState:
 
 class Simulation:
     """Event loop: pops the earliest event (ties by insertion order), feeds
-    the node's state machine, enqueues resulting sends and timers.
+    the node's state machine, enqueues resulting sends and timers. Node keys
+    and times are exact ints: `add_node` raises ConfigError, and `_apply`
+    ProtocolError, for any other type.
 
     The queue is a calendar of time buckets: `_buckets` maps each pending
-    time to its events in insertion order, and `_times` is a heap of those
-    times, so an event costs one list append and only a new time costs a
-    heap push. Popping the earliest time's bucket and running it in order is
-    the (time, insertion) order of a heap with an insertion counter. Each
-    entry keeps its own time, because equal times of different types (3 and
-    3.0) share a bucket and each event is still traced at the time it was
-    given.
+    time to its `(kind, data)` entries in insertion order, and `_times` is a
+    heap of those times, so an event costs one list append and only a new
+    time costs a heap push. Popping the earliest time's bucket and running it
+    in order is the (time, insertion) order of a heap with an insertion
+    counter.
     """
 
     def __init__(
@@ -677,7 +671,7 @@ class Simulation:
         )
         self._sched_rng = self.tape.scheduler_stream()
         self._nodes: dict[NodeKey, _NodeState] = {}
-        self._buckets: dict[Any, list] = {}  # time -> [(time, kind, data), ...]
+        self._buckets: dict[int, list] = {}  # time -> [(kind, data), ...]
         self._times: list = []  # heap of the times in `_buckets`
         self._parties = range(params.n)
         self._max_delay = net.delta if net.mode == SYNCHRONOUS else None
@@ -691,6 +685,8 @@ class Simulation:
         machine_factory: Callable[[int], Any],
         behavior: Behavior = None,
     ):
+        if type(node.party_id) is not int or type(node.replica_tag) is not int:
+            raise ConfigError(f"node key must be two ints, got {node.key!r}")
         if node.key in self._nodes:
             raise ConfigError(f"duplicate node instance {node.key}")
         ctx = NodeCtx(self, node)
@@ -711,15 +707,16 @@ class Simulation:
                 allowed = frozenset(range(self.params.n)) - behavior.parties
             machines = [(None, machine_factory(node.party_id), value, allowed)]
         crashed_at = behavior.time if isinstance(behavior, CrashAt) else None
+        if crashed_at is not None and type(crashed_at) is not int:
+            raise ConfigError(f"crash time must be an int, got {crashed_at!r}")
         self._nodes[node.key] = _NodeState(node, machines, ctx, crashed_at)
 
     def _push(self, time: int, kind: str, data):
         bucket = self._buckets.get(time)
         if bucket is None:
-            self._buckets[time] = [(time, kind, data)]
+            bucket = self._buckets[time] = []
             heapq.heappush(self._times, time)
-        else:
-            bucket.append((time, kind, data))
+        bucket.append((kind, data))
 
     # -- run loop
 
@@ -745,7 +742,7 @@ class Simulation:
                 break
             # an event pushed at this time from here on opens a new bucket,
             # which runs next
-            for time, kind, data in buckets.pop(time):
+            for kind, data in buckets.pop(time):
                 if kind == "DELIVER":
                     deliver(time, data)
                 elif kind == "TIMER":
@@ -761,9 +758,10 @@ class Simulation:
     # -- dispatch
     #
     # A corrupted node whose machine raises, or whose actions the engine
-    # rejects (a timer delay below 1, an unknown action), is crashed by
-    # `_contain`; the actions before the rejected one stay applied. An honest
-    # node's exception is a bug, so the bare `raise` lets it abort the run.
+    # rejects (a destination or time that is not an int, a timer delay below
+    # 1, an unknown action), is crashed by `_contain`; the actions before the
+    # rejected one stay applied. An honest node's exception is a bug, so the
+    # bare `raise` lets it abort the run.
 
     def _alive(self, state: _NodeState, now: int) -> bool:
         return state.crashed_at is None or now < state.crashed_at
@@ -832,6 +830,8 @@ class Simulation:
             if isinstance(action, Broadcast):
                 self._send(state, now, allowed, self._parties, action.payload)
             elif isinstance(action, Send):
+                if type(action.dst) is not int:
+                    raise ProtocolError(f"send destination must be an int, got {action.dst!r}")
                 self._send(state, now, allowed, (action.dst,), action.payload)
             elif isinstance(action, Decide):
                 if node.corrupted:
@@ -843,12 +843,13 @@ class Simulation:
                 state.decided = action.value
                 self.trace.append(now, DECIDE, state.key, {"value": action.value})
                 for env, at in self.policy.on_decide(node.party_id, now):
-                    if at <= now:
-                        raise ProtocolError("release must be strictly after the decision")
+                    if type(at) is not int or at <= now:
+                        raise ProtocolError("release must be strictly after the decision, "
+                                            f"at an int time: decided at {now}, got {at!r}")
                     self._push(at, "DELIVER", env)
             elif isinstance(action, SetTimer):
-                if action.delay < 1:
-                    raise ProtocolError("timer delay must be >= 1")
+                if type(action.delay) is not int or action.delay < 1:
+                    raise ProtocolError(f"timer delay must be >= 1 and an int: {action.delay!r}")
                 self._push(now + action.delay, "TIMER", (state.key, sub_id, action.tag))
             else:
                 raise ProtocolError(f"unknown action {action!r}")
@@ -867,15 +868,10 @@ class Simulation:
         for dst_party in dst_parties:
             if allowed is not None and dst_party not in allowed:
                 continue
-            if type(dst_party) is int:
-                try:
-                    dst_keys = targets[dst_party]
-                except KeyError:
-                    dst_keys = targets[dst_party] = self._route(state.route, dst_party)
-            else:
-                # resolved on every send: True or 1.0 equals an int's entry
-                # but is recorded as given
-                dst_keys = self._route(state.route, dst_party)
+            try:
+                dst_keys = targets[dst_party]
+            except KeyError:
+                dst_keys = targets[dst_party] = self._route(state.route, dst_party)
             if dst_keys is None:
                 # discarded in transit: the sender still observes its own send
                 record((now, SEND, party, replica, dst_party, None, payload, "discarded"))
@@ -886,25 +882,23 @@ class Simulation:
                 if deliver_at is None:
                     deliver_at = "held"
                 else:
-                    if deliver_at <= now:
-                        raise ProtocolError("delivery must be strictly after send")
+                    if type(deliver_at) is not int or deliver_at <= now:
+                        raise ProtocolError("delivery must be strictly after send, at an int "
+                                            f"time: sent at {now}, got {deliver_at!r}")
                     if max_delay is not None and deliver_at - now > max_delay:
                         raise ProtocolError("synchronous delivery exceeded delta")
                     push(deliver_at, "DELIVER", env)
                 record((now, SEND, party, replica, dst_key[0], dst_key[1], payload, deliver_at))
 
     def _route(self, route: dict, dst_party) -> Optional[tuple]:
-        """The keys of the existing nodes that `route` sends `dst_party`'s
-        messages to, or None when it discards them."""
+        """The own keys of the existing nodes that `route` sends `dst_party`'s
+        messages to (a key `(True, 0)` gives `(1, 0)`), or None if it discards."""
         target = route.get(dst_party, (dst_party, 0))
         if target is None:
             return None
-        dst_keys = []
-        for dst_key in target if isinstance(target, list) else (target,):
-            dst_key = tuple(dst_key)
-            if dst_key in self._nodes:
-                dst_keys.append(dst_key)
-        return tuple(dst_keys)
+        targets = target if isinstance(target, list) else (target,)
+        nodes = self._nodes
+        return tuple(nodes[key].key for key in map(tuple, targets) if key in nodes)
 
 
 # ---------------------------------------------------------------- run helper
@@ -958,21 +952,25 @@ def run(
 
     Given `inputs`, which may list parties 0..n-1 only, the run has one tag-0
     node per party; given `nodes` (and None for `inputs`), those instances in
-    order. Each node runs its party's behavior, and every protocol copy that
+    order. Each node runs its party's behavior, and its `corrupted` flag must
+    say whether the adversary corrupts its party. Every protocol copy that
     `add_node` builds for a node that starts (any but a `CrashAt(0)` one) must
-    have an input that is not None, else ConfigError before any event runs.
+    have an input that is not None. Else ConfigError, before any event runs.
     """
     adversary.validate(params, net.mode)
+    corrupted = adversary.corrupted
     if nodes is None:
         given = check_input_parties(inputs, params).as_dict()
-        nodes = [NodeInstance(party_id=party, input=given.get(party),
-                              corrupted=adversary.corrupted.get(party) is not None)
+        nodes = [NodeInstance(party_id=party, input=given.get(party), corrupted=party in corrupted)
                  for party in range(params.n)]
     sim = Simulation(params, net, seed, policy=adversary.delivery)
     for node in nodes:
-        sim.add_node(node, machine_factory, adversary.corrupted.get(node.party_id))
+        sim.add_node(node, machine_factory, corrupted.get(node.party_id))
+        if node.corrupted != (node.party_id in corrupted):
+            raise ConfigError(f"node {node.key} has corrupted={node.corrupted}, but the "
+                              f"adversary corrupts parties {sorted(corrupted)}")
     for (party, _), state in sim._nodes.items():
-        behavior = adversary.corrupted.get(party)
+        behavior = corrupted.get(party)
         for sub_id, _, value, _ in state.machines:
             if value is not None or state.crashed_at == 0:
                 continue

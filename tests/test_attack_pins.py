@@ -6,7 +6,10 @@ Each pin is the sha256 of `json.dumps(report, sort_keys=True)` for one
 attack called directly (not through `aba attack`), at seed 1, with inputs
 all "0" then all "1". The pins were recorded from the code before every
 attack execution went through `simnet.run`, so they hold that change to
-byte-identical reports: decisions, checks and trace hashes.
+byte-identical reports: decisions, checks and trace hashes. The ring-r2
+universal:strong pin was moved since, when ring fidelity became a comparison
+per time step: its fidelity flags went from false to true, and its trace
+hashes stayed.
 """
 
 import ast
@@ -40,7 +43,7 @@ REPORT_SHA256 = {
     ("ring-r2", "local-min"):
         "75bad033313c4cd80d3de2ec14d5140fb0a09118a821ac8980c428d5459b9666",
     ("ring-r2", "universal:strong"):
-        "6fac7070a84bf28e4d3d8843ce850f66c793e8093437e1fece2071d350113094",
+        "965c5fddf6d775f38b7247edd636cdffca90808c0a255ee2c9c1593629cbb127",
     ("triple-partition-7-3-1", "local-min"):
         "385c1225e02974e871c59888404047502d156d2b1081d48e6b7a78039d51093e",
     ("triple-partition-7-3-1", "universal:strong"):

@@ -3,14 +3,19 @@
 import pytest
 
 from aba.attacks import (
+    RING_PARAMS,
     LocalMinStrawman,
     MajoritySelfBiasStrawman,
     PartitionLayout,
     RingLayout,
+    _sorted_entries,
+    best_effort_certificate,
     ring_attack,
     split_brain,
     triple_partition,
 )
+from aba.catalog import resolve
+from aba.cli import protocol_factory
 from aba.core import InputConfiguration as IC, SystemParams
 from aba.errors import ConfigError
 from aba.protocols import ConstantProtocol
@@ -127,6 +132,34 @@ def test_ring_fidelity_holds_for_local_min_too():
     report = ring_attack(lambda p: LocalMinStrawman(), maximal(3, "0"),
                          maximal(3, "1"), r=1, seed=9)
     assert report["checks"]["all_middle_fidelity"]
+
+
+def ring_factory(protocol):
+    certificate = None
+    if protocol.startswith("universal:"):
+        prop, domain = resolve(protocol.split(":", 1)[1], values=2)
+        protocol, certificate = "universal", best_effort_certificate(prop, RING_PARAMS, domain)
+    return protocol_factory(protocol, RING_PARAMS, 10, certificate=certificate,
+                            enforce_bounds=False)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("protocol", ["rbc", "bin-ba", "acs", "universal:strong",
+                                      "local-min", "majority"])
+def test_ring_copies_keep_fidelity_per_time_step(protocol, r):
+    # the column-r copies see the canonical events at each time step, though
+    # the ring and the canonical run order same-time deliveries differently
+    report = ring_attack(ring_factory(protocol), maximal(3, "0"), maximal(3, "1"), r=r, seed=1)
+    assert report["middle_fidelity"] == {f"k{k}/i{i}": True for k in (1, 2) for i in range(3)}
+
+
+def test_fidelity_ignores_the_order_of_same_time_events_only():
+    deliver = [(20, "DELIVER", 2, {"src": 1, "payload": "a"}),
+               (20, "DELIVER", 2, {"src": 0, "payload": "b"})]
+    assert _sorted_entries(deliver) == _sorted_entries(deliver[::-1])
+    later = [deliver[0], (21, *deliver[1][1:])]
+    assert _sorted_entries(later) != _sorted_entries(deliver)
+    assert _sorted_entries(deliver[:1]) != _sorted_entries(deliver)
 
 
 def test_ring_undecided_neighbours_are_not_equal():

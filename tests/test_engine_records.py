@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from aba.core import SystemParams
+import trace_oracle as oracle
 from aba.errors import ProtocolError
 from aba.protocols import Machine
 from aba.simnet import (
@@ -34,18 +34,15 @@ from aba.simnet import (
     Equivocate,
     NetworkConfig,
     NodeInstance,
-    PartitionPolicy,
     RandomTape,
     Send,
     SetTimer,
     SilentTo,
     Simulation,
     SyncRandomDelay,
-    _jsonable,
     _payload_detail,
 )
-
-PARAMS = SystemParams(n=4, t_s=1, t_a=1, setup="PKI")
+from trace_oracle import PARAMS, discarded, held, multicast, plain, shape
 
 
 class EagerSimulation(Simulation):
@@ -114,9 +111,10 @@ class EagerSimulation(Simulation):
             return
         targets = target if isinstance(target, list) else [target]
         for dst_key in targets:
-            dst_key = tuple(dst_key)
-            if dst_key not in self._nodes:
+            dst_state = self._nodes.get(tuple(dst_key))
+            if dst_state is None:
                 continue
+            dst_key = dst_state.key  # the node's own key, however the route writes it
             env = Envelope(src=node.key, dst=dst_key, payload=payload, sent_at=now)
             deliver_at = self.policy.schedule(env, self._sched_rng)
             detail = {"dst": dst_key[0], "dst_replica": dst_key[1], "payload": payload}
@@ -169,34 +167,6 @@ class World:
         self.snapshot = None
 
 
-def plain(routes=None, tags=None):
-    tags = tags or {}
-    return [NodeInstance(party_id=p, replica_tag=tags.get(p, 0), input=str(p % 2),
-                         route=(routes or {}).get(p)) for p in range(PARAMS.n)]
-
-
-def held():
-    """Cross-group sends are held until their sender decides; party 3 never
-    decides, so its held sends are flushed at the horizon."""
-    groups = [[(0, 0), (1, 0)], [(2, 0), (3, 0)]]
-    nodes = plain()
-    nodes[3].corrupted = True
-    return nodes, lambda: PartitionPolicy(groups), ASYNCHRONOUS, {3: SilentTo(frozenset({0}))}
-
-
-def discarded():
-    return plain(routes={0: {2: None, 3: None}}), None, SYNCHRONOUS, {}
-
-
-def multicast():
-    # a list route with list and tuple keys, and a party whose tag-0 instance is absent
-    routes = {p: {1: [[1, 0], (1, 1)], 3: (3, 2)} for p in (0, 1, 2)}
-    routes[3] = {3: (3, 2)}
-    nodes = plain(routes=routes, tags={3: 2})
-    nodes.append(NodeInstance(party_id=1, replica_tag=1, input="1", route=routes[1]))
-    return nodes, lambda: SyncRandomDelay(10), SYNCHRONOUS, {}
-
-
 def adversaries():
     nodes = plain()
     nodes[2].corrupted = nodes[3].corrupted = True
@@ -214,20 +184,6 @@ def run_wiring(cls, build):
         sim.add_node(node, lambda p: Mixer(p, world), behaviors.get(node.party_id))
     outcomes = sim.run()
     return sim.trace, outcomes, world.snapshot
-
-
-def generic_jsonl(events):
-    return "\n".join(
-        json.dumps({"t": t, "kind": kind, "party": party, "replica": replica,
-                    "detail": _jsonable(detail)}, sort_keys=True)
-        for t, kind, party, replica, detail in events
-    ) + "\n"
-
-
-def shape(events):
-    """Each event with its detail as (key, type, value) triples in key order,
-    so that equal shapes mean equal keys, key order, types and values."""
-    return [(*e[:4], [(k, type(v), v) for k, v in e[4].items()]) for e in events]
 
 
 def details(events, kind):
@@ -266,7 +222,7 @@ def test_flat_records_read_as_the_eager_recording(name):
     assert shape(snapshot) == shape(events[:len(snapshot)])
     assert shape(events) == shape(eager.events)
     text = trace.jsonl()
-    assert text.split("\n") == generic_jsonl(eager.events).split("\n")
+    assert text.split("\n") == oracle.jsonl(eager.events).split("\n")
     assert trace.sha256() == eager.sha256()
 
 
@@ -308,10 +264,9 @@ def test_events_is_a_read_only_view(name):
 
 
 class Resender(Machine):
-    """Sends to `True`, to party 1, to a party with no node and to everyone
-    when it starts and again on each of its first three deliveries, so that
-    every send after the first to an int party reads the node's cached
-    destinations."""
+    """Sends to party 1, to a party with no node and to everyone when it
+    starts and again on each of its first three deliveries, so that every
+    send after the first to a party reads the node's cached destinations."""
 
     def __init__(self):
         self.received = 0
@@ -324,13 +279,13 @@ class Resender(Machine):
         return self._sends(ctx, self.received) if self.received <= 3 else []
 
     def _sends(self, ctx, k):
-        return [Send(True, ("bool", k)), Send(1, ("one", k)), Send(ctx.n + 2, ("lost", k)),
-                Broadcast(("all", k))]
+        return [Send(1, ("one", k)), Send(ctx.n + 2, ("lost", k)), Broadcast(("all", k))]
 
 
 def true_routed():
-    # party 1's route is a multicast whose keys are lists; True looks it up too
-    routes = {p: {1: [[1, 0], [1, 1]], 2: None} for p in range(PARAMS.n)}
+    # party 1's route is a multicast whose keys are lists, and names its tag-1
+    # copy with True for the party id; sends record the copy's own key
+    routes = {p: {1: [[1, 0], [True, 1]], 2: None} for p in range(PARAMS.n)}
     nodes = plain(routes=routes)
     nodes.append(NodeInstance(party_id=1, replica_tag=1, input="1", route=routes[1]))
     return nodes, lambda: SyncRandomDelay(10), SYNCHRONOUS, {}
@@ -370,9 +325,9 @@ def test_cached_destinations_send_as_the_eager_path(name, monkeypatch):
     assert outcomes == eager_outcomes
     events = sim.trace.events
     assert shape(events) == shape(eager.trace.events)
-    assert sim.trace.jsonl() == generic_jsonl(eager.trace.events)
+    assert sim.trace.jsonl() == oracle.jsonl(eager.trace.events)
     sends = details(events, SEND)
-    assert any(d["dst"] is True for d in sends) or name == "list-keys-and-true"
+    assert all(type(d["dst"]) is int for d in sends)
     assert any(d["payload"] == 'v1:["one", 3]' for d in sends)  # the last re-send went out
     for state in sim._nodes.values():
         targets = state.targets
@@ -386,10 +341,9 @@ def test_cached_destinations_send_as_the_eager_path(name, monkeypatch):
             else:
                 listed = target if isinstance(target, list) else [target]
                 assert keys == tuple(tuple(k) for k in listed if tuple(k) in sim._nodes)
-    # each node looks an int party up once; True is looked up on every send
-    int_lookups = [dst for dst in routed if type(dst) is int]
-    assert len(int_lookups) == sum(len(state.targets) for state in sim._nodes.values())
-    assert sum(dst is True for dst in routed) > len(sim._nodes)
+                assert all(type(p) is type(tag) is int for p, tag in keys)
+    # each node looks each party up once
+    assert len(routed) == sum(len(state.targets) for state in sim._nodes.values())
 
 
 @pytest.mark.parametrize(

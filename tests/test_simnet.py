@@ -324,6 +324,8 @@ def test_run_with_nodes_checks_inputs_like_run_with_inputs():
         run(lambda p: EchoOnce(), params, net, script, None, 5, nodes=nodes)
     # a node that crashes at time 0 never starts, so it needs no input
     net, script = canonical_schedule({0}, delta=10, horizon=300)
+    for node in nodes:
+        node.corrupted = node.party_id == 0
     run(lambda p: EchoOnce(), params, net, script, None, 5, nodes=nodes)
 
 
@@ -336,6 +338,37 @@ def test_run_with_one_node_per_party_matches_run_with_inputs():
     by_nodes = run(lambda p: EchoOnce(), PARAMS4, net, script, None, 2, nodes=nodes)
     assert by_nodes.outcomes == by_inputs.outcomes
     assert by_nodes.trace.sha256() == by_inputs.trace.sha256()
+
+
+class RejectsOne(EchoOnce):
+    """EchoOnce that raises on input "1"."""
+
+    def on_start(self, ctx, value):
+        if value == "1":
+            raise ValueError("input 1")
+        return super().on_start(ctx, value)
+
+
+def test_run_with_nodes_takes_corruption_from_the_adversary():
+    script = AdversaryScript(corrupted={0: FollowWithInput("1")})
+    net = NetworkConfig(mode=SYNCHRONOUS, delta=10, horizon=300)
+    nodes = [NodeInstance(party_id=p, input="0") for p in range(4)]
+    with pytest.raises(ConfigError, match=r"node \(0, 0\) has corrupted=False, but the "
+                                          r"adversary corrupts parties \[0\]"):
+        run(lambda p: RejectsOne(), PARAMS4, net, script, None, 2, nodes=nodes)
+    nodes[0].corrupted = True
+    by_nodes = run(lambda p: RejectsOne(), PARAMS4, net, script, None, 2, nodes=nodes)
+    by_inputs = run(lambda p: RejectsOne(), PARAMS4, net, script, INPUTS4, 2)
+    assert by_nodes.outcomes == by_inputs.outcomes
+    assert by_nodes.trace.sha256() == by_inputs.trace.sha256()
+    # party 0's error is contained in both: one CRASH, and the others decide
+    assert [e[2] for e in by_nodes.trace.of_kind("CRASH")] == [0]
+    assert len(by_nodes.honest_decisions([0])) == 3
+    # a node flagged corrupted whose party the adversary leaves honest
+    nodes[0].corrupted, nodes[1].corrupted = False, True
+    with pytest.raises(ConfigError, match=r"node \(1, 0\) has corrupted=True, but the "
+                                          r"adversary corrupts parties \[\]"):
+        run(lambda p: RejectsOne(), PARAMS4, net, AdversaryScript(), None, 2, nodes=nodes)
 
 
 # ---------------------------------------------------------------- partitions

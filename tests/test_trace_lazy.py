@@ -2,18 +2,18 @@
 
 The simulator records SEND and DELIVER payloads as objects and serializes
 them on the first read of the trace. These tests compare every serialized
-payload, and the JSONL bytes, with `_payload_detail` applied at send time and
-with the JSONL writer the eager trace used.
+payload, and the JSONL bytes, with the payload text of `trace_oracle` taken at
+send time and with the JSONL writer the eager trace used.
 """
 
 import hashlib
-import json
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aba.simnet as simnet
+import trace_oracle as oracle
 from aba.cli import main
 from aba.core import SystemParams
 from aba.protocols import Machine
@@ -30,8 +30,6 @@ from aba.simnet import (
     NodeInstance,
     Send,
     Simulation,
-    _jsonable,
-    _payload_detail,
 )
 
 PARAMS = SystemParams(n=4, t_s=1, t_a=1, setup="PKI")
@@ -116,7 +114,7 @@ class World:
 
     def sent(self, payload):
         self.keep.append(payload)
-        self.text.setdefault(id(payload), _payload_detail(payload))
+        self.text.setdefault(id(payload), oracle.payload_text(payload))
 
     def check_prefix(self):
         self.mid_run_reads += 1
@@ -128,18 +126,11 @@ def payload_column(events):
 
 
 def eager_jsonl(events, column):
-    """The eager trace's JSONL writer, fed the send-time payload strings."""
+    """The eager trace's JSONL: the generic writer, fed the send-time
+    payload strings."""
     expected = iter(column)
-    lines = []
-    for t, kind, party, replica, detail in events:
-        if kind in (SEND, DELIVER):
-            detail = dict(detail, payload=next(expected))
-        lines.append(json.dumps(
-            {"t": t, "kind": kind, "party": party, "replica": replica,
-             "detail": _jsonable(detail)},
-            sort_keys=True,
-        ))
-    return "\n".join(lines) + "\n"
+    return oracle.jsonl([(*e[:4], dict(e[4], payload=next(expected)))
+                         if e[1] in (SEND, DELIVER) else e for e in events])
 
 
 def run_chatter(own_payloads, seed, asynchronous):

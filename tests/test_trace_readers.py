@@ -1,27 +1,23 @@
-"""The trace readers against copies of the implementations they replaced.
+"""The trace readers against the implementations they replaced.
 
 `jsonl()`, `sha256()` and `node_transcript()` read the engine's flat SEND and
 DELIVER records directly, and `events` returns a new list of five-field
 tuples built from them, writing nothing back. These tests run each wiring
 once per read order and compare every reader with the earlier
-implementations, which built every record with `events` first:
-`parent_events` and `parent_node_transcript` are copies of them, and
-`parent_jsonl` is the generic writer whose bytes their template writer
-reproduced. Every payload object must be serialized at most once per trace,
-whatever order the readers run in.
+implementations, which built every record with `events` first: the
+`trace_oracle` reader, transcript reader and generic writer. Every payload
+object must be serialized at most once per trace, whatever order the
+readers run in.
 """
 
 import hashlib
 import itertools
-import json
 
 import pytest
 
 import aba.simnet as simnet
-from aba.core import SystemParams
 from aba.protocols import Machine
 from aba.simnet import (
-    ASYNCHRONOUS,
     COIN,
     DECIDE,
     DELIVER,
@@ -29,72 +25,15 @@ from aba.simnet import (
     SYNCHRONOUS,
     Broadcast,
     Decide,
-    DeliveryPolicy,
     ExecutionTrace,
     NetworkConfig,
-    NodeInstance,
-    PartitionPolicy,
     Send,
     SetTimer,
     Simulation,
-    _jsonable,
     _payload_detail,
 )
-
-PARAMS = SystemParams(n=4, t_s=1, t_a=1, setup="PKI")
-
-
-# ---------------------------------------------------------------- oracles
-
-
-def parent_events(records):
-    """`ExecutionTrace.events` as it was: every flat record built into a
-    five-field tuple, each payload object serialized once per read."""
-    events = list(records)
-    texts = {}
-    for i, event in enumerate(events):
-        if len(event) != 8:
-            continue
-        t, kind, party, replica, peer, peer_replica, payload, deliver_at = event
-        text = texts.get(id(payload))
-        if text is None:
-            text = texts[id(payload)] = _payload_detail(payload)
-        if kind == SEND:
-            detail = {"dst": peer, "dst_replica": peer_replica, "payload": text,
-                      "deliver_at": deliver_at}
-        else:
-            detail = {"src": peer, "src_replica": peer_replica, "payload": text}
-        events[i] = (t, kind, party, replica, detail)
-    return events
-
-
-def parent_jsonl(events):
-    return "\n".join(
-        json.dumps({"t": t, "kind": kind, "party": party, "replica": replica,
-                    "detail": _jsonable(detail)}, sort_keys=True)
-        for t, kind, party, replica, detail in events
-    ) + "\n"
-
-
-def parent_node_transcript(events, node, through=None):
-    node_party, node_replica = node
-    out = []
-    for t, kind, party, replica, detail in events:
-        if party != node_party or replica != node_replica:
-            continue
-        if through is not None and t > through:
-            continue
-        norm = dict(detail)
-        norm.pop("dst_replica", None)
-        norm.pop("src_replica", None)
-        norm.pop("deliver_at", None)
-        out.append((t, kind, party, norm if kind in (SEND, DELIVER) else _jsonable(norm)))
-    return out
-
-
-def shape(events):
-    """Each event with its detail as (key, type, value) triples in key order."""
-    return [(*e[:4], [(k, type(v), v) for k, v in e[4].items()]) for e in events]
+import trace_oracle as oracle
+from trace_oracle import PARAMS, discarded, held, multicast, plain, shape
 
 
 # ---------------------------------------------------------------- wirings
@@ -133,13 +72,6 @@ class Prober(Machine):
         return [Broadcast(("tick", self.party, {"at": ctx.now, "tag": tag}))]
 
 
-class HalfUnitDelay(DeliveryPolicy):
-    """Delivers after 1.5 units: a float deliver_at, which no template takes."""
-
-    def schedule(self, env, rng):
-        return env.sent_at + 1.5
-
-
 class World:
     def __init__(self, mid_run):
         self.mid_run = mid_run
@@ -148,29 +80,11 @@ class World:
         self.shared = ("shared", [1, None, True])
 
 
-def plain(routes=None, tags=None):
-    tags = tags or {}
-    return [NodeInstance(party_id=p, replica_tag=tags.get(p, 0), input=str(p % 2),
-                         route=(routes or {}).get(p)) for p in range(PARAMS.n)]
-
-
-def tagged(tag):
-    """Party 1 runs as replica `tag` only, and every route to it names that tag."""
-    routes = {p: {1: (1, tag)} for p in range(PARAMS.n)}
-    return plain(routes=routes, tags={1: tag}), None, SYNCHRONOUS
-
-
 WIRINGS = {
-    "plain": lambda: (plain(), None, SYNCHRONOUS),
-    "partition-held": lambda: (
-        plain(), PartitionPolicy([[(0, 0), (1, 0)], [(2, 0), (3, 0)]]), ASYNCHRONOUS),
-    "route-none-discarded": lambda: (plain(routes={0: {2: None}}), None, SYNCHRONOUS),
-    "multicast": lambda: (
-        plain(routes={p: {1: [(1, 0), (1, 1)]} for p in (0, 2, 3)})
-        + [NodeInstance(party_id=1, replica_tag=1, input="1")], None, SYNCHRONOUS),
-    "bool-replica-tag": lambda: tagged(True),
-    "str-replica-tag": lambda: tagged("b"),
-    "float-deliver-at": lambda: (plain(), HalfUnitDelay(), SYNCHRONOUS),
+    "plain": lambda: (plain(), None, SYNCHRONOUS, {}),
+    "partition-held": held,
+    "route-none-discarded": discarded,
+    "multicast": multicast,
 }
 
 # what each wiring must show in its JSONL, so that it takes the path it names
@@ -178,19 +92,17 @@ COVERS = {
     "partition-held": '"deliver_at": "held"',
     "route-none-discarded": '"deliver_at": "discarded", "dst": 2, "dst_replica": null',
     "multicast": '"dst_replica": 1,',
-    "bool-replica-tag": '"replica": true',
-    "str-replica-tag": '"dst_replica": "b"',
-    "float-deliver-at": '"deliver_at": "1.5"',
 }
 
 
 def run_wiring(name, mid_run=False):
-    nodes, policy, mode = WIRINGS[name]()
+    nodes, policy, mode, behaviors = WIRINGS[name]()
     world = World(mid_run)
-    sim = Simulation(PARAMS, NetworkConfig(mode=mode, delta=10, horizon=300), 7, policy=policy)
+    sim = Simulation(PARAMS, NetworkConfig(mode=mode, delta=10, horizon=300), 7,
+                     policy=policy() if policy else None)
     world.sim = sim
     for node in nodes:
-        sim.add_node(node, lambda p: Prober(p, world))
+        sim.add_node(node, lambda p: Prober(p, world), behaviors.get(node.party_id))
     sim.run()
     return sim.trace, [node.key for node in nodes], world.snapshot
 
@@ -205,7 +117,7 @@ def transcripts(trace, keys):
 
 def assert_transcripts_equal(got, events):
     for (key, through), transcript in got.items():
-        expected = parent_node_transcript(events, key, through)
+        expected = oracle.transcript(events, key, through)
         assert transcript == expected
         # the hash tells True from 1 and 1.0 from 1, where == does not
         assert ExecutionTrace.transcript_hash(transcript) == \
@@ -223,8 +135,8 @@ READ_ORDERS = ["no-events-read", "events-mid-run", "events-after-run",
 @pytest.mark.parametrize("name", sorted(WIRINGS))
 def test_readers_equal_parent_implementations(name, order):
     reference, _keys, _snapshot = run_wiring(name)
-    expected_events = parent_events(reference._events)
-    expected = parent_jsonl(expected_events)
+    expected_events = oracle.events(reference._events)
+    expected = oracle.jsonl(expected_events)
     assert COVERS.get(name, '"kind": "SEND"') in expected
 
     trace, keys, snapshot = run_wiring(name, mid_run=order == "events-mid-run")

@@ -5,16 +5,15 @@ object's id and, on a miss, from a memo keyed by the payload's
 `marshal.dumps` bytes, which holds plain payloads only (exact str, int, bool
 or None inside exact tuples and lists). `jsonl()` writes events other than
 SEND and DELIVER from a template per kind and detail keys when the detail
-keys are exact strs in sorted order and every value an exact str or int. These tests build
-traces whose machines send payloads that are equal or marshal alike but
-serialize differently, and compare `jsonl()`, `events` and `node_transcript()`
-with an oracle that serializes every record afresh with `_payload_detail` and
-writes every line with the generic encoder. They also bound how often the
-attack traces call `_payload_detail`.
+keys are exact strs in sorted order and every value an exact str or int.
+These tests build traces whose machines send payloads that are equal or
+marshal alike but serialize differently, and compare `jsonl()`, `events` and
+`node_transcript()` with `trace_oracle`, which serializes every record afresh with its own
+`jsonable` and writes every line with the generic encoder. They also bound
+how often the attack traces call `_payload_detail`.
 """
 
 import copy
-import json
 import marshal
 
 import pytest
@@ -22,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aba.simnet as simnet
+import trace_oracle as oracle
 from aba.cli import main
 from aba.core import InputConfiguration as IC, SystemParams
 from aba.protocols import Machine
@@ -29,8 +29,6 @@ from aba.simnet import (
     COIN,
     CRASH,
     DECIDE,
-    DELIVER,
-    SEND,
     SIGN,
     SYNCHRONOUS,
     TIMER,
@@ -40,7 +38,6 @@ from aba.simnet import (
     NodeInstance,
     Send,
     Simulation,
-    _jsonable,
     _payload_detail,
 )
 
@@ -50,43 +47,6 @@ PARAMS = SystemParams(n=4, t_s=1, t_a=1, setup="PKI")
 
 
 # ---------------------------------------------------------------- oracle
-
-
-def oracle_events(records):
-    """Every record as a five-field event, each payload serialized afresh."""
-    events = []
-    for event in records:
-        if len(event) == 8:
-            t, kind, party, replica, peer, peer_replica, payload, deliver_at = event
-            text = _payload_detail(payload)
-            detail = ({"dst": peer, "dst_replica": peer_replica, "payload": text,
-                       "deliver_at": deliver_at} if kind == SEND
-                      else {"src": peer, "src_replica": peer_replica, "payload": text})
-            event = (t, kind, party, replica, detail)
-        events.append(event)
-    return events
-
-
-def oracle_jsonl(events):
-    return "\n".join(
-        json.dumps({"t": t, "kind": kind, "party": party, "replica": replica,
-                    "detail": _jsonable(detail)}, sort_keys=True)
-        for t, kind, party, replica, detail in events
-    ) + "\n"
-
-
-def oracle_transcript(events, node):
-    out = []
-    for t, kind, party, replica, detail in events:
-        if (party, replica) != node:
-            continue
-        if kind in (SEND, DELIVER):
-            peer = "dst" if kind == SEND else "src"
-            norm = {peer: detail[peer], "payload": detail["payload"]}
-        else:
-            norm = _jsonable(detail)
-        out.append((t, kind, party, norm))
-    return out
 
 
 def typed(value):
@@ -99,15 +59,15 @@ def typed(value):
 
 
 def assert_readers_match(trace, keys, order):
-    expected = oracle_events(trace._events)
+    expected = oracle.events(trace._events)
     for reader in order * 2:
         if reader == "jsonl":
-            assert trace.jsonl().split("\n") == oracle_jsonl(expected).split("\n")
+            assert trace.jsonl().split("\n") == oracle.jsonl(expected).split("\n")
         elif reader == "events":
             assert typed(trace.events) == typed(expected)
         else:
             for key in keys:
-                got, want = trace.node_transcript(key), oracle_transcript(expected, key)
+                got, want = trace.node_transcript(key), oracle.transcript(expected, key)
                 assert typed(got) == typed(want)
                 assert ExecutionTrace.transcript_hash(got) == \
                     ExecutionTrace.transcript_hash(want)

@@ -1,12 +1,12 @@
 """The trace writers against the generic ones they replaced.
 
 `ExecutionTrace.jsonl()` fills SEND and DELIVER lines from per-kind templates
-and writes every other event, and any event whose fields are not the engine's
-exact ints, strings and None, with the generic encoder. These tests compare it
-line by line with the eager writer of `test_trace_lazy.py` on engine traces
-that take each branch, and with a copy of the generic writer on hand-made
-events. `node_transcript` and `_jsonable` are compared with copies of the
-implementations they replaced.
+and writes every other event with a template or, when its fields are not
+exact ints and strings, with the generic encoder. These tests compare it line
+by line with the eager writer of `test_trace_lazy.py` on engine traces that
+take each branch, and with the generic writer of `trace_oracle` on hand-made
+events. `node_transcript` and `_jsonable` are compared with the oracle's
+transcript reader and `jsonable`.
 """
 
 import json
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trace_oracle as oracle
 from aba.attacks import PartitionLayout, RingLayout, _triple_nodes
 from aba.cli import protocol_factory
 from aba.core import InputConfiguration as IC, SystemParams
@@ -42,44 +43,7 @@ from aba.simnet import (
     _jsonable,
 )
 from test_trace_lazy import eager_jsonl, payload_column, payloads
-
-PARAMS = SystemParams(n=4, t_s=1, t_a=1, setup="PKI")
-
-
-# ---------------------------------------------------------------- oracles
-
-
-def old_jsonable(value):
-    if isinstance(value, (list, tuple)):
-        return [old_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): old_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
-    return repr(value)
-
-
-def old_jsonl(events):
-    return "\n".join(
-        json.dumps({"t": t, "kind": kind, "party": party, "replica": replica,
-                    "detail": old_jsonable(detail)}, sort_keys=True)
-        for t, kind, party, replica, detail in events
-    ) + "\n"
-
-
-def old_node_transcript(trace, node, through=None):
-    out = []
-    for t, kind, party, replica, detail in trace.events:
-        if (party, replica) != tuple(node):
-            continue
-        if through is not None and t > through:
-            continue
-        norm = dict(detail)
-        norm.pop("dst_replica", None)
-        norm.pop("src_replica", None)
-        norm.pop("deliver_at", None)
-        out.append((t, kind, party, old_jsonable(norm)))
-    return out
+from trace_oracle import PARAMS, discarded, held, multicast, plain
 
 
 # ---------------------------------------------------------------- engine traces
@@ -112,44 +76,18 @@ class Prober(Machine):
 DECISIONS = {0: IC.of([(0, "0"), (1, "1"), (2, "1")]), 1: 2.5, 2: True, 3: "x"}
 
 
-def run_wiring(nodes, policy=None, mode=SYNCHRONOUS, behaviors=None):
-    sim = Simulation(PARAMS, NetworkConfig(mode=mode, delta=10, horizon=400), 3, policy=policy)
+def run_wiring(build):
+    nodes, policy, mode, behaviors = build()
+    sim = Simulation(PARAMS, NetworkConfig(mode=mode, delta=10, horizon=400), 3,
+                     policy=policy() if policy else None)
     for node in nodes:
-        sim.add_node(node, lambda p: Prober(p, DECISIONS), (behaviors or {}).get(node.key))
+        sim.add_node(node, lambda p: Prober(p, DECISIONS), behaviors.get(node.party_id))
     sim.run()
     return sim.trace
 
 
-def plain(routes=None, tags=None):
-    """One node per party; `tags` gives a party a replica tag other than 0."""
-    tags = tags or {}
-    return [NodeInstance(party_id=p, replica_tag=tags.get(p, 0), input=str(p % 2),
-                         route=(routes or {}).get(p)) for p in range(PARAMS.n)]
-
-
-def held():
-    policy = PartitionPolicy([[(0, 0), (1, 0)], [(2, 0), (3, 0)]])
-    return run_wiring(plain(), policy=policy, mode=ASYNCHRONOUS)
-
-
-def discarded():
-    return run_wiring(plain(routes={0: {2: None, 3: None}}))
-
-
-def multicast():
-    nodes = plain(routes={p: {1: [(1, 0), (1, 1)]} for p in (0, 2, 3)})
-    nodes.append(NodeInstance(party_id=1, replica_tag=1, input="1"))
-    return run_wiring(nodes)
-
-
-def tagged(tag):
-    routes = {p: {1: (1, tag)} for p in (0, 2, 3)}
-    routes[1] = {1: (1, tag)}
-    return run_wiring(plain(routes=routes, tags={1: tag}))
-
-
 def crashed():
-    return run_wiring(plain(), behaviors={(3, 0): CrashAt(5)})
+    return plain(), None, SYNCHRONOUS, {3: CrashAt(5)}
 
 
 def sends(trace):
@@ -162,8 +100,6 @@ WIRINGS = {
         d["deliver_at"] == "discarded" and d["dst_replica"] is None for d in sends(tr))),
     "multicast-replica-1": (multicast, lambda tr: any(d["dst_replica"] == 1 for d in sends(tr))
                             and any(e[3] == 1 for e in tr.events)),
-    "bool-replica-tag": (lambda: tagged(True), lambda tr: '"replica": true' in tr.jsonl()),
-    "str-replica-tag": (lambda: tagged("b"), lambda tr: '"dst_replica": "b"' in tr.jsonl()),
     "crash": (crashed, lambda tr: any(e[1] == CRASH for e in tr.events)),
 }
 
@@ -171,7 +107,7 @@ WIRINGS = {
 @pytest.mark.parametrize("name", WIRINGS)
 def test_engine_trace_lines_equal_eager_writer(name):
     build, covers = WIRINGS[name]
-    trace = build()
+    trace = run_wiring(build)
     assert covers(trace)
     kinds = {e[1] for e in trace.events}
     assert {SEND, DELIVER, TIMER, COIN, SIGN, DECIDE} <= kinds
@@ -180,7 +116,7 @@ def test_engine_trace_lines_equal_eager_writer(name):
     events = trace.events
     text = trace.jsonl()
     assert text.split("\n") == eager_jsonl(events, payload_column(events)).split("\n")
-    assert text == old_jsonl(events)
+    assert text == oracle.jsonl(events)
 
 
 # ---------------------------------------------------------------- hand-made events
@@ -241,15 +177,15 @@ def test_hand_made_events_match_generic_writer(events):
     trace = ExecutionTrace()
     for t, kind, node, detail in events:
         trace.append(t, kind, node, detail)
-    assert trace.jsonl().split("\n") == old_jsonl(trace.events).split("\n")
+    assert trace.jsonl().split("\n") == oracle.jsonl(trace.events).split("\n")
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(payloads, st.lists(_fields, max_size=3),
                  st.dictionaries(st.text(max_size=2), _fields)))
 def test_jsonable_equals_old_jsonable(value):
-    assert _jsonable(value) == old_jsonable(value)
-    assert json.dumps(_jsonable(value)) == json.dumps(old_jsonable(value))
+    assert _jsonable(value) == oracle.jsonable(value)
+    assert json.dumps(_jsonable(value)) == json.dumps(oracle.jsonable(value))
 
 
 # ---------------------------------------------------------------- transcripts
@@ -304,6 +240,6 @@ def test_node_transcript_equals_old_implementation(wiring):
     for key in keys:
         for through in (None, 0, 10, 25):
             new = trace.node_transcript(key, through=through)
-            assert new == old_node_transcript(trace, key, through)
-            assert trace.transcript_hash(new) == trace.transcript_hash(
-                old_node_transcript(trace, key, through))
+            old = oracle.transcript(trace.events, key, through)
+            assert new == old
+            assert trace.transcript_hash(new) == trace.transcript_hash(old)
