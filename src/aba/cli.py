@@ -33,6 +33,7 @@ from .core import (
     InputConfiguration,
     SimilarityCertificate,
     SystemParams,
+    _integer_text,
     compute_similarity_certificate,
     is_similar_to,
     is_solvable,
@@ -76,14 +77,19 @@ EXIT_BUDGET = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that went away
 
 
+def _integer(text: str) -> int:
+    """An integer flag in canonical decimal (`core._integer_text`), else exit 2."""
+    number = _integer_text(text)
+    if number is None:
+        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}")
+    return number
+
+
 def _positive(value, where: str) -> int:
-    try:
-        number = int(value)
-        if number >= 1:
-            return number
-    except ValueError:
-        pass
-    raise ConfigError(f"{where} must be a positive integer, got {value!r}")
+    number = _integer_text(str(value))
+    if number is None or number < 1:
+        raise ConfigError(f"{where} must be a positive integer, got {value!r}")
+    return number
 
 
 def _budget_for(args) -> Budget:
@@ -489,18 +495,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_params(p):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--ts", type=int, required=True)
-        p.add_argument("--ta", type=int, required=True)
+        p.add_argument("--n", type=_integer, required=True)
+        p.add_argument("--ts", type=_integer, required=True)
+        p.add_argument("--ta", type=_integer, required=True)
         p.add_argument("--setup", default="pki", choices=["pki", "none", "PKI", "NONE"])
 
     def add_validity(p):
         p.add_argument("--validity", default="strong",
                        help=" | ".join(catalog.VALIDITIES))
-        p.add_argument("--values", type=int, default=2,
+        p.add_argument("--values", type=_integer, default=2,
                        help="domain size for strong/weak/it-strong")
         p.add_argument("--validity-table", help="JSON file with a custom validity table")
-        p.add_argument("--budget", type=int,
+        p.add_argument("--budget", type=_integer,
                        help="enumeration cap override (also: ABA_BUDGET env var)")
 
     check = sub.add_parser("check", help="decide solvability of a validity property")
@@ -524,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz = sub.add_parser("fuzz", help="run a scenario across many seeds")
     fuzz.add_argument("scenario")
-    fuzz.add_argument("--seeds", type=int, default=100)
+    fuzz.add_argument("--seeds", type=_integer, default=100)
     fuzz.add_argument("--pretty", action="store_true")
     fuzz.set_defaults(func=cmd_fuzz)
 
@@ -533,15 +539,15 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--protocol", default="local-min",
                         help=" | ".join(PROTOCOLS) + " | universal:<validity> "
                         "(universal with a best-effort certificate for that validity)")
-    attack.add_argument("--n", type=int, default=4)
-    attack.add_argument("--ts", type=int, default=2)
-    attack.add_argument("--ta", type=int, default=0)
+    attack.add_argument("--n", type=_integer, default=4)
+    attack.add_argument("--ts", type=_integer, default=2)
+    attack.add_argument("--ta", type=_integer, default=0)
     attack.add_argument("--setup", default="pki")
     attack.add_argument("--i1", default="0", help="first input value or encoded configuration")
     attack.add_argument("--i2", default="1", help="second input value or encoded configuration")
-    attack.add_argument("--r", type=int, default=1, help="ring round bound")
-    attack.add_argument("--seed", type=int, default=1)
-    attack.add_argument("--delta", type=int, default=10)
+    attack.add_argument("--r", type=_integer, default=1, help="ring round bound")
+    attack.add_argument("--seed", type=_integer, default=1)
+    attack.add_argument("--delta", type=_integer, default=10)
     attack.add_argument("--pretty", action="store_true")
     attack.set_defaults(func=cmd_attack)
 

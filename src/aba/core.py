@@ -4,13 +4,14 @@ Parties are integers 0..n-1. An input configuration assigns one input value to
 each member of a party subset of size >= n - t_s; it stands for "these parties
 are honest and hold these inputs". Everything here enumerates explicit finite
 domains, guarded by a budget that caps how many configurations (or orbits)
-one call enumerates. One recurrence, `_similar_intersection`, gives
-the intersection of the property over the configurations similar to a key,
-evaluating the property at most once per key. Its keys are orbits, (size,
-multiset of values) pairs, for an anonymous property, whose value depends on
-nothing else, and configurations otherwise (see `_key_space`). `is_solvable`
-walks the keys to its verdict, and `similarity_pass` turns them into rows in
-canonical order, a party set at a time, from which certificates are built.
+one call enumerates. One recurrence, `_Walk`, gives the intersection of the
+property over the configurations similar to a key, evaluating the property
+at most once per key. Its keys are orbits, (size, multiset of values)
+pairs, for an anonymous property, whose value depends on nothing else, and
+configurations otherwise. Each call builds one walk, whose memos are plain
+dicts, and drops it. `is_solvable` walks the keys to its verdict, and
+`similarity_pass` turns them into rows in canonical order, a party set at a
+time, from which certificates are built.
 `SimilarityCertificate.validate` is the independent check and shares no code
 with them: for an anonymous property it passes I when sigma(I) lies in the AND
 of V over the orbits of similar(I), enumerated directly once per orbit, and a
@@ -246,7 +247,7 @@ class ValidityProperty:
 
     `anonymous` states a fact about the map: V(I) depends only on |I| and the
     multiset of I's values, never on which parties hold them. The checker
-    then works on orbits (see `_key_space`) instead of configurations.
+    then works on orbits (see `_Walk`) instead of configurations.
     """
 
     name: str
@@ -396,6 +397,20 @@ def is_trivial(
     return True, _lowest_output(domain, common)
 
 
+def _indented(value, pad: str = "\n") -> str:
+    """`value` as `json.dumps(value, indent=2, sort_keys=True)` writes it, for
+    objects of containers or of scalars and lists of scalars, without the
+    pure-Python encoder `indent` selects, which is slow and leaves a cycle per
+    call: the C encoder writes each container of scalars, with the separators
+    that indentation would put between its entries."""
+    inner = pad + "  "
+    if isinstance(value, dict) and isinstance(next(iter(value.values()), None), (dict, list)):
+        entries = (f"{json.dumps(key)}: {_indented(value[key], inner)}" for key in sorted(value))
+        return "".join(("{", inner, ("," + inner).join(entries), pad, "}"))
+    text = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))
+    return "".join((text[0], inner, text[1:-1], pad, text[-1])) if value else text
+
+
 @dataclass(frozen=True)
 class SimilarityCertificate:
     """A choice table sigma mapping every configuration to one output that is
@@ -410,19 +425,9 @@ class SimilarityCertificate:
 
     def to_json(self) -> str:
         """The certificate as `json.dumps(..., indent=2, sort_keys=True)`
-        writes it. `indent` makes json fall back to its pure-Python encoder,
-        so sigma, the last key and nearly all of the text, is written by the C
-        encoder with the separators that indentation would put between its
-        entries."""
-        head = json.dumps(
-            {"domain": self.domain.to_dict(), "params": self.params.to_dict()},
-            indent=2,
-            sort_keys=True,
-        )
-        if not self.sigma:
-            return head[: -len("\n}")] + ',\n  "sigma": {}\n}'
-        entries = json.dumps(self.sigma, sort_keys=True, separators=(",\n    ", ": "))
-        return "".join((head[: -len("\n}")], ',\n  "sigma": {\n    ', entries[1:-1], "\n  }\n}"))
+        writes it (see `_indented`)."""
+        return _indented({"domain": self.domain.to_dict(), "params": self.params.to_dict(),
+                          "sigma": self.sigma})
 
     @classmethod
     def from_json(cls, text: str) -> "SimilarityCertificate":
@@ -525,7 +530,7 @@ def _similar_orbit_masks(
     vectors, and V runs once per orbit, on its representative. The mask is 0
     where some V raises ConfigError, so that the caller's pair scan meets the
     error at its own point. This enumerates the orbits directly and shares no
-    code with `_similar_intersection`.
+    code with `_Walk`.
     """
     n, m = params.n, len(domain.input_values)
     vectors = {  # size -> the count vectors of that size
@@ -609,84 +614,9 @@ def _representative(domain: Domain, orbit: tuple) -> InputConfiguration:
 _EVERY_OUTPUT = -1  # the mask with every bit set
 
 
-def _similar_intersection(
-    own: Callable[[tuple], int],
-    smaller: Callable[[tuple], Iterable[tuple]],
-    larger: Callable[[tuple], Iterable[tuple]],
-    params: SystemParams,
-) -> Callable[[tuple], int]:
+class _Walk:
     """The AND of V over similar(I), as an output mask, for every key I of
-    one key space: orbits or configurations, whose size is their length.
-
-    `own(I)` is V(I), `smaller(I)` the keys one element below I, and
-    `larger(I)` keys one element above I such that every full-size key above
-    I lies above one of them. similar(I) holds the sub-configurations of I of
-    size >= n - t_s and every configuration of size >= n - t_a that agrees
-    with I where both are present; each of the latter lies below a full-size
-    G above I. So the mask is the AND of
-      (a) the closure C(I) = V(I) & AND C(smaller(I)), down to size n - t_s;
-      (b) the AND, over the full-size G above I, of the same closure taken
-          down to size n - t_a.
-    Both parts are memoized recursions, so a caller pays only for the keys
-    it asks about; `own` must be memoized too, so that V runs at most once
-    per key.
-    """
-    n = params.n
-
-    def closure_to(floor: int) -> Callable[[tuple], int]:
-        @functools.cache
-        def closure(key: tuple) -> int:
-            mask = own(key)
-            if len(key) > floor:
-                for sub in smaller(key):
-                    if not mask:
-                        break
-                    mask &= closure(sub)
-            return mask
-
-        return closure
-
-    closure_s = closure_to(params.min_config_size)
-    closure_a = closure_s if params.t_a == params.t_s else closure_to(n - params.t_a)
-
-    @functools.cache
-    def above(key: tuple) -> int:
-        if len(key) == n:
-            return closure_a(key)
-        mask = _EVERY_OUTPUT
-        for bigger in larger(key):
-            if not mask:
-                break
-            mask &= above(bigger)
-        return mask
-
-    def intersection(key: tuple) -> int:
-        mask = closure_s(key)
-        return mask and mask & above(key)
-
-    return intersection
-
-
-def _orbits(params: SystemParams, domain: Domain) -> Iterator[tuple]:
-    """Orbit keys by size, each size in lexicographic order."""
-    for size in range(params.min_config_size, params.n + 1):
-        yield from itertools.combinations_with_replacement(range(len(domain.input_values)), size)
-
-
-def _assignments(params: SystemParams, pairs: list) -> Iterator[tuple]:
-    """Configuration keys in canonical order (see `enumerate_input_configs`),
-    built from the (party, value) pairs `pairs[party]`."""
-    for size in range(params.min_config_size, params.n + 1):
-        for subset in itertools.combinations(range(params.n), size):
-            yield from itertools.product(*(pairs[p] for p in subset))
-
-
-def _key_space(validity: ValidityProperty, params: SystemParams, domain: Domain) -> tuple:
-    """(keys, config_of, own, smaller, larger) for the key space `validity`
-    is solved on: `keys()` walks the keys in order, `config_of` turns a key
-    into the configuration it stands for, `own` is V of a key as a memoized
-    output mask, and `smaller` and `larger` are the neighbours that
-    `_similar_intersection` recurses on.
+    the key space `validity` is solved on, evaluating V at most once per key.
 
     An anonymous property is solved on orbits. An orbit is a configuration
     size k in [n - t_s, n] with a multiset of input values. It is keyed by
@@ -700,39 +630,90 @@ def _key_space(validity: ValidityProperty, params: SystemParams, domain: Domain)
     since every full-size configuration above I extends one of them. Every
     key holds the same (party, value) pair objects, so that comparing keys
     in the memos compares pairs by identity.
+
+    similar(I) holds the sub-configurations of I of size >= n - t_s and
+    every configuration of size >= n - t_a that agrees with I where both are
+    present; each of the latter lies below a full-size G above I. So the
+    mask is the AND of
+      (a) the closure C(I) = V(I) & AND C(smaller(I)), down to size n - t_s;
+      (b) the AND, over the full-size G above I, of the same closure taken
+          down to size n - t_a.
+    Both parts recurse through methods on demand and memoize in plain dicts,
+    so a caller pays only for the keys it asks about, and a walk that is
+    dropped is freed by reference counting.
     """
-    values = domain.input_values
-    if validity.anonymous:
-        keys = functools.partial(_orbits, params, domain)
-        config_of = functools.partial(_representative, domain)
 
-        def smaller(orbit: tuple) -> list[tuple]:
-            return [orbit[:j] + orbit[j + 1:]
-                    for j, i in enumerate(orbit) if not j or orbit[j - 1] != i]
+    def __init__(self, validity: ValidityProperty, params: SystemParams, domain: Domain):
+        self.params, self.domain, self.anonymous = params, domain, validity.anonymous
+        self.evaluate = _output_masks(validity, params, domain)
+        self.pairs = [[(p, value) for value in domain.input_values] for p in range(params.n)]
+        self.owns: dict = {}  # key -> V(key)
+        self.closures_s: dict = {}  # key -> C(key) down to size n - t_s
+        self.closures_a = self.closures_s if params.t_a == params.t_s else {}  # to n - t_a
+        self.aboves: dict = {}  # key -> part (b)
 
-        def larger(orbit: tuple) -> list[tuple]:
-            return [orbit[:j] + (i,) + orbit[j:]
-                    for i in range(len(values)) for j in (bisect.bisect(orbit, i),)]
-    else:
-        pairs = [[(p, value) for value in values] for p in range(params.n)]
-        keys = functools.partial(_assignments, params, pairs)
-        config_of = functools.cache(InputConfiguration)  # one object for V and the caller
+    def keys(self) -> Iterator[tuple]:
+        """Orbits by size, each size in lexicographic order; configurations
+        in canonical order (see `enumerate_input_configs`)."""
+        params, m = self.params, len(self.domain.input_values)
+        for size in range(params.min_config_size, params.n + 1):
+            if self.anonymous:
+                yield from itertools.combinations_with_replacement(range(m), size)
+                continue
+            for subset in itertools.combinations(range(params.n), size):
+                yield from itertools.product(*map(self.pairs.__getitem__, subset))
 
-        def smaller(key: tuple) -> Iterable[tuple]:
-            return itertools.combinations(key, len(key) - 1)
+    def config_of(self, key: tuple) -> InputConfiguration:
+        return _representative(self.domain, key) if self.anonymous else InputConfiguration(key)
 
-        def larger(key: tuple) -> list[tuple]:
-            q = 0  # the first absent party
-            for p, _ in key:
-                if p != q:
-                    break
-                q += 1
-            head, tail = key[:q], key[q:]
-            return [head + (pair,) + tail for pair in pairs[q]]
+    def own(self, key: tuple) -> int:
+        mask = self.owns.get(key)
+        if mask is None:
+            mask = self.owns[key] = self.evaluate(self.config_of(key))
+        return mask
 
-    evaluate = _output_masks(validity, params, domain)
-    own = functools.cache(lambda key: evaluate(config_of(key)))
-    return keys, config_of, own, smaller, larger
+    def smaller(self, key: tuple) -> Iterable[tuple]:
+        if self.anonymous:
+            return [key[:j] + key[j + 1:] for j, i in enumerate(key) if not j or key[j - 1] != i]
+        return itertools.combinations(key, len(key) - 1)
+
+    def larger(self, key: tuple) -> list[tuple]:
+        if self.anonymous:
+            return [key[:j] + (i,) + key[j:]
+                    for i in range(len(self.domain.input_values)) for j in (bisect.bisect(key, i),)]
+        q = next((q for q, (p, _) in enumerate(key) if p != q), len(key))  # first absent party
+        return [key[:q] + (pair,) + key[q:] for pair in self.pairs[q]]
+
+    def closure(self, key: tuple, floor: int, memo: dict) -> int:
+        mask = memo.get(key)
+        if mask is None:
+            mask = self.own(key)
+            if len(key) > floor:
+                for sub in self.smaller(key):
+                    if not mask:
+                        break
+                    mask &= self.closure(sub, floor, memo)
+            memo[key] = mask
+        return mask
+
+    def above(self, key: tuple) -> int:
+        mask = self.aboves.get(key)
+        if mask is None:
+            params = self.params
+            if len(key) == params.n:
+                mask = self.closure(key, params.n - params.t_a, self.closures_a)
+            else:
+                mask = _EVERY_OUTPUT
+                for bigger in self.larger(key):
+                    if not mask:
+                        break
+                    mask &= self.above(bigger)
+            self.aboves[key] = mask
+        return mask
+
+    def intersection(self, key: tuple) -> int:
+        mask = self.closure(key, self.params.min_config_size, self.closures_s)
+        return mask and mask & self.above(key)
 
 
 def similarity_pass(
@@ -748,7 +729,7 @@ def similarity_pass(
     smallest valid under I itself; None when there is no such output. The
     budget is charged the configuration count.
 
-    Both come from `_similar_intersection`. For an anonymous property its
+    Both come from `_Walk`. For an anonymous property its
     keys are orbits, so V runs once per orbit, and a block is a party set:
     each size reads one (choice, own) pair per orbit, and from it, by the
     orbit code of each assignment (`_orbit_codes`), one list of each in
@@ -760,17 +741,17 @@ def similarity_pass(
     """
     budget = budget or Budget()
     budget.check_configs(count_input_configs(params, domain))
-    keys, config_of, own, smaller, larger = _key_space(validity, params, domain)
-    intersection = _similar_intersection(own, smaller, larger, params)
+    walk = _Walk(validity, params, domain)
     lowest = functools.partial(_lowest_output, domain)
     if not validity.anonymous:
-        for key in keys():
-            yield (config_of(key).encode(),), [lowest(intersection(key))], [lowest(own(key))]
+        for key in walk.keys():
+            yield ((walk.config_of(key).encode(),), [lowest(walk.intersection(key))],
+                   [lowest(walk.own(key))])
         return
     values = domain.input_values
     for size in range(params.min_config_size, params.n + 1):
         codes, orbits = _orbit_codes(params.n, len(values), size)
-        labels = {code: (lowest(intersection(orbit)), lowest(own(orbit)))
+        labels = {code: (lowest(walk.intersection(orbit)), lowest(walk.own(orbit)))
                   for code, orbit in orbits.items()}
         choices, owns = map(list, zip(*map(labels.__getitem__, codes)))
         for parties in itertools.combinations(range(params.n), size):
@@ -827,7 +808,7 @@ def is_solvable(
     the orbit count; any other property on configurations, charged the
     configuration count. Keys are walked in order twice, and V runs at most
     once per key: first the AND of V until it is empty (triviality), then
-    `_similar_intersection` up to the first empty key. Orbits come by size,
+    the walk's intersection up to the first empty key. Orbits come by size,
     then as sorted assignments in lexicographic order, and every orbit has
     its sorted member on parties 0..k-1; so the representative of the first
     failing orbit is the first failing configuration in canonical order."""
@@ -836,10 +817,10 @@ def is_solvable(
         budget.check_configs(count_orbits(params, domain), "orbits")
     else:
         budget.check_configs(count_input_configs(params, domain))
-    keys, config_of, own, smaller, larger = _key_space(validity, params, domain)
+    walk = _Walk(validity, params, domain)
     common = _EVERY_OUTPUT
-    for key in keys():
-        common &= own(key)
+    for key in walk.keys():
+        common &= walk.own(key)
         if not common:
             break
     if common:
@@ -848,8 +829,8 @@ def is_solvable(
         )
     if not params.n_bound_holds():
         return SolvabilityVerdict(solvable=False, reason=N_TOO_SMALL)
-    intersection = _similar_intersection(own, smaller, larger, params)
-    failing = next((key for key in keys() if not intersection(key)), None)
+    failing = next((key for key in walk.keys() if not walk.intersection(key)), None)
     if failing is None:
         return SolvabilityVerdict(solvable=True, reason=SIMILARITY_AND_N_OK)
-    return SolvabilityVerdict(solvable=False, reason=SIMILARITY_FAILS, witness=config_of(failing))
+    return SolvabilityVerdict(solvable=False, reason=SIMILARITY_FAILS,
+                              witness=walk.config_of(failing))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..errors import ProtocolError, ResilienceBoundError
-from ..simnet import Broadcast, Decide, Send, SetTimer
+from ..simnet import Broadcast, Decide, SetTimer
 
 
 class Machine:
@@ -41,14 +41,14 @@ class ConstantProtocol(Machine):
 
 
 def wrap_actions(tag, actions) -> tuple[list, list]:
-    """Namespaces a sub-protocol's messages and timers under `tag`; returns
-    (parent-level actions, values the sub-protocol decided)."""
+    """Namespaces a sub-protocol's broadcasts and timers under `tag`; returns
+    (parent-level actions, values the sub-protocol decided). Sub-protocols
+    only broadcast, so any other action, a `Send` included, is a
+    ProtocolError."""
     wrapped, decided = [], []
     for action in actions:
         if isinstance(action, Broadcast):
             wrapped.append(Broadcast((tag, action.payload)))
-        elif isinstance(action, Send):
-            wrapped.append(Send(action.dst, (tag, action.payload)))
         elif isinstance(action, SetTimer):
             wrapped.append(SetTimer((tag, action.tag), action.delay))
         elif isinstance(action, Decide):

@@ -31,9 +31,7 @@ def fixed_point_of(text) -> int:
     the text's length plus 20, read before `Fraction` would expand it: such
     a text is 0, at least 1, or below 10**-20 < 2**-64, the grid's step."""
     try:
-        if isinstance(text, int):
-            value = text
-        elif isinstance(text, str) and text.startswith("0x"):
+        if isinstance(text, str) and text.startswith("0x"):
             value = int(text, 16)
         else:
             literal = str(text)

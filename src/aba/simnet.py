@@ -82,9 +82,9 @@ class NodeInstance:
     replica_tag: int = 0
     corrupted: bool = False
     input: Any = None
-    # logical destination party -> concrete instance key, a list of keys
-    # (multicast), or None (messages to that party are discarded in transit);
-    # parties absent from the map route to their tag-0 instance
+    # logical destination party -> a node key (a tuple), a list of keys
+    # (multicast) or None (discarded in transit), else `add_node` raises
+    # ConfigError; parties absent from the map route to their tag-0 instance
     route: Optional[dict[int, Any]] = None
 
     @property
@@ -627,10 +627,10 @@ class NodeCtx:
 class _NodeState:
     __slots__ = ("node", "key", "route", "targets", "machines", "ctx", "crashed_at", "decided")
 
-    def __init__(self, node, machines, ctx, crashed_at):
+    def __init__(self, node, route, machines, ctx, crashed_at):
         self.node = node
         self.key = node.key
-        self.route = node.route or {}
+        self.route = route  # destination party -> None or a tuple of exact-int node keys
         # exact-int destination party -> the existing node keys its route
         # gives, or None when the route discards; filled by the first send
         self.targets: dict[int, Optional[tuple]] = {}
@@ -689,6 +689,14 @@ class Simulation:
             raise ConfigError(f"node key must be two ints, got {node.key!r}")
         if node.key in self._nodes:
             raise ConfigError(f"duplicate node instance {node.key}")
+        route = {}  # destination party -> None or node keys of exact ints
+        for party, target in (node.route or {}).items():
+            keys = [target] if isinstance(target, tuple) else target
+            if target is not None and not (isinstance(keys, list) and all(map(self._is_key, keys))):
+                raise ConfigError(f"node {node.key} routes party {party!r} to {target!r}, which is "
+                                  f"not a node key with a party in 0..{self.params.n - 1}, a list "
+                                  "of them or None")
+            route[party] = None if target is None else tuple((int(p), int(t)) for p, t in keys)
         ctx = NodeCtx(self, node)
         if isinstance(behavior, Equivocate):
             split = behavior.split
@@ -709,7 +717,12 @@ class Simulation:
         crashed_at = behavior.time if isinstance(behavior, CrashAt) else None
         if crashed_at is not None and type(crashed_at) is not int:
             raise ConfigError(f"crash time must be an int, got {crashed_at!r}")
-        self._nodes[node.key] = _NodeState(node, machines, ctx, crashed_at)
+        self._nodes[node.key] = _NodeState(node, route, machines, ctx, crashed_at)
+
+    def _is_key(self, key) -> bool:
+        """Whether `key` is two ints (bools read as 0 and 1) with a party in 0..n-1."""
+        return (isinstance(key, (tuple, list)) and len(key) == 2
+                and all(isinstance(x, int) for x in key) and 0 <= key[0] < self.params.n)
 
     def _push(self, time: int, kind: str, data):
         bucket = self._buckets.get(time)
@@ -891,14 +904,10 @@ class Simulation:
                 record((now, SEND, party, replica, dst_key[0], dst_key[1], payload, deliver_at))
 
     def _route(self, route: dict, dst_party) -> Optional[tuple]:
-        """The own keys of the existing nodes that `route` sends `dst_party`'s
-        messages to (a key `(True, 0)` gives `(1, 0)`), or None if it discards."""
-        target = route.get(dst_party, (dst_party, 0))
-        if target is None:
-            return None
-        targets = target if isinstance(target, list) else (target,)
-        nodes = self._nodes
-        return tuple(nodes[key].key for key in map(tuple, targets) if key in nodes)
+        """The keys of the existing nodes that `route`, as `add_node` resolved
+        it, sends `dst_party`'s messages to, or None if it discards."""
+        keys = route.get(dst_party, ((dst_party, 0),))
+        return None if keys is None else tuple(key for key in keys if key in self._nodes)
 
 
 # ---------------------------------------------------------------- run helper

@@ -81,6 +81,41 @@ def test_check_non_canonical_integer_exit_two(capsys, validity):
     assert err.startswith("configuration error:") and "must be an integer" in err
 
 
+POINT = ("--n", "4", "--ts", "1", "--ta", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--n", "0_4", "--ts", "1", "--ta", "1"),
+    ("check", "--n", "4", "--ts", "1", "--ta", " 1"),
+    ("check", "--n", "4", "--ts", "+1", "--ta", "1"),
+    ("check", *POINT, "--values", "02"),
+    ("check", *POINT, "--budget", "1e6"),
+    ("certificate", "--n", "4.0", "--ts", "1", "--ta", "1", "--out", "unused.json"),
+    ("fuzz", "unused.json", "--seeds", "1_0"),
+    ("attack", "split-brain", "--n", "٤"),
+    ("attack", "split-brain", "--ts", "2 "),
+    ("attack", "split-brain", "--ta", "-0"),
+    ("attack", "ring", "--r", "0x2"),
+    ("attack", "split-brain", "--seed", "1_1"),
+    ("attack", "split-brain", "--delta", "10.0"),
+], ids=lambda argv: " ".join(argv))
+def test_integer_flags_read_canonical_decimal(capsys, argv):
+    # int() would read each but "0x2" and "10.0"
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    _, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "invalid integer value" in err
+
+
+@pytest.mark.parametrize("env", ["1_000_000", " 5", "+5", "05"])
+def test_budget_environment_reads_canonical_decimal(capsys, monkeypatch, env):
+    monkeypatch.setenv("ABA_BUDGET", env)
+    code, out, err = invoke(capsys, "check", "--validity", "strong", *POINT)
+    assert code == 2 and out == ""
+    assert err == f"configuration error: ABA_BUDGET must be a positive integer, got {env!r}\n"
+
+
 def test_check_budget_exit_four(capsys, monkeypatch):
     monkeypatch.setenv("ABA_BUDGET", "5")
     code, _, err = invoke(capsys, "check", "--validity", "strong",

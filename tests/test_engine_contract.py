@@ -6,12 +6,15 @@ replica tag or `CrashAt` time, `NetworkConfig` for delta and horizon, and the
 delay rules for their delay. At run time a `Send` destination, a `SetTimer`
 delay or a time that a `DeliveryPolicy` returns is a ProtocolError of the
 node whose action caused it: it aborts the run for an honest node and
-crashes a corrupted node only, with one CRASH event. A route target resolves
-to the own key of the node it names.
+crashes a corrupted node only, with one CRASH event. `add_node` resolves
+each route target once, to None or node keys of exact ints, and raises
+ConfigError for a target that is not a node key, a list of them or None, or
+that names a party outside 0..n-1.
 """
 
 import pytest
 
+from aba.attacks import LocalMinStrawman
 from aba.core import InputConfiguration as IC, SystemParams
 from aba.errors import ConfigError, ProtocolError
 from aba.protocols import Machine
@@ -194,3 +197,27 @@ def test_a_route_target_records_the_node_key(target):
         node.route = None
     assert result.trace.sha256() == run(lambda p: Echo(), PARAMS, net, script, None, 1,
                                         nodes=nodes).trace.sha256()
+
+
+NONE_PARAMS = SystemParams(n=3, t_s=1, t_a=0, setup="NONE")
+
+
+def local_min_nodes(target):
+    return [NodeInstance(party_id=p, input=str(p), route={1: target} if p == 0 else None)
+            for p in range(NONE_PARAMS.n)]
+
+
+@pytest.mark.parametrize("target", [[1, 0], 5, (3, 0), (-1, 0), [(1, 0), (1,)], ((1, 0),),
+                                    (1, "0"), [(1, 0.0)], "1"],
+                         ids=["list-of-ints", "int", "party-n", "party-negative",
+                              "short-key-in-list", "tuple-of-keys", "str-tag", "float-tag", "str"])
+def test_a_malformed_route_target_is_a_config_error(target):
+    net, script = canonical_schedule((), delta=10, horizon=200)
+    match = r"node \(0, 0\) routes party 1 to .*, which is not a node key"
+    with pytest.raises(ConfigError, match=match):
+        run(lambda p: LocalMinStrawman(), NONE_PARAMS, net, script, None, 1,
+            nodes=local_min_nodes(target))
+    sim = Simulation(NONE_PARAMS, net, 1)
+    with pytest.raises(ConfigError, match=match):
+        sim.add_node(local_min_nodes(target)[0], lambda p: LocalMinStrawman())
+    assert not sim._nodes

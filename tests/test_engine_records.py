@@ -335,7 +335,7 @@ def test_cached_destinations_send_as_the_eager_path(name, monkeypatch):
         # a party with no node (which silent and equivocating senders never send to)
         assert targets.get(PARAMS.n + 2, ()) == ()
         for party, keys in targets.items():
-            target = state.route.get(party, (party, 0))
+            target = (state.node.route or {}).get(party, (party, 0))
             if target is None:
                 assert keys is None
             else:

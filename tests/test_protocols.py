@@ -21,6 +21,7 @@ from aba.protocols import (
     UniversalBa,
     fixed_point_label,
     fixed_point_of,
+    wrap_actions,
 )
 from aba.simnet import (
     ASYNCHRONOUS,
@@ -32,6 +33,10 @@ from aba.simnet import (
     NetworkConfig,
     RandomTape,
     SYNCHRONOUS,
+    Broadcast,
+    Decide,
+    Send,
+    SetTimer,
     SilentTo,
     SyncRandomDelay,
     canonical_schedule,
@@ -424,6 +429,19 @@ def test_fixed_point_parsing():
     assert fixed_point_of(fixed_point_label(12345)) == 12345
     with pytest.raises(Exception):
         fixed_point_of("1.5")
+
+
+def test_fixed_point_reads_an_int_as_its_text():
+    assert fixed_point_of(0) == fixed_point_of("0") == 0
+    with pytest.raises(ConfigError, match=r"must lie in \[0, 1\), got 5"):
+        fixed_point_of(5)
+
+
+def test_wrap_actions_rejects_a_point_to_point_send():
+    wrapped, decided = wrap_actions("sub", [Broadcast("b"), SetTimer("t", 2), Decide("1")])
+    assert wrapped == [Broadcast(("sub", "b")), SetTimer(("sub", "t"), 2)] and decided == ["1"]
+    with pytest.raises(ProtocolError, match="sub-protocol emitted unknown action Send"):
+        wrap_actions("sub", [Send(1, "x")])
 
 
 @pytest.mark.parametrize("text", ["abc", "", "nan", "inf", "0xzz", "0x", "1/0", None])

@@ -1,22 +1,32 @@
-"""A finished run is freed by reference counting.
+"""A finished run, and every check, is freed by reference counting.
 
 The simulation holds every node's context, and a context holds only the
 run's tape, trace and signature oracle, never the simulation. So a run holds
 no reference cycle as long as its machines hold none: a machine never keeps a
 reference to itself (no table of its own bound methods, no closure over
-`self`). Each case builds its factory and certificate first, then runs with
-the cyclic collector off, drops the result, and requires that every trace
-the run made is gone and that `gc.collect()` then finds nothing.
+`self`). The checker's walk keeps its memos in plain dicts and recurses
+through methods, so a check holds none either. Each case runs with the
+cyclic collector off, drops the result, and requires that every trace the
+run made is gone and that `gc.collect()` then finds nothing; the attack
+cases build their certificate inside that window too, and the checker and
+CLI cases make no run.
 """
 
+import dataclasses
 import gc
+import itertools
 import weakref
 
 import pytest
 
 from aba import attacks, catalog, simnet
-from aba.cli import PROTOCOLS, protocol_factory
-from aba.core import InputConfiguration, SystemParams, compute_similarity_certificate
+from aba.cli import PROTOCOLS, main, protocol_factory
+from aba.core import (
+    InputConfiguration,
+    SystemParams,
+    compute_similarity_certificate,
+    is_solvable,
+)
 from aba.protocols import Machine
 from aba.simnet import (
     ASYNCHRONOUS,
@@ -117,8 +127,6 @@ ATTACK_PARAMS = {
 def test_every_run_of_an_attack_is_freed(attack, monkeypatch):
     params = ATTACK_PARAMS[attack]
     prop, domain = catalog.resolve("strong", 2)
-    factory = protocol_factory("universal", params, DELTA, enforce_bounds=False,
-                               certificate=attacks.best_effort_certificate(prop, params, domain))
     zeros = InputConfiguration.of((p, "0") for p in range(params.n))
     ones = InputConfiguration.of((p, "1") for p in range(params.n))
     traces = []
@@ -131,10 +139,66 @@ def test_every_run_of_an_attack_is_freed(attack, monkeypatch):
     monkeypatch.setattr(attacks, "run", traced_run)
 
     def execute():
+        certificate = attacks.best_effort_certificate(prop, params, domain)
+        factory = protocol_factory("universal", params, DELTA, enforce_bounds=False,
+                                   certificate=certificate)
         assert ATTACKS[attack](factory, params, zeros, ones)
         return traces
 
     assert cyclic_garbage(execute) == (0, 0)
+
+
+def checker_garbage(check) -> int:
+    """Calls `check` with the cyclic collector off; returns how many objects
+    `gc.collect()` then finds unreachable."""
+    gc.collect()
+    gc.disable()
+    try:
+        check()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def checked_properties():
+    """Every catalog name, and a table copy of clique:3 (solved on
+    configurations, not orbits), each with its domain."""
+    names = ["strong", "weak", "it-strong", "interval:0:3", "clique:3"]
+    assert {name.split(":")[0] for name in names} == \
+        {key.split(":")[0] for key in catalog.VALIDITIES}
+    properties = [catalog.resolve(name, 2) for name in names]
+    clique, domain = properties[-1]
+    return properties + [(dataclasses.replace(clique, anonymous=False), domain)]
+
+
+def test_every_check_is_freed_by_reference_counting():
+    # (4,1,1): clique:3 fails similarity; (5,1,1): every property solves;
+    # (4,2,1): below the resilience bound
+    cases = list(itertools.product(
+        checked_properties(), [SystemParams(4, 1, 1), SystemParams(5, 1, 1),
+                               SystemParams(4, 2, 1, "NONE")]))
+
+    def check():
+        for (prop, domain), params in itertools.islice(itertools.cycle(cases), 100):
+            assert is_solvable(prop, params, domain).reason
+            compute_similarity_certificate(prop, params, domain)
+            best = attacks.best_effort_certificate(prop, params, domain)
+            best.validate(prop)
+
+    assert checker_garbage(check) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--validity", "clique:3", "--n", "6", "--ts", "2", "--ta", "0"],
+    ["certificate", "--validity", "strong", "--n", "4", "--ts", "1", "--ta", "1"],
+    ["attack", "split-brain", "--protocol", "universal:strong"],
+], ids=lambda argv: argv[0])
+def test_every_cli_check_is_freed_by_reference_counting(argv, tmp_path, capsys):
+    if argv[0] == "certificate":
+        argv = argv + ["--out", str(tmp_path / "cert.json")]
+    main(argv)  # the first call builds the cached parser
+    assert checker_garbage(lambda: main(argv)) == 0
+    assert capsys.readouterr().out
 
 
 class SelfTable(Machine):

@@ -303,6 +303,27 @@ def test_pass_matches_oracle_at_every_parameter_point(name):
     assert any(outcomes) and not all(outcomes)
 
 
+@pytest.mark.parametrize("name,params,configs,evaluated,orbits", [
+    ("clique:3", SystemParams(7, 2, 2), 12_393, 1_649, 54),  # a witness, early
+    ("strong", SystemParams(7, 2, 2), 1_248, 1_248, 21),  # solvable
+    ("clique:3", SystemParams(6, 2, 0), 3_402, 3_402, 64),  # a witness, late
+])
+def test_is_solvable_evaluates_a_pinned_count(name, params, configs, evaluated, orbits):
+    # the walk is lazy: a later change must not raise these counts unseen
+    prop, domain = resolve(name, 0 if ":" in name else 2)
+    assert count_input_configs(params, domain) == configs
+    for anonymous, count in ((False, evaluated), (True, orbits)):
+        calls = []
+
+        def counted(params, domain, config):
+            calls.append(config)
+            return prop.evaluate(params, domain, config)
+
+        copy = dataclasses.replace(prop, evaluate=counted, anonymous=anonymous)
+        assert is_solvable(copy, params, domain) == is_solvable(prop, params, domain)
+        assert len(calls) == count, anonymous
+
+
 def test_orbit_verdict_charges_orbits_and_certificate_configurations():
     prop, domain = resolve("strong", 2)
     params = SystemParams(4, 1, 1)
