@@ -30,7 +30,7 @@ from .protocols.base import Machine
 
 MachineFactory = Callable[[int], Machine]
 
-PARTITION_HORIZON = 4000  # the triple-partition runs' time bound; split_brain's default
+PARTITION_HORIZON = 4000  # the time bound of the split-brain and triple-partition runs
 RING_HORIZON_ROUNDS = 40  # the ring runs' time bound, in rounds of delta
 
 
@@ -102,12 +102,21 @@ def best_effort_certificate(prop, params: SystemParams, domain):
 # ---------------------------------------------------------------- reports
 
 
-def _decision_table(outcomes) -> dict:
-    return {f"{party}/{tag}": value for (party, tag), value in sorted(outcomes.items())}
+def node_label(key: tuple) -> str:
+    """A node key (party, replica tag) as reports write it: "party/tag"."""
+    return f"{key[0]}/{key[1]}"
+
+
+def decision_table(decisions: dict) -> dict:
+    """Decisions by node key as reports write them, plain JSON in node-key
+    order: label -> decided value, None while undecided, and a decided
+    configuration (what acs decides) as its `encode()`."""
+    return {node_label(key): value.encode() if isinstance(value, InputConfiguration) else value
+            for key, value in sorted(decisions.items())}
 
 
 def _execution(result: RunResult) -> dict:
-    return {"decisions": _decision_table(result.outcomes), "trace_hash": result.trace.sha256()}
+    return {"decisions": decision_table(result.outcomes), "trace_hash": result.trace.sha256()}
 
 
 def _all_equal_decided(values) -> bool:
@@ -159,7 +168,6 @@ def split_brain(
     inputs_two: InputConfiguration,
     seed: int,
     delta: int = 10,
-    horizon: int = PARTITION_HORIZON,
 ) -> dict:
     """Two-group indistinguishability demonstration at n = 2*t_s.
 
@@ -180,14 +188,14 @@ def split_brain(
     )
 
     def canonical(crashed, inputs):
-        net, script = canonical_schedule(crashed, delta=delta, horizon=horizon)
+        net, script = canonical_schedule(crashed, delta, PARTITION_HORIZON)
         return run(factory, params, net, script, inputs, seed)
 
     run_a = canonical(set(right), inputs_one)
     run_b = canonical(set(left), inputs_two)
     keys_l = [(p, 0) for p in left]
     keys_r = [(p, 0) for p in right]
-    net_c, script_c = partition_schedule([keys_l, keys_r], delta=delta, horizon=horizon)
+    net_c, script_c = partition_schedule([keys_l, keys_r], delta, PARTITION_HORIZON)
     run_c = run(factory, params, net_c, script_c, mixed, seed)
     run_d = canonical(set(), inputs_one)
 
@@ -427,24 +435,21 @@ def ring_attack(
             fidelity[f"k{k}/i{i}"] = _sorted_entries(ring_t) == _sorted_entries(canon_t)
             decisions_match[f"k{k}/i{i}"] = outcomes[key] == canon[k].outcomes[(i, 0)]
 
-    adjacency = []
-    for a, b in layout.channels():
-        adjacency.append(
-            {"a": f"{a[0]}/{a[1]}", "b": f"{b[0]}/{b[1]}",
-             "equal": outcomes[a] is not None and outcomes[a] == outcomes[b]}
-        )
+    adjacency = [{"a": node_label(a), "b": node_label(b),
+                  "equal": outcomes[a] is not None and outcomes[a] == outcomes[b]}
+                 for a, b in layout.channels()]
+    decisions = decision_table(outcomes)
 
     return {
         "scenario": "ring",
         "r": r,
         "node_count": layout.node_count(),
         "seed": seed,
-        "decisions": _decision_table(outcomes),
+        "decisions": decisions,
         "adjacent_equality": adjacency,
         "middle_fidelity": fidelity,
         "middle_decisions_match_canonical": decisions_match,
-        "undecided": [f"{p}/{t}" for (p, t), value in sorted(outcomes.items())
-                      if value is None],
+        "undecided": [label for label, value in decisions.items() if value is None],
         "checks": {
             "all_middle_fidelity": all(fidelity.values()),
             "any_adjacent_disagreement": any(not e["equal"] for e in adjacency),

@@ -33,6 +33,7 @@ from .core import (
     InputConfiguration,
     SimilarityCertificate,
     SystemParams,
+    _indented,
     _integer_text,
     compute_similarity_certificate,
     is_similar_to,
@@ -103,16 +104,9 @@ def _budget_for(args) -> Budget:
     return budget
 
 
-def _encode(value):
-    """JSON form of the non-JSON values a report holds: the InputConfiguration
-    that acs decides is written in its `encode()` form."""
-    if isinstance(value, InputConfiguration):
-        return value.encode()
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
 def _emit(data: dict, pretty: bool) -> None:
-    print(json.dumps(data, indent=2 if pretty else None, sort_keys=True, default=_encode))
+    """Prints a report, a plain JSON value: compact, or indented (`_indented`)."""
+    print(_indented(data) if pretty else json.dumps(data, sort_keys=True))
 
 
 def _resolve_validity(args, params: SystemParams) -> tuple:
@@ -377,8 +371,8 @@ def _check_run_properties(scenario: Scenario, result) -> dict:
         if any(not is_similar_to(core, honest, params) for core in cores):
             violations.append("core-coherence")
     return {
-        "decisions": {f"{p}/{t}": v for (p, t), v in sorted(decisions.items())},
-        "undecided": [f"{p}/{t}" for p, t in result.undecided_honest(corrupted)],
+        "decisions": attacks.decision_table(decisions),
+        "undecided": list(map(attacks.node_label, result.undecided_honest(corrupted))),
         "violations": violations,
     }
 

@@ -17,8 +17,8 @@ with them: for an anonymous property it passes I when sigma(I) lies in the AND
 of V over the orbits of similar(I), enumerated directly once per orbit, and a
 pair scan over every J similar to I, built as (party, value) assignments,
 serves table properties and every I that fails that lookup.
-`similar()` and `neighbors()` keep the definitional, one-object-per-
-configuration form of the relations, which the tests check both against.
+`similar()` keeps the definitional, one-object-per-configuration form of
+the relation, which the tests check against.
 """
 
 from __future__ import annotations
@@ -160,10 +160,6 @@ class Domain:
         if split:
             raise ConfigError(f"input labels may not contain ';', which separates parties "
                               f"in encoded configurations: {split}")
-
-    @classmethod
-    def binary(cls) -> "Domain":
-        return cls(("0", "1"), ("0", "1"))
 
     @classmethod
     def labels(cls, count: int) -> "Domain":
@@ -320,13 +316,6 @@ def _compatible_configs(
                 )
 
 
-def neighbors(
-    config: InputConfiguration, params: SystemParams, domain: Domain
-) -> list[InputConfiguration]:
-    """Configurations agreeing with `config` on every commonly present party."""
-    return list(_compatible_configs(config, params, domain, params.min_config_size))
-
-
 def similar(
     config: InputConfiguration, params: SystemParams, domain: Domain
 ) -> list[InputConfiguration]:
@@ -397,18 +386,29 @@ def is_trivial(
     return True, _lowest_output(domain, common)
 
 
+_CONTAINERS = frozenset((dict, list, tuple))
+
+
 def _indented(value, pad: str = "\n") -> str:
-    """`value` as `json.dumps(value, indent=2, sort_keys=True)` writes it, for
-    objects of containers or of scalars and lists of scalars, without the
+    """Any JSON value, built of plain dicts, lists and tuples, as
+    `json.dumps(value, indent=2, sort_keys=True)` writes it, without the
     pure-Python encoder `indent` selects, which is slow and leaves a cycle per
-    call: the C encoder writes each container of scalars, with the separators
-    that indentation would put between its entries."""
+    call: the C encoder writes each scalar and each container of scalars,
+    with the separators that indentation would put between its entries, and
+    a container of containers goes entry by entry."""
+    if type(value) not in _CONTAINERS or not value:
+        return json.dumps(value)
     inner = pad + "  "
-    if isinstance(value, dict) and isinstance(next(iter(value.values()), None), (dict, list)):
+    is_dict = type(value) is dict
+    if _CONTAINERS.isdisjoint(map(type, value.values() if is_dict else value)):
+        text = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))
+        return "".join((text[0], inner, text[1:-1], pad, text[-1]))
+    if is_dict:
         entries = (f"{json.dumps(key)}: {_indented(value[key], inner)}" for key in sorted(value))
-        return "".join(("{", inner, ("," + inner).join(entries), pad, "}"))
-    text = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))
-    return "".join((text[0], inner, text[1:-1], pad, text[-1])) if value else text
+    else:
+        entries = (_indented(entry, inner) for entry in value)
+    opening, closing = "{}" if is_dict else "[]"
+    return "".join((opening, inner, ("," + inner).join(entries), pad, closing))
 
 
 @dataclass(frozen=True)
@@ -425,7 +425,7 @@ class SimilarityCertificate:
 
     def to_json(self) -> str:
         """The certificate as `json.dumps(..., indent=2, sort_keys=True)`
-        writes it (see `_indented`)."""
+        writes it, through `_indented`."""
         return _indented({"domain": self.domain.to_dict(), "params": self.params.to_dict(),
                           "sigma": self.sigma})
 

@@ -131,20 +131,20 @@ class RandomTape:
 
 
 class SignatureOracle:
-    """Idealized unforgeable signatures: verification consults a registry of
-    (party, message) pairs actually signed; tokens are decorative."""
+    """Idealized unforgeable signatures: signing records the (party, message)
+    pair in a registry, and verification consults it; no signature value
+    travels in any message."""
 
     def __init__(self, enabled: bool):
         self.enabled = enabled
         self._registry: set[tuple[int, str]] = set()
 
-    def sign(self, party_id: int, payload: Any) -> tuple:
+    def sign(self, party_id: int, payload: Any) -> None:
         if not self.enabled:
             raise SetupUnavailableError("signatures require PKI setup")
         self._registry.add((party_id, repr(payload)))
-        return ("SIG", party_id)
 
-    def verify(self, party_id: int, payload: Any, token: Any = None) -> bool:
+    def verify(self, party_id: int, payload: Any) -> bool:
         if not self.enabled:
             raise SetupUnavailableError("signatures require PKI setup")
         return (party_id, repr(payload)) in self._registry
@@ -605,13 +605,12 @@ class NodeCtx:
         self._trace.append(self.now, COIN, self._key, {"key": repr(key), "value": value})
         return value
 
-    def sign(self, payload: Any) -> tuple:
-        token = self._signatures.sign(self.party_id, payload)
+    def sign(self, payload: Any) -> None:
+        self._signatures.sign(self.party_id, payload)
         self._trace.append(self.now, SIGN, self._key, {"payload": repr(payload)})
-        return token
 
-    def verify(self, party_id: int, payload: Any, token: Any = None) -> bool:
-        return self._signatures.verify(party_id, payload, token)
+    def verify(self, party_id: int, payload: Any) -> bool:
+        return self._signatures.verify(party_id, payload)
 
     def verify_all(self, parties: Iterable[int], payload: Any) -> bool:
         """Whether every one of `parties` signed `payload`."""

@@ -1,6 +1,7 @@
 """Report pins for the attack library calls at layouts the CLI pins in
 `test_trace_golden.py` do not reach, and checks that only `simnet.run`
-builds a `Simulation` and only `Simulation.add_node` tells behaviors apart.
+builds a `Simulation`, only `Simulation.add_node` tells behaviors apart, and
+no JSON write in `src/aba` indents or takes a `default` hook.
 
 Each pin is the sha256 of `json.dumps(report, sort_keys=True)` for one
 attack called directly (not through `aba attack`), at seed 1, with inputs
@@ -121,3 +122,13 @@ def test_only_add_node_tells_behaviors_apart():
                    for t in (types.elts if isinstance(types, ast.Tuple) else [types]))
 
     assert calling_scopes(tests_a_behavior_type) == {("simnet", "Simulation.add_node")}
+
+
+def test_no_json_write_indents_or_encodes_objects():
+    # `core._indented` is the one indented writer, and reports are plain JSON
+    # values, so no write needs the pure-Python encoder or a `default` hook
+    def indents_or_encodes(call) -> bool:
+        return (_name(call.func) in ("dump", "dumps")
+                and any(kw.arg in ("indent", "default") for kw in call.keywords))
+
+    assert calling_scopes(indents_or_encodes) == set()

@@ -259,8 +259,7 @@ def test_split_brain_universal_at_illegal_params_never_splits_within_group():
     outcomes = {"undecided": 0, "split": 0, "agreed": 0}
     for seed in range(6):
         factory = lambda p: UniversalBa(params, 10, cert, enforce_bounds=False)
-        report = split_brain(factory, params, maximal(4, "0"), maximal(4, "1"),
-                             seed, horizon=20000)
+        report = split_brain(factory, params, maximal(4, "0"), maximal(4, "1"), seed)
         checks = report["checks"]
         assert checks["within_left_agreement"]
         assert checks["within_right_agreement"]

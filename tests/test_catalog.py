@@ -26,7 +26,7 @@ from aba.core import (
 from aba.errors import ConfigError, DomainMismatchError
 
 
-BINARY = Domain.binary()
+BINARY = Domain.labels(2)
 
 
 def cfg(*pairs):

@@ -292,9 +292,8 @@ class StubCtx:
     def sign(self, payload):
         self.registry.add((self.party_id, repr(payload)))
         self.log.append(("sign", payload))
-        return ("SIG", self.party_id)
 
-    def verify(self, party_id, payload, token=None) -> bool:
+    def verify(self, party_id, payload) -> bool:
         return (party_id, repr(payload)) in self.registry
 
     def verify_all(self, parties, payload) -> bool:

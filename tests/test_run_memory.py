@@ -8,14 +8,15 @@ reference to itself (no table of its own bound methods, no closure over
 through methods, so a check holds none either. Each case runs with the
 cyclic collector off, drops the result, and requires that every trace the
 run made is gone and that `gc.collect()` then finds nothing; the attack
-cases build their certificate inside that window too, and the checker and
-CLI cases make no run.
+cases build their certificate inside that window too, and the checker cases
+make no run. The CLI cases write their reports with `--pretty`.
 """
 
 import dataclasses
 import gc
 import itertools
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +45,7 @@ from aba.simnet import (
     run,
 )
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 DELTA = 10
 PARAMS = SystemParams(6, 2, 1, "PKI")
 # The two input values of each protocol; ba-star reads fixed-point text in [0, 1).
@@ -192,8 +194,12 @@ def test_every_check_is_freed_by_reference_counting():
     ["check", "--validity", "clique:3", "--n", "6", "--ts", "2", "--ta", "0"],
     ["certificate", "--validity", "strong", "--n", "4", "--ts", "1", "--ta", "1"],
     ["attack", "split-brain", "--protocol", "universal:strong"],
+    ["run", str(SCENARIOS / "acs-sync-crash.json")],
+    ["fuzz", str(SCENARIOS / "universal-strong-canonical.json"), "--seeds", "2"],
 ], ids=lambda argv: argv[0])
 def test_every_cli_check_is_freed_by_reference_counting(argv, tmp_path, capsys):
+    # with --pretty, so that the indented writer is held to it too
+    argv = argv + ["--pretty"]
     if argv[0] == "certificate":
         argv = argv + ["--out", str(tmp_path / "cert.json")]
     main(argv)  # the first call builds the cached parser

@@ -561,7 +561,7 @@ def test_clique_k3_orbit_witness_pins(n, t_s, t_a, setup, witness):
 def test_out_of_domain_output_raises_config_error():
     prop = ValidityProperty(name="rogue", evaluate=lambda p, d, c: frozenset({"0", "9"}))
     with pytest.raises(ConfigError, match=r"outside the output domain: \['9'\]"):
-        compute_similarity_certificate(prop, SystemParams(4, 1, 1), Domain.binary())
+        compute_similarity_certificate(prop, SystemParams(4, 1, 1), Domain.labels(2))
 
 
 @pytest.mark.parametrize("name,n,t_s,t_a,setup,reason", [

@@ -27,13 +27,12 @@ from aba.core import (
     is_similar_to,
     is_solvable,
     is_trivial,
-    neighbors,
     similar,
 )
 from aba.errors import BudgetExceededError, ConfigError
 
 
-BINARY = Domain.binary()
+BINARY = Domain.labels(2)
 
 
 def cfg(*pairs):
@@ -150,60 +149,14 @@ def test_enumeration_budget_exceeded():
         list(enumerate_input_configs(params, BINARY, Budget(max_configs=10)))
 
 
-# ---------------------------------------------------------------- neighbors / similar
-
-
-def test_neighbors_example_n3():
-    params = SystemParams(n=3, t_s=1, t_a=1)
-    base = cfg((0, "0"), (1, "0"))
-    got = neighbors(base, params, BINARY)
-    expected = {
-        cfg((0, "0"), (1, "0")),
-        cfg((0, "0"), (2, "0")),
-        cfg((0, "0"), (2, "1")),
-        cfg((1, "0"), (2, "0")),
-        cfg((1, "0"), (2, "1")),
-        cfg((0, "0"), (1, "0"), (2, "0")),
-        cfg((0, "0"), (1, "0"), (2, "1")),
-    }
-    assert set(got) == expected
-    assert len(got) == 7
-
-
-def test_neighbors_include_self_and_disjoint():
-    params = SystemParams(n=4, t_s=2, t_a=0)
-    base = cfg((0, "0"), (1, "1"))
-    got = set(neighbors(base, params, BINARY))
-    assert base in got
-    # disjoint honest sets are vacuously compatible
-    assert cfg((2, "1"), (3, "0")) in got
-
-
-def test_neighbors_match_oracle_exhaustively():
-    for n, t_s in [(2, 1), (3, 1), (3, 2), (4, 2)]:
-        params = SystemParams(n=n, t_s=t_s, t_a=0)
-        for base in oracle_all_configs(params, BINARY):
-            got = neighbors(base, params, BINARY)
-            assert sorted(c.assignments for c in got) == sorted(
-                c.assignments for c in oracle_neighbors(base, params, BINARY)
-            )
-
-
-def test_neighbor_symmetry_and_reflexivity():
-    params = SystemParams(n=4, t_s=2, t_a=1)
-    configs = oracle_all_configs(params, BINARY)
-    neighbor_sets = {c: set(neighbors(c, params, BINARY)) for c in configs}
-    for c in configs:
-        assert c in neighbor_sets[c]
-        for other in neighbor_sets[c]:
-            assert c in neighbor_sets[other]
+# ---------------------------------------------------------------- similar
 
 
 def test_similar_examples():
     params = SystemParams(n=3, t_s=1, t_a=1)
     base = cfg((0, "0"), (1, "0"))
     got = similar(base, params, BINARY)
-    assert set(got) == set(neighbors(base, params, BINARY))
+    assert set(got) == set(oracle_neighbors(base, params, BINARY))
     assert len(got) == 7
 
     params0 = SystemParams(n=3, t_s=1, t_a=0)
@@ -218,7 +171,7 @@ def test_similar_examples():
 def test_similar_equals_neighbors_when_ta_equals_ts():
     params = SystemParams(n=4, t_s=1, t_a=1)
     for base in [cfg((0, "0"), (1, "1"), (2, "0")), cfg((0, "1"), (1, "1"), (2, "1"), (3, "0"))]:
-        assert set(similar(base, params, BINARY)) == set(neighbors(base, params, BINARY))
+        assert set(similar(base, params, BINARY)) == set(oracle_neighbors(base, params, BINARY))
 
 
 def test_similar_matches_oracle():
@@ -248,6 +201,16 @@ def test_is_similar_predicate_agrees_with_enumeration(n, data):
     assert is_similar_to(base, other, params) == (
         other in set(similar(base, params, BINARY))
     )
+
+
+def test_a_configuration_below_n_minus_ts_is_similar_to_nothing():
+    # a sub-configuration that agrees with base, but holds fewer than n - t_s
+    # parties, so it stands for no honest set
+    params = SystemParams(n=4, t_s=1, t_a=1)
+    base = cfg((0, "0"), (1, "1"), (2, "0"))
+    assert is_similar_to(base, cfg((0, "0"), (1, "1"), (2, "0")), params)
+    assert not is_similar_to(base, cfg((0, "0"), (1, "1")), params)
+    assert not is_similar_to(base, cfg((0, "0"),), params)
 
 
 # ---------------------------------------------------------------- closure / triviality
