@@ -12,13 +12,14 @@ each enters, `NetworkConfig`, the delay rules and `Simulation.add_node` raise
 ConfigError, and at run time a `Send` destination, `SetTimer` delay or policy
 time of another type is a ProtocolError.
 
-Payloads are passed by reference: every destination of a send receives the
-sender's object. The trace stores each SEND and DELIVER as one flat record
-holding that object, and every reader works from those records; `events`
-is a read-only view of them. The trace serializes a payload on the first
-read that needs its text, once per object and, for plain values, about once
-per value (see `ExecutionTrace`). Machines therefore never mutate a payload
-after sending or receiving it.
+Every trace event is one flat record `(t, kind, party, replica, *values)`
+(see `DETAIL_KEYS`), which only the engine writes, and every reader works
+from those records. Payloads are passed by reference: every destination of
+a send receives the sender's object, which its SEND and DELIVER records
+hold. The trace serializes a payload on the first read that needs its text,
+once per object and, for plain values, about once per value (see
+`ExecutionTrace`). Machines therefore never mutate a payload after sending
+or receiving it.
 
 An exception raised by a corrupted node's machine, or by the engine applying
 that node's actions, crashes that node only: the trace gets one CRASH event
@@ -26,8 +27,8 @@ naming the exception type, and the node takes no further events. An honest
 node's exception propagates out of the run.
 
 A run holds no reference cycle: a node's `NodeCtx` keeps the run's tape,
-trace and signature oracle but not the `Simulation`, and a machine never
-keeps a reference to itself (see `Machine`). So dropping a `RunResult` frees
+record writer and signature oracle but not the `Simulation`, and a machine
+never keeps a reference to itself (see `Machine`). So dropping a `RunResult` frees
 the run by reference counting; `tests/test_run_memory.py` checks it.
 """
 
@@ -195,35 +196,53 @@ _encode_str = json.encoder.encode_basestring_ascii  # the escaping `_ENCODER` us
 
 
 def _event_template(kind: str, keys: tuple) -> str:
-    """The JSONL line of a `kind` event whose detail has the exact-str `keys`
-    as a `%` template: one `%s` per detail value, then party, replica and t.
-    "" unless the keys are in sorted order, as every engine detail's are; such
-    an event is left to the generic encoder."""
-    if list(keys) != sorted(keys):
-        return ""
-    fields = ", ".join(_encode_str(key).replace("%", "%%") + ": %s" for key in keys)
-    return ('{"detail": {' + fields + '}, "kind": ' + _encode_str(kind).replace("%", "%%")
+    """The JSONL line of a `kind` event whose detail has `keys` as a `%`
+    template: one `%s` per detail value in sorted-key order, then party,
+    replica and t."""
+    fields = ", ".join(_encode_str(key) + ": %s" for key in sorted(keys))
+    return ('{"detail": {' + fields + '}, "kind": ' + _encode_str(kind)
             + ', "party": %d, "replica": %d, "t": %d}')
 
 
-# The JSONL lines of an engine SEND and DELIVER, which `jsonl()` fills
-_SEND_LINE = _event_template(SEND, ("deliver_at", "dst", "dst_replica", "payload"))
-_DELIVER_LINE = _event_template(DELIVER, ("payload", "src", "src_replica"))
+# Each kind's detail keys, in the order its record `(t, kind, party, replica,
+# *values)` holds their values. t, party, replica and the peer fields are
+# exact ints, but a discarded SEND's dst_replica is None and a SEND's
+# deliver_at may be "held" or "discarded". A SEND and a DELIVER hold the
+# payload object, TIMER, COIN and SIGN reprs; a CRASH at start has no error.
+DETAIL_KEYS = {
+    SEND: ("dst", "dst_replica", "payload", "deliver_at"),
+    DELIVER: ("src", "src_replica", "payload"),
+    TIMER: ("tag",),
+    COIN: ("key", "value"),
+    SIGN: ("payload",),
+    DECIDE: ("value",),
+    CRASH: ("at", "error"),
+}
+
+# The JSONL line of each kind by record length, which `jsonl()` fills; the
+# keys of every kind but SEND and DELIVER are in sorted order already
+_LINES = {(kind, 4 + len(keys)): _event_template(kind, keys) for kind, keys in DETAIL_KEYS.items()}
+_LINES[CRASH, 5] = _event_template(CRASH, ("at",))
+_SEND_LINE, _DELIVER_LINE = _LINES[SEND, 8], _LINES[DELIVER, 7]
+
+
+def _json_value(value) -> Any:
+    """`value` for a line's `%s`: a str escaped, an exact int as it is."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    return value if kind is int else _ENCODER.encode(_jsonable(value))
 
 
 class ExecutionTrace:
     """Append-only event log; JSONL serialization and SHA-256 hashing.
 
-    Events read as `(t, kind, party, replica, detail)` tuples. The engine
-    stores each SEND and DELIVER as a flat record instead,
-    `(t, kind, party, replica, peer, peer_replica, payload, deliver_at)`: the
-    peer is a SEND's destination and a DELIVER's source. The other fields are
-    exact ints, but a discarded SEND's peer_replica is None, a SEND's
-    deliver_at may be "held" or "discarded", and a DELIVER's is None.
-    Records keep that shape for the trace's whole life.
-    `events` and `of_kind()` return a new list of five-field tuples, each
-    with a new detail dict, and write nothing back; `jsonl()`, `sha256()` and
-    `node_transcript()` read the flat records as they are.
+    Only the engine adds records, through the bound `append` of `_events`:
+    one flat tuple per event, whose values `DETAIL_KEYS` names, kept as it
+    is for the trace's whole life. `events` and `of_kind()` return a new
+    list of `(t, kind, party, replica, detail)` tuples, each with a new
+    detail dict, and write nothing back; `jsonl()`, `sha256()` and
+    `node_transcript()` read the records as they are.
 
     Every reader takes a payload's `v1:` JSON string from two memos per
     trace. The first is keyed by the payload object's id, so each payload
@@ -247,9 +266,6 @@ class ExecutionTrace:
         self._events: list[tuple] = []
         self._texts: dict[int, str] = {}  # id(payload) -> its v1 string
         self._value_texts: dict[bytes, str] = {}  # marshal bytes of a plain payload -> v1
-
-    def append(self, t: int, kind: str, node: NodeKey, detail: dict):
-        self._events.append((t, kind, node[0], node[1], detail))
 
     def _text(self, payload) -> str:
         text = self._texts.get(id(payload))
@@ -275,16 +291,15 @@ class ExecutionTrace:
         text_of = self._text
         out = []
         for event in records:
-            if len(event) == 8:
-                t, kind, party, replica, peer, peer_replica, payload, deliver_at = event
-                text = text_of(payload)
-                detail = ({"dst": peer, "dst_replica": peer_replica, "payload": text,
-                           "deliver_at": deliver_at} if kind == SEND
-                          else {"src": peer, "src_replica": peer_replica, "payload": text})
-                event = (t, kind, party, replica, detail)
+            kind = event[1]
+            if kind == SEND:
+                detail = {"dst": event[4], "dst_replica": event[5],
+                          "payload": text_of(event[6]), "deliver_at": event[7]}
+            elif kind == DELIVER:
+                detail = {"src": event[4], "src_replica": event[5], "payload": text_of(event[6])}
             else:
-                event = (*event[:4], dict(event[4]))
-            out.append(event)
+                detail = dict(zip(DETAIL_KEYS[kind], event[4:]))
+            out.append((event[0], kind, event[2], event[3], detail))
         return out
 
     @property
@@ -296,54 +311,34 @@ class ExecutionTrace:
 
     def jsonl(self) -> str:
         """One JSON object per event, in `json.dumps(..., sort_keys=True)`
-        form: ASCII escapes, `", "` and `": "` separators. A flat record fills
-        its kind's template. Any other event with exact-int t, party and
-        replica whose detail is a dict of exact-str keys in sorted order and
-        exact-str or exact-int values (TIMER, SIGN, COIN, CRASH, and a DECIDE
-        on a str or int) fills a template built once per call for its kind and
-        detail keys (`_event_template`). Anything else is written by the
-        generic encoder. The bytes are the same on every path."""
+        form: ASCII escapes, `", "` and `": "` separators. Each record fills
+        the template of its kind (and, for a CRASH, its length) with its
+        values in sorted-key order; `json.dumps` would write the same bytes."""
         text_of = self._text
         quoted: dict[int, str] = {}  # id(payload) -> its escaped text, for this call
-        templates: dict[tuple, str] = {}  # (kind, *detail keys) -> its template, for this call
         lines = []
         append = lines.append
         for event in self._events:
-            if len(event) == 8:
-                t, kind, party, replica, peer, peer_replica, payload, deliver_at = event
+            kind = event[1]
+            if kind == SEND:
+                t, _, party, replica, peer, peer_replica, payload, deliver_at = event
                 text = quoted.get(id(payload))
                 if text is None:
                     text = quoted[id(payload)] = _encode_str(text_of(payload))
-                if kind == SEND:
-                    # `%s` writes an int as `%d` does
-                    at = deliver_at if type(deliver_at) is int else f'"{deliver_at}"'
-                    dst_replica = "null" if peer_replica is None else peer_replica
-                    append(_SEND_LINE % (at, peer, dst_replica, text, party, replica, t))
-                else:
-                    append(_DELIVER_LINE % (text, peer, peer_replica, party, replica, t))
-                continue
-            t, kind, party, replica, detail = event
-            if (type(t) is type(party) is type(replica) is int and type(kind) is str
-                    and type(detail) is dict):
-                values = []
-                for key, value in detail.items():
-                    if type(key) is not str:
-                        break
-                    if type(value) is str:
-                        value = _encode_str(value)
-                    elif type(value) is not int:
-                        break
-                    values.append(value)
-                else:
-                    shape = (kind, *detail)
-                    line = templates.get(shape)
-                    if line is None:
-                        line = templates[shape] = _event_template(kind, shape[1:])
-                    if line:
-                        append(line % (*values, party, replica, t))
-                        continue
-            append(_ENCODER.encode({"t": t, "kind": kind, "party": party, "replica": replica,
-                                    "detail": _jsonable(detail)}))
+                # `%s` writes an int as `%d` does
+                at = deliver_at if type(deliver_at) is int else f'"{deliver_at}"'
+                dst_replica = "null" if peer_replica is None else peer_replica
+                append(_SEND_LINE % (at, peer, dst_replica, text, party, replica, t))
+            elif kind == DELIVER:
+                t, _, party, replica, peer, peer_replica, payload = event
+                text = quoted.get(id(payload))
+                if text is None:
+                    text = quoted[id(payload)] = _encode_str(text_of(payload))
+                append(_DELIVER_LINE % (text, peer, peer_replica, party, replica, t))
+            else:
+                t, _, party, replica, *values = event
+                append(_LINES[kind, len(event)]
+                       % (*map(_json_value, values), party, replica, t))
         return "\n".join(lines) + "\n"
 
     def sha256(self) -> str:
@@ -368,12 +363,12 @@ class ExecutionTrace:
             t, kind, party = event[0], event[1], event[2]
             if through is not None and t > through:
                 continue
-            if len(event) == 8:
-                text = text_of(event[6])
-                norm = ({"dst": event[4], "payload": text} if kind == SEND
-                        else {"src": event[4], "payload": text})
+            if kind == SEND:
+                norm = {"dst": event[4], "payload": text_of(event[6])}
+            elif kind == DELIVER:
+                norm = {"src": event[4], "payload": text_of(event[6])}
             else:
-                norm = _jsonable(event[4])
+                norm = {key: _jsonable(value) for key, value in zip(DETAIL_KEYS[kind], event[4:])}
             out.append((t, kind, party, norm))
         return out
 
@@ -434,8 +429,10 @@ class AdversaryScript:
 
 
 class DeliveryPolicy:
-    """Assigns delivery times; may hold messages for later release but must
-    guarantee delivery by the horizon (the engine flushes leftovers)."""
+    """Assigns delivery times, and may hold a message (`schedule` returns
+    None) for release by `on_decide`. What it still holds when the run
+    reaches the horizon, `flush` hands back once, and the engine delivers it
+    at the horizon; a message held during that flush is never delivered."""
 
     def schedule(self, env: Envelope, rng: random.Random) -> Optional[int]:
         raise NotImplementedError
@@ -480,7 +477,8 @@ SyncRandomDelay = AsyncRandomDelay = RandomDelay
 
 class PartitionPolicy(DeliveryPolicy):
     """Intra-group messages delivered in one unit; cross-group messages held
-    until max(release_time, sender decision), flushed by the horizon.
+    until max(release_time, sender decision), or else delivered at the
+    horizon by the engine's one flush.
 
     Groups hold node instances `(party, replica)`, so replicas of one party
     may sit in different groups; a node in no group is not partitioned."""
@@ -586,15 +584,16 @@ class NodeCtx:
     clock, the common coin, shared public values and the signature oracle.
     Handlers never see the network mode or their replica tag.
 
-    It keeps the simulation's tape, trace and signature oracle, not the
-    simulation itself: the simulation holds every node's context, so a
-    reference back would make each run a reference cycle."""
+    It keeps the simulation's tape, signature oracle and record writer (the
+    trace's bound `list.append`), not the simulation: the simulation holds
+    every node's context, so a reference back would make each run a
+    reference cycle."""
 
     def __init__(self, sim: "Simulation", node: NodeInstance):
         self._tape = sim.tape
-        self._trace = sim.trace
+        self._record = sim._record
         self._signatures = sim.signatures
-        self._key = node.key
+        self._replica = node.replica_tag
         self.party_id = node.party_id
         self.n = sim.params.n
         self.delta = sim.net.delta
@@ -602,12 +601,12 @@ class NodeCtx:
 
     def coin(self, key: Any) -> int:
         value = self._tape.coin(key)
-        self._trace.append(self.now, COIN, self._key, {"key": repr(key), "value": value})
+        self._record((self.now, COIN, self.party_id, self._replica, repr(key), value))
         return value
 
     def sign(self, payload: Any) -> None:
         self._signatures.sign(self.party_id, payload)
-        self._trace.append(self.now, SIGN, self._key, {"payload": repr(payload)})
+        self._record((self.now, SIGN, self.party_id, self._replica, repr(payload)))
 
     def verify(self, party_id: int, payload: Any) -> bool:
         return self._signatures.verify(party_id, payload)
@@ -674,7 +673,7 @@ class Simulation:
         self._times: list = []  # heap of the times in `_buckets`
         self._parties = range(params.n)
         self._max_delay = net.delta if net.mode == SYNCHRONOUS else None
-        self._record = self.trace._events.append  # SEND and DELIVER flat records
+        self._record = self.trace._events.append  # the one writer of every record
 
     # -- construction
 
@@ -716,6 +715,8 @@ class Simulation:
         crashed_at = behavior.time if isinstance(behavior, CrashAt) else None
         if crashed_at is not None and type(crashed_at) is not int:
             raise ConfigError(f"crash time must be an int, got {crashed_at!r}")
+        if crashed_at is not None and crashed_at < 0:
+            raise ConfigError(f"crash time must be at least 0, got {crashed_at}")
         self._nodes[node.key] = _NodeState(node, route, machines, ctx, crashed_at)
 
     def _is_key(self, key) -> bool:
@@ -733,25 +734,19 @@ class Simulation:
     # -- run loop
 
     def run(self) -> dict[NodeKey, Any]:
+        """Runs the events up to the horizon, then delivers what the policy
+        still holds at the horizon, once: what those deliveries cause is
+        dated past the horizon and never runs."""
         for key in sorted(self._nodes):
             state = self._nodes[key]
             if state.crashed_at is not None:
-                self.trace.append(state.crashed_at, CRASH, key, {"at": state.crashed_at})
+                self._record((state.crashed_at, CRASH, key[0], key[1], state.crashed_at))
             self._push(0, "START", key)
         horizon = self.net.horizon
         buckets, times = self._buckets, self._times
         deliver = self._dispatch_deliver
-        while True:
-            if not times:
-                held = self.policy.flush()
-                if not held:
-                    break
-                for env in held:
-                    self._push(horizon, "DELIVER", env)
-                continue
+        while times and times[0] <= horizon:
             time = heapq.heappop(times)
-            if time > horizon:
-                break
             # an event pushed at this time from here on opens a new bucket,
             # which runs next
             for kind, data in buckets.pop(time):
@@ -761,6 +756,8 @@ class Simulation:
                     self._dispatch_timer(time, data)
                 elif kind == "START":
                     self._dispatch_start(time, data)
+        for env in self.policy.flush():
+            deliver(horizon, env)
         return self.outcomes()
 
     def outcomes(self) -> dict[NodeKey, Any]:
@@ -779,7 +776,7 @@ class Simulation:
         return state.crashed_at is None or now < state.crashed_at
 
     def _contain(self, state: _NodeState, now: int, exc: Exception):
-        self.trace.append(now, CRASH, state.key, {"at": now, "error": type(exc).__name__})
+        self._record((now, CRASH, *state.key, now, type(exc).__name__))
         state.crashed_at = now
 
     def _dispatch_start(self, now: int, key: NodeKey):
@@ -799,7 +796,7 @@ class Simulation:
 
     def _dispatch_deliver(self, now: int, env: Envelope):
         src, dst, payload = env.src, env.dst, env.payload
-        self._record((now, DELIVER, dst[0], dst[1], src[0], src[1], payload, None))
+        self._record((now, DELIVER, dst[0], dst[1], src[0], src[1], payload))
         state = self._nodes.get(dst)  # a key tuple, as `_route` gives it
         if state is None or (state.crashed_at is not None and now >= state.crashed_at):
             return
@@ -821,7 +818,7 @@ class Simulation:
         state = self._nodes[key]
         if not self._alive(state, now):
             return
-        self.trace.append(now, TIMER, key, {"tag": repr(tag)})
+        self._record((now, TIMER, key[0], key[1], repr(tag)))
         state.ctx.now = now
         for machine_sub, machine, _value, allowed in state.machines:
             if machine_sub == sub_id:
@@ -853,7 +850,7 @@ class Simulation:
                 if state.decided is not None:
                     raise ProtocolError(f"node {state.key} decided twice")
                 state.decided = action.value
-                self.trace.append(now, DECIDE, state.key, {"value": action.value})
+                self._record((now, DECIDE, *state.key, action.value))
                 for env, at in self.policy.on_decide(node.party_id, now):
                     if type(at) is not int or at <= now:
                         raise ProtocolError("release must be strictly after the decision, "

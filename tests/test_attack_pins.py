@@ -1,7 +1,8 @@
 """Report pins for the attack library calls at layouts the CLI pins in
 `test_trace_golden.py` do not reach, and checks that only `simnet.run`
-builds a `Simulation`, only `Simulation.add_node` tells behaviors apart, and
-no JSON write in `src/aba` indents or takes a `default` hook.
+builds a `Simulation`, only `Simulation.add_node` tells behaviors apart, no
+JSON write in `src/aba` indents or takes a `default` hook, and only the
+engine writes trace records.
 
 Each pin is the sha256 of `json.dumps(report, sort_keys=True)` for one
 attack called directly (not through `aba attack`), at seed 1, with inputs
@@ -132,3 +133,28 @@ def test_no_json_write_indents_or_encodes_objects():
                 and any(kw.arg in ("indent", "default") for kw in call.keywords))
 
     assert calling_scopes(indents_or_encodes) == set()
+
+
+def test_only_simnet_names_the_trace_records():
+    # the engine writes every record through the bound `append` of this list;
+    # no other module reads or writes it
+    names = {(path.name, node.lineno) for path in SRC.rglob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.Attribute, ast.Name)) and _name(node) == "_events"}
+    assert names and {module for module, _line in names} == {"simnet.py"}
+
+
+def test_execution_trace_has_no_method_that_adds_records():
+    tree = ast.parse((SRC / "simnet.py").read_text())
+    (trace,) = [node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "ExecutionTrace"]
+    methods = {node.name: node for node in trace.body if isinstance(node, ast.FunctionDef)}
+    assert "jsonl" in methods and not {"append", "extend", "add", "record"} & set(methods)
+    for name, method in methods.items():
+        for node in ast.walk(method):
+            # `self._events` is only bound, in `__init__`, never added to
+            if isinstance(node, ast.Attribute) and node.attr == "_events":
+                assert isinstance(node.ctx, ast.Store) == (name == "__init__"), name
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                target = node.func.value
+                assert not (isinstance(target, ast.Attribute) and target.attr == "_events"), name

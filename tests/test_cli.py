@@ -556,6 +556,8 @@ def test_run_missing_file_exit_two(capsys):
     ({"inputs": {"0": "1", "1": "1", "2": ["1"], "3": "1"}},
      "input of party 2 must be a string, got ['1']"),
     ({"adversary": {"corrupted": {"9": {"behavior": "CRASH_AT"}}}}, "corrupted party 9 out of range"),
+    ({"adversary": {"corrupted": {"3": {"behavior": "CRASH_AT", "time": -3}}}},
+     "crash time must be at least 0, got -3"),
 ])
 def test_run_malformed_scenario_exit_two(capsys, tmp_path, overrides, message):
     code, out, err = invoke(capsys, "run", scenario_file(tmp_path, **overrides))

@@ -2,14 +2,14 @@
 ints (`type(x) is int`), checked where each enters.
 
 Configuration raises ConfigError: `Simulation.add_node` for a party id,
-replica tag or `CrashAt` time, `NetworkConfig` for delta and horizon, and the
-delay rules for their delay. At run time a `Send` destination, a `SetTimer`
-delay or a time that a `DeliveryPolicy` returns is a ProtocolError of the
-node whose action caused it: it aborts the run for an honest node and
-crashes a corrupted node only, with one CRASH event. `add_node` resolves
-each route target once, to None or node keys of exact ints, and raises
-ConfigError for a target that is not a node key, a list of them or None, or
-that names a party outside 0..n-1.
+replica tag or `CrashAt` time (which must also be at least 0),
+`NetworkConfig` for delta and horizon, and the delay rules for their delay.
+At run time a `Send` destination, a `SetTimer` delay or a time that a
+`DeliveryPolicy` returns is a ProtocolError of the node whose action caused
+it: it aborts the run for an honest node and crashes a corrupted node only,
+with one CRASH event. `add_node` resolves each route target once, to None or
+node keys of exact ints, and raises ConfigError for a target that is not a
+node key, a list of them or None, or that names a party outside 0..n-1.
 """
 
 import pytest
@@ -89,6 +89,18 @@ def test_add_node_rejects_a_crash_time_of_another_type():
         sim.add_node(NodeInstance(party_id=3, corrupted=True), lambda p: Echo(), CrashAt(1.5))
     with pytest.raises(ConfigError, match="crash time must be an int, got 1.5"):
         run(lambda p: Echo(), PARAMS, NET, AdversaryScript(corrupted={3: CrashAt(1.5)}),
+            INPUTS, 1)
+
+
+@pytest.mark.parametrize("time", [-1, -3])
+def test_add_node_rejects_a_negative_crash_time(time):
+    # as a delay below 1 is rejected, so no CRASH is dated before the run starts
+    sim = Simulation(PARAMS, NET, 1)
+    with pytest.raises(ConfigError, match=f"crash time must be at least 0, got {time}"):
+        sim.add_node(NodeInstance(party_id=3, corrupted=True), lambda p: Echo(), CrashAt(time))
+    assert not sim._nodes
+    with pytest.raises(ConfigError, match=f"crash time must be at least 0, got {time}"):
+        run(lambda p: Echo(), PARAMS, NET, AdversaryScript(corrupted={3: CrashAt(time)}),
             INPUTS, 1)
 
 

@@ -1,13 +1,15 @@
-"""The engine's flat SEND/DELIVER records against the eager recording they
-replaced.
+"""The engine's one-call fan-out and flat records against the
+per-destination send path they replaced.
 
-The simulator fans a broadcast out in one call and appends each SEND and
-DELIVER as a flat record, which keeps that shape for the trace's life; each
-read of `events` returns a new list of five-field tuples with detail dicts.
-`EagerSimulation` keeps the per-destination send path that recorded a
-finished detail dict, payload serialized, at every event. Each wiring runs on
-both, and the events (values, types and detail key order) and the JSONL bytes
-must be equal, including a read of `events` taken in the middle of the run.
+The simulator fans a broadcast out in one call and appends every event as one
+flat record, `(t, kind, party, replica, *values)`, which keeps that shape for
+the trace's life; each read of `events` returns a new list of five-field
+tuples with detail dicts. `EagerSimulation` keeps the per-destination send
+path, one `_send` call per destination party, and writes its own flat
+records. Each wiring runs on both, and the events (values, types and detail
+key order) must equal `trace_oracle`'s reading of the eager records, and the
+JSONL bytes its generic writer, including a read of `events` taken in the
+middle of the run.
 """
 
 import json
@@ -40,26 +42,16 @@ from aba.simnet import (
     SilentTo,
     Simulation,
     SyncRandomDelay,
-    _payload_detail,
 )
 from trace_oracle import PARAMS, discarded, held, multicast, plain, shape
 
 
 class EagerSimulation(Simulation):
-    """The engine with the eager recording: one `_send` call per destination
-    party, and a detail dict with the serialized payload built at each SEND
-    and DELIVER."""
-
-    def _record_eager(self, t, kind, node, detail):
-        self.trace.append(t, kind, node, dict(detail, payload=_payload_detail(detail["payload"])))
+    """The engine with one `_send` call per destination party, which resolves
+    the route at every send and writes each SEND and DELIVER record itself."""
 
     def _dispatch_deliver(self, now, env):
-        self._record_eager(
-            now,
-            DELIVER,
-            env.dst,
-            {"src": env.src[0], "src_replica": env.src[1], "payload": env.payload},
-        )
+        self._record((now, DELIVER, *env.dst, *env.src, env.payload))
         state = self._nodes.get(tuple(env.dst))
         if state is None or not self._alive(state, now):
             return
@@ -84,7 +76,7 @@ class EagerSimulation(Simulation):
                 if state.decided is not None:
                     raise ProtocolError(f"node {node.key} decided twice")
                 state.decided = action.value
-                self.trace.append(now, DECIDE, node.key, {"value": action.value})
+                self._record((now, DECIDE, *node.key, action.value))
                 for env, at in self.policy.on_decide(node.party_id, now):
                     self._push(at, "DELIVER", env)
             elif isinstance(action, SetTimer):
@@ -101,13 +93,7 @@ class EagerSimulation(Simulation):
         route = node.route or {}
         target = route.get(dst_party, (dst_party, 0))
         if target is None:
-            self._record_eager(
-                now,
-                SEND,
-                node.key,
-                {"dst": dst_party, "dst_replica": None,
-                 "payload": payload, "deliver_at": "discarded"},
-            )
+            self._record((now, SEND, *node.key, dst_party, None, payload, "discarded"))
             return
         targets = target if isinstance(target, list) else [target]
         for dst_key in targets:
@@ -117,17 +103,15 @@ class EagerSimulation(Simulation):
             dst_key = dst_state.key  # the node's own key, however the route writes it
             env = Envelope(src=node.key, dst=dst_key, payload=payload, sent_at=now)
             deliver_at = self.policy.schedule(env, self._sched_rng)
-            detail = {"dst": dst_key[0], "dst_replica": dst_key[1], "payload": payload}
             if deliver_at is not None:
                 if deliver_at <= now:
                     raise ProtocolError("delivery must be strictly after send")
                 if self.net.mode == SYNCHRONOUS and deliver_at - now > self.net.delta:
                     raise ProtocolError("synchronous delivery exceeded delta")
-                detail["deliver_at"] = deliver_at
                 self._push(deliver_at, "DELIVER", env)
             else:
-                detail["deliver_at"] = "held"
-            self._record_eager(now, SEND, node.key, detail)
+                deliver_at = "held"
+            self._record((now, SEND, *node.key, *dst_key, payload, deliver_at))
 
 
 class Mixer(Machine):
@@ -220,23 +204,24 @@ def test_flat_records_read_as_the_eager_recording(name):
     assert snapshot is not None and any(e[1] == SEND for e in events[len(snapshot):])
     assert shape(snapshot) == shape(eager_snapshot)
     assert shape(snapshot) == shape(events[:len(snapshot)])
-    assert shape(events) == shape(eager.events)
+    expected = oracle.events(eager._events)
+    assert shape(events) == shape(expected)
     text = trace.jsonl()
-    assert text.split("\n") == oracle.jsonl(eager.events).split("\n")
+    assert text.split("\n") == oracle.jsonl(expected).split("\n")
     assert trace.sha256() == eager.sha256()
 
 
 def test_non_payload_kinds_read_without_building_records():
-    trace, _outcomes, _snapshot = run_wiring(Simulation, discarded)
+    trace, _outcomes, _snapshot = run_wiring(Simulation, adversaries)
     records = list(trace._events)
-    flat = [e for e in records if len(e) == 8]
-    sends = sum(e[1] == SEND for e in records)
-    assert flat and {e[1] for e in flat} == {SEND, DELIVER}
+    assert {e[1] for e in records} == {SEND, DELIVER, TIMER, COIN, SIGN, DECIDE}
+    for event in records:
+        assert type(event) is tuple and len(event) == 4 + len(oracle.KEYS[event[1]])
+        assert not any(type(value) is dict for value in event)
     decisions = trace.of_kind(DECIDE)
     assert decisions and all(len(e) == 5 for e in decisions)
-    assert [e for e in trace._events if len(e) == 8] == flat
-    assert len(trace.of_kind(SEND)) == sends
-    # reads write nothing back: the same record objects, SENDs still flat
+    assert len(trace.of_kind(SEND)) == sum(e[1] == SEND for e in records)
+    # reads write nothing back: the same record objects
     assert len(trace._events) == len(records)
     assert all(now is before for now, before in zip(trace._events, records))
 
@@ -260,7 +245,7 @@ def test_events_is_a_read_only_view(name):
         returned[0] = None
     assert trace.jsonl() == text and trace.sha256() == digest
     assert trace.events == second
-    assert all(len(e) == 8 for e in trace._events if e[1] in (SEND, DELIVER))
+    assert all(len(e) == 4 + len(oracle.KEYS[e[1]]) for e in trace._events)
 
 
 class Resender(Machine):
@@ -324,8 +309,9 @@ def test_cached_destinations_send_as_the_eager_path(name, monkeypatch):
     eager, eager_outcomes = run_resender(EagerSimulation, build)
     assert outcomes == eager_outcomes
     events = sim.trace.events
-    assert shape(events) == shape(eager.trace.events)
-    assert sim.trace.jsonl() == oracle.jsonl(eager.trace.events)
+    expected = oracle.events(eager.trace._events)
+    assert shape(events) == shape(expected)
+    assert sim.trace.jsonl() == oracle.jsonl(expected)
     sends = details(events, SEND)
     assert all(type(d["dst"]) is int for d in sends)
     assert any(d["payload"] == 'v1:["one", 3]' for d in sends)  # the last re-send went out

@@ -2,10 +2,12 @@
 
 `HeapSimulation` keeps the earlier queue verbatim: one heap of
 `(time, seq, kind, data)` entries with an insertion counter, pushed by
-`_push`, popped one entry at a time by `run`. Both engines must write the
-same JSONL bytes and reach the same outcomes on the `test_engine_records.py`
-wirings and on seeded random and partitioned runs with same-time
-TIMER/DELIVER ties, the horizon flush and `release_time`.
+`_push`, popped one entry at a time by `run`, which writes its own flat
+CRASH records and flushes the policy once, through the heap, at the horizon.
+Both engines must write the same JSONL bytes and reach the same outcomes on
+the `test_engine_records.py` wirings and on seeded random and partitioned
+runs with same-time TIMER/DELIVER ties, the horizon flush and
+`release_time`.
 A release that `DeliveryPolicy.on_decide` dates at or before the decision
 is rejected, as a schedule at or before the send is.
 """
@@ -59,21 +61,20 @@ class HeapSimulation(Simulation):
         for key in sorted(self._nodes):
             state = self._nodes[key]
             if state.crashed_at is not None:
-                self.trace.append(state.crashed_at, "CRASH", key, {"at": state.crashed_at})
+                self._record((state.crashed_at, "CRASH", *key, state.crashed_at))
             self._push(0, "START", key)
         horizon = self.net.horizon
         heap = self._heap
+        flushed = False
         while True:
-            if not heap:
-                held = self.policy.flush()
-                if not held:
+            if not heap or heap[0][0] > horizon:
+                if flushed:
                     break
-                for env in held:
+                flushed = True
+                for env in self.policy.flush():
                     self._push(horizon, "DELIVER", env)
                 continue
             time, _, kind, data = heapq.heappop(heap)
-            if time > horizon:
-                break
             if kind == "DELIVER":
                 self._dispatch_deliver(time, data)
             elif kind == "TIMER":
@@ -240,3 +241,60 @@ def test_release_after_the_decision_is_delivered_then():
     assert released and all(e[0] == 2 for e in released)  # decided at 1
     times = [e[0] for e in result.trace.events]
     assert times == sorted(times)
+
+
+# ---------------------------------------------------------------- the horizon flush
+
+
+PAIR = SystemParams(n=2, t_s=0, t_a=0, setup="PKI")
+APART = [[(0, 0)], [(1, 0)]]  # every message between the two parties is held
+
+
+class Late(Machine):
+    """Party 0 sends party 1 one message and sets a timer past the horizon."""
+
+    def on_start(self, ctx, value):
+        return [Send(1, "late"), SetTimer("after", HORIZON + 5)] if ctx.party_id == 0 else []
+
+
+class Volley(Machine):
+    """Sends the other party 0 when it starts and answers each delivery of k
+    with k + 1, up to `rounds`."""
+
+    def __init__(self, rounds):
+        self.rounds = rounds
+
+    def on_start(self, ctx, value):
+        return [Send(1 - ctx.party_id, 0)]
+
+    def on_message(self, ctx, src, payload):
+        return [Send(src, payload + 1)] if payload < self.rounds else []
+
+
+def apart_run(cls, machine_factory):
+    net = NetworkConfig(mode=ASYNCHRONOUS, delta=10, horizon=HORIZON)
+    sim = cls(PAIR, net, 1, policy=PartitionPolicy(APART))
+    for party in range(PAIR.n):
+        sim.add_node(NodeInstance(party_id=party, input="0"), machine_factory)
+    sim.run()
+    return sim.trace.events
+
+
+@pytest.mark.parametrize("cls", [Simulation, HeapSimulation])
+def test_held_messages_are_delivered_with_a_timer_past_the_horizon(cls):
+    events = apart_run(cls, lambda p: Late())
+    assert [e[4]["deliver_at"] for e in events if e[1] == SEND] == ["held"]
+    assert [(e[0], e[2], e[4]["src"]) for e in events if e[1] == DELIVER] == [(HORIZON, 1, 0)]
+    assert not any(e[1] == TIMER for e in events)  # the timer falls past the horizon
+
+
+@pytest.mark.parametrize("cls", [Simulation, HeapSimulation])
+def test_the_horizon_flush_runs_once(cls):
+    # each flushed delivery is answered with a message the policy holds
+    # again; the replies stop after five rounds, so a flush repeated until
+    # nothing is held would end too, after six
+    events = apart_run(cls, lambda p: Volley(5))
+    delivered = [(e[0], e[2], e[4]["payload"]) for e in events if e[1] == DELIVER]
+    assert delivered == [(HORIZON, 1, "v1:0"), (HORIZON, 0, "v1:0")]
+    replies = [e[4] for e in events if e[1] == SEND and e[0] == HORIZON]
+    assert [(d["payload"], d["deliver_at"]) for d in replies] == [("v1:1", "held")] * 2

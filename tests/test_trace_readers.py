@@ -1,13 +1,12 @@
 """The trace readers against the implementations they replaced.
 
-`jsonl()`, `sha256()` and `node_transcript()` read the engine's flat SEND and
-DELIVER records directly, and `events` returns a new list of five-field
-tuples built from them, writing nothing back. These tests run each wiring
-once per read order and compare every reader with the earlier
-implementations, which built every record with `events` first: the
-`trace_oracle` reader, transcript reader and generic writer. Every payload
-object must be serialized at most once per trace, whatever order the
-readers run in.
+`jsonl()`, `sha256()` and `node_transcript()` read the engine's flat records
+directly, and `events` returns a new list of five-field tuples built from
+them, writing nothing back. These tests run each wiring once per read order
+and compare every reader with the earlier implementations, which built every
+record with `events` first: the `trace_oracle` reader, transcript reader and
+generic writer. Every payload object must be serialized at most once per
+trace, whatever order the readers run in.
 """
 
 import hashlib
@@ -141,9 +140,9 @@ def test_readers_equal_parent_implementations(name, order):
 
     trace, keys, snapshot = run_wiring(name, mid_run=order == "events-mid-run")
     if order == "events-mid-run":
-        # the read saw a prefix, and flat records were appended after it
+        # the read saw a prefix, and records were appended after it
         assert snapshot is not None and snapshot == shape(expected_events[:len(snapshot)])
-        assert any(len(e) == 8 for e in trace._events)
+        assert len(trace._events) > len(snapshot)
     else:
         assert snapshot is None
     if order == "events-after-run":
@@ -189,7 +188,7 @@ def test_each_payload_serialized_at_most_once_per_trace(monkeypatch, readers, mi
     calls = counting(monkeypatch)
     trace, keys, _snapshot = run_wiring("multicast", mid_run=mid_run)
     assert bool(calls) == mid_run
-    payloads = {id(e[6]) for e in trace._events if len(e) == 8}
+    payloads = {id(e[6]) for e in trace._events if e[1] in (SEND, DELIVER)}
     for reader in readers:
         READERS[reader](trace, keys)
         READERS[reader](trace, keys)
@@ -201,10 +200,11 @@ def test_each_payload_serialized_at_most_once_per_trace(monkeypatch, readers, mi
 def test_transcript_serializes_only_its_nodes_payloads(monkeypatch):
     calls = counting(monkeypatch)
     trace, _keys, _snapshot = run_wiring("plain")
-    own = {id(e[6]) for e in trace._events if len(e) == 8 and e[2:4] == (2, 0)}
+    records = list(trace._events)
+    own = {id(e[6]) for e in records if e[1] in (SEND, DELIVER) and e[2:4] == (2, 0)}
     trace.node_transcript((2, 0))
     assert {id(p) for p in calls} == own and len(calls) == len(own)
-    assert all(len(e) == 8 for e in trace._events if e[1] in (SEND, DELIVER))  # nothing built
+    assert all(now is before for now, before in zip(trace._events, records))  # nothing built
 
 
 @pytest.mark.parametrize("mid_run", [False, True], ids=["after-run", "events-mid-run"])
@@ -219,7 +219,7 @@ def test_reads_write_nothing_back(monkeypatch, mid_run):
     assert len(trace._events) == len(records)
     assert all(now is before for now, before in zip(trace._events, records))
     # the memo outlives every read: each payload was serialized exactly once
-    payloads = {id(e[6]) for e in records if len(e) == 8}
+    payloads = {id(e[6]) for e in records if e[1] in (SEND, DELIVER)}
     assert {id(p) for p in calls} == payloads and len(calls) == len(payloads)
 
 

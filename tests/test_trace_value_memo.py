@@ -1,15 +1,14 @@
-"""The trace's value memo and event templates against a memo-free oracle.
+"""The trace's value memo against a memo-free oracle.
 
 `ExecutionTrace` takes a payload's text from a memo keyed by the payload
 object's id and, on a miss, from a memo keyed by the payload's
 `marshal.dumps` bytes, which holds plain payloads only (exact str, int, bool
-or None inside exact tuples and lists). `jsonl()` writes events other than
-SEND and DELIVER from a template per kind and detail keys when the detail
-keys are exact strs in sorted order and every value an exact str or int.
+or None inside exact tuples and lists).
 These tests build traces whose machines send payloads that are equal or
 marshal alike but serialize differently, and compare `jsonl()`, `events` and
 `node_transcript()` with `trace_oracle`, which serializes every record afresh with its own
-`jsonable` and writes every line with the generic encoder. They also bound
+`jsonable` and writes every line with the generic encoder, as they do for
+hand-made records of every kind. They also bound
 how often the attack traces call `_payload_detail`.
 """
 
@@ -29,6 +28,8 @@ from aba.simnet import (
     COIN,
     CRASH,
     DECIDE,
+    DELIVER,
+    SEND,
     SIGN,
     SYNCHRONOUS,
     TIMER,
@@ -201,51 +202,36 @@ def test_drawn_payloads_match_oracle(values, echoes, order):
     assert_readers_match(trace, keys, order)
 
 
-# ---------------------------------------------------------------- event templates
+# ---------------------------------------------------------------- hand-made records
 
 
-class Key(str):
-    """A str key that `_jsonable` writes as another key."""
-
-    def __str__(self):
-        return "other"
-
-
-HAND_EVENTS = [
-    (3, TIMER, (0, 0), {"tag": "('round', 1)"}),
-    (3, SIGN, (1, 0), {"payload": "('chain', 0, 'é\\n\"%s')"}),
-    (4, COIN, (2, 1), {"key": "('acs', 0)", "value": 1}),
-    (5, DECIDE, (3, 0), {"value": "1"}),
-    (5, DECIDE, (3, 0), {"value": 2**70}),
-    (6, CRASH, (1, 0), {"at": 6}),
-    (6, CRASH, (1, 0), {"at": 6, "error": "Boom"}),
-    (7, "KIND%s", (0, 0), {"%": 5, "a%sb": "%d"}),
-    (7, "EMPTY", (0, 0), {}),
-    # each falls back to the generic encoder
-    (8, COIN, (2, 1), {"value": 0, "key": "('acs', 1)"}),  # keys out of sorted order
-    (8, DECIDE, (3, 0), {"value": True}),
-    (8, DECIDE, (3, 0), {"value": 1.5}),
-    (8, DECIDE, (3, 0), {"value": IC.of([(0, "1"), (1, "0")])}),
-    (8, DECIDE, (3, 0), {"value": Text("1")}),
-    (8, COIN, (2, 0), {"key": "k", "value": Count(1)}),
-    (8, COIN, (2, 0), {"key": None, "value": 0}),
-    (8, TIMER, (0, 0), {"tag": ("round", 1)}),
-    (8, TIMER, (0, 0), {Key("tag"): "x"}),
-    (8, TIMER, (0, 0), {1: "x"}),
-    (8, SIGN, (0, True), {"payload": "p"}),
-    (8, SIGN, (True, 0), {"payload": "p"}),
-    (8.0, CRASH, (1, 0), {"at": 8}),
-    (9, CRASH, (1, 0), {"at": 9.0}),
-    (9, CRASH, (1, "b"), {"at": 9, "error": "Boom"}),
-    (9, Text("TIMER"), (0, 0), {"tag": "x"}),
+# records of every kind the engine writes, with the value types each may hold
+HAND_RECORDS = [
+    (3, TIMER, 0, 0, "('round', 1)"),
+    (3, SIGN, 1, 0, "('chain', 0, 'é\\n\"%s')"),
+    (4, COIN, 2, 1, "('acs', 0)", 1),
+    (4, COIN, 2, 0, "k", Count(1)),
+    (5, DECIDE, 3, 0, "1"),
+    (5, DECIDE, 3, 0, 2**70),
+    (5, DECIDE, 3, 0, True),
+    (5, DECIDE, 3, 0, 1.5),
+    (5, DECIDE, 3, 0, IC.of([(0, "1"), (1, "0")])),
+    (5, DECIDE, 3, 0, Text("1")),
+    (5, DECIDE, 3, 0, ("x", [None, "é%s"], {"k": Count(2)})),
+    (6, CRASH, 1, 0, 6),
+    (6, CRASH, 1, 0, 6, "Boom"),
+    (7, SEND, 0, 0, 1, 0, ("x", "é\n\"%s"), 9),
+    (7, SEND, 0, 0, 2, 1, ("x", 1.0), "held"),
+    (7, SEND, 0, 0, 3, None, Text("y"), "discarded"),
+    (8, DELIVER, 1, 0, 0, 0, ("x", "é\n\"%s")),
+    (8, DELIVER, 2, 1, 0, 0, ["x", Count(1)]),
 ]
 
 
 def test_hand_made_events_match_oracle():
     trace = ExecutionTrace()
-    for t, kind, node, detail in HAND_EVENTS:
-        trace.append(t, kind, node, detail)
-    keys = sorted({node for _t, _k, node, _d in HAND_EVENTS}, key=repr)
+    trace._events.extend(HAND_RECORDS)
+    keys = sorted({e[2:4] for e in HAND_RECORDS})
     assert_readers_match(trace, keys, READERS)
 
 
@@ -297,7 +283,7 @@ def test_attack_traces_serialize_each_value_about_once(monkeypatch, capsys, kind
     assert traces
     for trace in traces:
         records = list(trace._events)
-        payloads = {id(e[6]): e[6] for e in records if len(e) == 8}
+        payloads = {id(e[6]): e[6] for e in records if e[1] in (SEND, DELIVER)}
         # repr tells plain values apart exactly; equal values may marshal apart
         values = {repr(p) for p in payloads.values() if plain(p)}
         value_keys = {marshal.dumps(p) for p in payloads.values() if plain(p)}

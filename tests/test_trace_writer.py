@@ -1,12 +1,12 @@
 """The trace writers against the generic ones they replaced.
 
-`ExecutionTrace.jsonl()` fills SEND and DELIVER lines from per-kind templates
-and writes every other event with a template or, when its fields are not
-exact ints and strings, with the generic encoder. These tests compare it line
-by line with the eager writer of `test_trace_lazy.py` on engine traces that
-take each branch, and with the generic writer of `trace_oracle` on hand-made
-events. `node_transcript` and `_jsonable` are compared with the oracle's
-transcript reader and `jsonable`.
+`ExecutionTrace.jsonl()` fills every line from one template per kind (and,
+for a CRASH, record length), each value escaped as a str, written as an
+exact int, or encoded through `_jsonable`. These tests compare it line by
+line with the eager writer of `test_trace_lazy.py` on engine traces, and
+with the generic writer of `trace_oracle` on drawn records of the engine's
+types for every kind. `events`, `node_transcript` and `_jsonable` are
+compared with the oracle's readers and `jsonable`.
 """
 
 import json
@@ -119,7 +119,7 @@ def test_engine_trace_lines_equal_eager_writer(name):
     assert text == oracle.jsonl(events)
 
 
-# ---------------------------------------------------------------- hand-made events
+# ---------------------------------------------------------------- drawn records
 
 
 class Count(int):
@@ -131,53 +131,106 @@ class Label(str):
 
 
 _ints = st.integers(-3, 2**70)
+_texts = st.one_of(st.text(max_size=5), st.sampled_from(["é\n\"\\%s", "('round', 1)", "%d"]))
 _fields = st.one_of(
     _ints,
     st.booleans(),
     st.none(),
-    st.text(max_size=5),
-    st.sampled_from(["held", "discarded", "v1:[\"x\", 1]", "é\n\"\\"]),
+    _texts,
     st.floats(),
     st.builds(Count, st.integers(0, 9)),
     st.builds(Label, st.text(max_size=2)),
     st.tuples(st.integers(0, 3)),
 )
-_KEYS = {SEND: ("deliver_at", "dst", "dst_replica", "payload"),
-         DELIVER: ("payload", "src", "src_replica")}
+# what a machine may decide: a configuration, a float, a bool, nested tuples,
+# dicts, subclasses and non-ASCII text
+_decision_leaves = st.one_of(_ints, _texts, st.builds(Count, st.integers(0, 9)),
+                             st.builds(Label, st.text(max_size=2)))
+_decisions = st.one_of(
+    st.builds(IC.of, st.dictionaries(st.integers(0, 5), _texts, min_size=1).map(dict.items)),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    _decision_leaves,
+    st.recursive(
+        st.one_of(_decision_leaves, st.booleans(), st.floats(allow_nan=False)),
+        lambda kids: st.one_of(st.lists(kids, max_size=3).map(tuple),
+                               st.dictionaries(_texts, kids, max_size=2)),
+        max_leaves=5,
+    ),
+)
+_node = st.tuples(st.integers(0, 2), st.integers(0, 1))
 
-# the types the engine gives each field
-_ENGINE = {"t": _ints, "party": _ints, "replica": _ints, "dst": _ints, "src": _ints,
-           "src_replica": _ints, "dst_replica": st.one_of(st.none(), _ints),
-           "deliver_at": st.one_of(_ints, st.sampled_from(["held", "discarded"])),
-           "payload": st.text(max_size=6), "tag": _fields}
+
+@st.composite
+def engine_records(draw):
+    """One record of the types the engine writes for a kind it draws."""
+    kind = draw(st.sampled_from([SEND, DELIVER, TIMER, COIN, SIGN, DECIDE, CRASH]))
+    t, (party, replica) = draw(_ints), draw(_node)
+    if kind == SEND:
+        dst_replica, deliver_at = draw(st.one_of(
+            st.tuples(st.integers(0, 1), st.one_of(_ints, st.just("held"))),
+            st.tuples(st.none(), st.just("discarded"))))
+        values = (draw(_ints), dst_replica, draw(payloads), deliver_at)
+    elif kind == DELIVER:
+        values = (draw(_ints), draw(_ints), draw(payloads))
+    elif kind == COIN:
+        values = (draw(_texts), draw(st.integers(0, 1)))
+    elif kind == DECIDE:
+        values = (draw(_decisions),)
+    elif kind == CRASH:
+        values = (t,) if draw(st.booleans()) else (t, draw(st.sampled_from(["Boom", "é%s"])))
+    else:  # TIMER and SIGN hold a repr
+        values = (draw(_texts),)
+    return (t, kind, party, replica, *values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(engine_records(), max_size=8), st.one_of(st.none(), _ints))
+def test_drawn_records_match_oracle(records, through):
+    trace = ExecutionTrace()
+    trace._events.extend(records)
+    expected = oracle.events(records)
+    assert trace.jsonl().split("\n") == oracle.jsonl(expected).split("\n")
+    assert oracle.shape(trace.events) == oracle.shape(expected)
+    for kind in {e[1] for e in records}:
+        assert oracle.shape(trace.of_kind(kind)) == \
+            oracle.shape([e for e in expected if e[1] == kind])
+    for node in {e[2:4] for e in records}:
+        for limit in (None, through):
+            got, want = trace.node_transcript(node, through=limit), \
+                oracle.transcript(expected, node, limit)
+            assert got == want
+            assert trace.transcript_hash(got) == trace.transcript_hash(want)
+    assert trace._events == records  # the reads wrote nothing back
+
+
+# the values the writer takes of any type: a payload, and every value of a
+# kind other than SEND and DELIVER
+_FREE = {SEND: (6,), DELIVER: (6,)}
 
 
 @st.composite
 def hand_events(draw):
-    """An event of the engine's shape but for at most one field drawn from
-    `_fields` and, now and then, one detail key missing or one extra."""
-    kind = draw(st.sampled_from([SEND, DELIVER, TIMER]))
-    keys = list(_KEYS.get(kind, ("tag",)))
-    if draw(st.integers(0, 4)) == 0:
-        keys.remove(draw(st.sampled_from(keys)))
-    if draw(st.integers(0, 4)) == 0:
-        keys.append("extra")
-    odd = draw(st.sampled_from([None, "t", "party", "replica", *keys]))
-
-    def field(name):
-        return draw(_fields if name == odd else _ENGINE.get(name, _fields))
-
-    detail = {key: field(key) for key in keys}
-    return field("t"), kind, (field("party"), field("replica")), detail
+    """A record of the engine's shape but for at most one value of a free
+    position drawn from `_fields`."""
+    record = list(draw(engine_records()))
+    free = _FREE.get(record[1], range(4, len(record)))
+    odd = draw(st.sampled_from([None, *free]))
+    if odd is not None:
+        record[odd] = draw(_fields)
+    return tuple(record)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(hand_events(), max_size=6))
-def test_hand_made_events_match_generic_writer(events):
+def test_hand_made_events_match_generic_writer(records):
     trace = ExecutionTrace()
-    for t, kind, node, detail in events:
-        trace.append(t, kind, node, detail)
-    assert trace.jsonl().split("\n") == oracle.jsonl(trace.events).split("\n")
+    trace._events.extend(records)
+    expected = oracle.events(records)
+    assert trace.jsonl().split("\n") == oracle.jsonl(expected).split("\n")
+    assert oracle.shape(trace.events) == oracle.shape(expected)
+    for node in {e[2:4] for e in records}:
+        assert trace.node_transcript(node) == oracle.transcript(expected, node)
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,8 +5,8 @@ The oracle converts values with its own `jsonable`, the conversion of the
 first trace writer, and never with `aba.simnet._jsonable`, so no reader is
 checked against its own serializer:
 - `payload_text`: a payload's `v1:` string;
-- `events`: the engine's flat SEND and DELIVER records as five-field events,
-  each payload serialized afresh;
+- `events`: the engine's flat records as five-field events, their details
+  named by the oracle's own `KEYS` table, each payload serialized afresh;
 - `jsonl`: the generic writer, one `json.dumps(..., sort_keys=True)` per event;
 - `transcript`: `node_transcript` read from five-field events.
 
@@ -19,8 +19,14 @@ import json
 from aba.core import SystemParams
 from aba.simnet import (
     ASYNCHRONOUS,
+    COIN,
+    CRASH,
+    DECIDE,
+    DELIVER,
     SEND,
+    SIGN,
     SYNCHRONOUS,
+    TIMER,
     NodeInstance,
     PartitionPolicy,
     SilentTo,
@@ -47,18 +53,27 @@ def payload_text(payload) -> str:
     return "v1:" + json.dumps(jsonable(payload), sort_keys=True)
 
 
+# each kind's detail keys, in the order a record `(t, kind, party, replica,
+# *values)` holds their values; a CRASH at start has no error
+KEYS = {
+    SEND: ("dst", "dst_replica", "payload", "deliver_at"),
+    DELIVER: ("src", "src_replica", "payload"),
+    TIMER: ("tag",),
+    COIN: ("key", "value"),
+    SIGN: ("payload",),
+    DECIDE: ("value",),
+    CRASH: ("at", "error"),
+}
+
+
 def events(records) -> list:
     """Every record as a five-field event, each payload serialized afresh."""
     out = []
-    for event in records:
-        if len(event) == 8:
-            t, kind, party, replica, peer, peer_replica, payload, deliver_at = event
-            text = payload_text(payload)
-            detail = ({"dst": peer, "dst_replica": peer_replica, "payload": text,
-                       "deliver_at": deliver_at} if kind == SEND
-                      else {"src": peer, "src_replica": peer_replica, "payload": text})
-            event = (t, kind, party, replica, detail)
-        out.append(event)
+    for t, kind, party, replica, *values in records:
+        assert len(values) == len(KEYS[kind]) or (kind == CRASH and len(values) == 1)
+        if kind in (SEND, DELIVER):
+            values[2] = payload_text(values[2])
+        out.append((t, kind, party, replica, dict(zip(KEYS[kind], values))))
     return out
 
 
